@@ -10,9 +10,9 @@ from .geometry import (Cluster, DomainShape, ScaleSet,
 from .foldylax import (FarFieldSamples, FoldyLaxSolution, IncidentWave,
                        assemble_and_solve, cluster_far_field,
                        incident_magnetic, invertibility_margin)
-from .effective import (EffectiveTensors, amplification_f, ball_resonance_k4,
-                        classify_regime, coercivity_window, correction_g,
-                        coupling_xi, detuned_xi, dispersion_xi, effective_mu,
+from .effective import (amplification_f, ball_resonance_k4, classify_regime,
+                        coercivity_window, correction_g, coupling_xi,
+                        detuned_xi, dispersion_xi, effective_mu,
                         frequency_function_c, p0_ball, p0_from_moments,
                         plasmonic_frequency, tensor_T)
 from .lse import (SpectrumReport, VolumeGrid, effective_far_field,

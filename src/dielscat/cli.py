@@ -264,22 +264,11 @@ def build_parser():
                         help="path to the JSON study configuration")
         sp.add_argument("--out", required=True,
                         help="output directory for reports")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="BLAS thread budget")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", dest="overrides",
                         help="override one config key (repeatable)")
     return parser
-
-
-def _thread_limit(n):
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=n)
-    except ImportError:
-        import contextlib
-        return contextlib.nullcontext()
 
 
 def main(argv=None):
@@ -290,12 +279,11 @@ def main(argv=None):
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)
-    with _thread_limit(args.threads):
-        try:
-            return RUNNERS[args.subcommand](config, args.out, args.format)
-        except (ValueError, RuntimeError, ZeroDivisionError) as exc:
-            print("run failed: %s" % exc, file=sys.stderr)
-            return 1
+    try:
+        return RUNNERS[args.subcommand](config, args.out, args.format)
+    except (ValueError, RuntimeError, ZeroDivisionError) as exc:
+        print("run failed: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -106,18 +106,6 @@ def classify_regime(xi, sign):
     return "dielectric-positive" if xi < pole else "plasmonic-negative"
 
 
-class EffectiveTensors:
-    """Bundle of xi, P0, T, effective mu and eps for one configuration."""
-
-    def __init__(self, xi, p0, sign):
-        self.xi = xi
-        self.sign = parse_sign(sign)
-        self.p0 = np.asarray(p0, dtype=complex)
-        self.T = tensor_T(xi, self.p0, self.sign)
-        self.mu_eff = np.eye(3, dtype=complex) + self.sign * xi * self.T
-        self.eps_eff = effective_eps()
-
-
 def dispersion_xi(lam):
     """Dispersion root xi_n = pi^3 / (4 (3 lam - 1)), needs lam > 1/3."""
     if lam <= 1.0 / 3.0:

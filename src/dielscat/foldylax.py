@@ -2,10 +2,13 @@
 # system for the per-particle vectors Q_m, solves it directly or by
 # matrix-free GMRES, and evaluates the cluster far field.
 
+import functools
+
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .tensors import dyadic_kernel_scalars, dyadic_sum_chunked, spectral_norm
+from .tensors import (LatticeOperator, assemble_dense, dyadic_kernel_scalars,
+                      dyadic_sum_chunked, kernel_components, spectral_norm)
 
 DENSE_LIMIT = 1000          # dense direct solve while 3*count <= 3000
 GMRES_TOL = 1e-10
@@ -103,15 +106,43 @@ def rhs_constant(scales):
     return 1j * s.k / (s.sign * s.c0) * s.a ** (5.0 - s.h)
 
 
+# GMRES applies one cluster's kernel once per matvec: keeping the last
+# operator builds its offset table and FFT once per solve, not per matvec
+@functools.lru_cache(maxsize=1)
+def _lattice_kernel(cluster, k):
+    """Y_k between distinct particles as a LatticeOperator, or None when the
+    centers are not on the pitch-d lattice."""
+    ijk = cluster.lattice_index()
+    if ijk is None:
+        return None
+    return LatticeOperator(ijk, cluster.d, "dyadic", k)
+
+
+def _kernel_sum(cluster, k, F):
+    """sum_{j != m} Y_k(z_m,z_j).F_j: by FFT on a lattice, else directly."""
+    op = _lattice_kernel(cluster, k)
+    if op is None:
+        return dyadic_sum_chunked(cluster.centers, cluster.centers, k, F)
+    return op.apply(F)
+
+
+def _kernel_matrix(cluster, k):
+    """Dense (3N)x(3N) matrix of Y_k between distinct particles."""
+    op = _lattice_kernel(cluster, k)
+    if op is not None:
+        return op.dense()
+    c = cluster.centers
+    comps = kernel_components(*dyadic_kernel_scalars(c, c, k),
+                              c[:, None, :] - c[None, :, :])
+    return assemble_dense(comps.__getitem__, cluster.count, 3, complex)
+
+
 def _apply_offdiag(cluster, scales, p0, Q, ordering="p0-first"):
     """coupling * sum_{j != m} P0.Y_k(z_m,z_j).Q_j (or Y_k.P0 ordering)."""
     c = coupling_constant(scales)
     if ordering == "p0-first":
-        Y = dyadic_sum_chunked(cluster.centers, cluster.centers, scales.k, Q)
-        return c * Y @ p0.T
-    PQ = Q @ p0.T
-    Y = dyadic_sum_chunked(cluster.centers, cluster.centers, scales.k, PQ)
-    return c * Y
+        return c * _kernel_sum(cluster, scales.k, Q) @ p0.T
+    return c * _kernel_sum(cluster, scales.k, Q @ p0.T)
 
 
 def system_residual(cluster, scales, p0, wave, Q, rhs=None,
@@ -124,29 +155,12 @@ def system_residual(cluster, scales, p0, wave, Q, rhs=None,
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
 
-def _assemble_dense(cluster, scales, p0, ordering):
-    """Full (3N)x(3N) system matrix I - coupling * blocks."""
-    n = cluster.count
-    iso, rad2 = dyadic_kernel_scalars(cluster.centers, cluster.centers,
-                                      scales.k)
-    d = cluster.centers[:, None, :] - cluster.centers[None, :, :]
-    blocks = (iso[:, :, None, None] * np.eye(3)
-              + rad2[:, :, None, None] * d[:, :, :, None] * d[:, :, None, :])
-    if ordering == "p0-first":
-        blocks = np.einsum("ab,mjbc->mjac", p0, blocks)
-    else:
-        blocks = np.einsum("mjab,bc->mjac", blocks, p0)
-    A = -coupling_constant(scales) * blocks.transpose(0, 2, 1, 3).reshape(
-        3 * n, 3 * n)
-    A[np.arange(3 * n), np.arange(3 * n)] += 1.0
-    return A
-
-
 def assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first"):
     """Solve the point-interaction system for the Q_m.
 
     Dense direct solve while 3*count <= 3000; matrix-free restarted GMRES
-    above that, evaluating the kernel on the fly so memory stays O(count).
+    above that, applying the kernel by FFT on the particle lattice (or by
+    the direct sum off a lattice), so memory stays O(count).
     """
     if abs(wave.k - scales.k) > 1e-10 * scales.k:
         raise ValueError("wave.k inconsistent with the derived scales")
@@ -155,7 +169,13 @@ def assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first"):
         wave, cluster.centers) @ p0.T
     n = cluster.count
     if n <= DENSE_LIMIT:
-        A = _assemble_dense(cluster, scales, p0, ordering)
+        Y = _kernel_matrix(cluster, scales.k)
+        if ordering == "p0-first":
+            A = (p0 @ Y.reshape(n, 3, 3 * n)).reshape(3 * n, 3 * n)
+        else:
+            A = (Y.reshape(3 * n, n, 3) @ p0).reshape(3 * n, 3 * n)
+        A *= -coupling_constant(scales)
+        A[np.arange(3 * n), np.arange(3 * n)] += 1.0
         Q = np.linalg.solve(A, rhs.reshape(-1)).reshape(n, 3)
     else:
         def matvec(q):

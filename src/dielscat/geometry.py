@@ -154,6 +154,24 @@ class Cluster:
         self.domain = domain
         self.count = self.centers.shape[0]
 
+    def lattice_index(self):
+        """Integer indices of the centers on the pitch-d cubic lattice.
+
+        The lattice runs through the centers' minimum corner.  Returns None
+        when a center is off it, two centers share a site, or the lattice's
+        (2n)^3 offset table holds more entries than 8 N^2 (a sparse set,
+        for which the direct pairwise sum is cheaper than an FFT).
+        """
+        rel = (self.centers - self.centers.min(axis=0)) / self.d
+        ijk = np.rint(rel).astype(np.int64)
+        if np.max(np.abs(rel - ijk)) > 1e-9:
+            return None
+        if len(np.unique(ijk, axis=0)) < self.count:
+            return None
+        if np.prod(2.0 * (ijk.max(axis=0) + 1)) > 8.0 * self.count ** 2:
+            return None
+        return ijk
+
     def to_json(self):
         return json.dumps({"domain": self.domain.to_dict(), "d": self.d,
                            "centers": self.centers.tolist()})

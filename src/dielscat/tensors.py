@@ -1,6 +1,10 @@
-# Complex 3-vector / 3x3-dyadic helpers and the Helmholtz kernel family:
-# the scalar kernel Phi_k(x,z) = e^{ik|x-z|}/(4pi|x-z|), its gradient, and
-# the dyadic kernel Y_k(x,z) = grad grad Phi_k + k^2 Phi_k I.
+# The Helmholtz kernel family: the scalar kernel Phi_k(x,z) =
+# e^{ik|x-z|}/(4pi|x-z|), its gradient, and the dyadic kernel Y_k(x,z) =
+# grad grad Phi_k + k^2 Phi_k I, with the direct pairwise sum and the FFT
+# lattice operator that every solver applies them through.
+
+import functools
+import os
 
 import numpy as np
 
@@ -8,21 +12,6 @@ FOUR_PI = 4.0 * np.pi
 
 # distances below this are treated as coincident points
 COINCIDENT_TOL = 1e-12
-
-
-def vec3(x, y, z):
-    """Build a complex 3-vector."""
-    return np.array([x, y, z], dtype=complex)
-
-
-def identity_dyadic():
-    """3x3 complex identity."""
-    return np.eye(3, dtype=complex)
-
-
-def vnorm(v):
-    """Euclidean norm of a complex vector."""
-    return float(np.linalg.norm(v))
 
 
 def spectral_norm(dyadic):
@@ -98,7 +87,45 @@ def dyadic_green_fd(x, z, k, step=1e-4):
     return out + k * k * phi0 * np.eye(3)
 
 
-def dyadic_kernel_scalars(targets, sources, k, out_iso=None, out_rad=None):
+def kernel_scalars(d, k, kind="dyadic"):
+    """Scalar factors (iso, rad2) of a Helmholtz kernel at displacements d.
+
+    d has shape (..., 3).  The 3x3 kinds are K(d) = iso I + rad2 d d^T:
+        "dyadic"     Y_k = grad grad Phi_k + k^2 Phi_k I
+        "hessian"    grad grad Phi_k
+        "projected"  Phi_k rhat rhat
+    and the "scalar" kind returns (Phi_k, None).  With r = |d|, Phi' =
+    Phi (ik - 1/r) and Phi'' = Phi ((ik - 1/r)^2 + 1/r^2), the Hessian is
+    (Phi'/r) I + ((Phi'' - Phi'/r)/r^2) d d^T.  Displacements shorter than
+    the coincidence tolerance get zeros; callers handle self terms
+    separately.  The factors are float64 when k == 0.
+    """
+    r2 = np.einsum("...i,...i->...", d, d)
+    near = r2 < COINCIDENT_TOL ** 2
+    r2 = np.where(near, 1.0, r2)
+    r = np.sqrt(r2)
+    if k:
+        phi = np.exp(1j * k * r) / (FOUR_PI * r)
+        s = 1j * k - 1.0 / r
+    else:
+        phi = 1.0 / (FOUR_PI * r)
+        s = -1.0 / r
+    if kind == "scalar":
+        iso, rad2 = phi, None
+    elif kind == "projected":
+        iso, rad2 = np.zeros_like(phi), phi / r2
+    else:
+        iso = phi * s / r
+        rad2 = (phi * (s * s + 1.0 / r2) - iso) / r2
+        if kind == "dyadic":
+            iso += k * k * phi
+    iso[near] = 0.0
+    if rad2 is not None:
+        rad2[near] = 0.0
+    return iso, rad2
+
+
+def dyadic_kernel_scalars(targets, sources, k):
     """Scalar factors of Y_k for all target/source pairs.
 
     Returns (iso, rad2) with Y_k(x_i, z_j) = iso[i,j] I + rad2[i,j] d d^T
@@ -107,46 +134,146 @@ def dyadic_kernel_scalars(targets, sources, k, out_iso=None, out_rad=None):
     """
     tx = np.asarray(targets, dtype=float)
     sx = np.asarray(sources, dtype=float)
-    d = tx[:, None, :] - sx[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", d, d)
-    r = np.sqrt(r2)
-    near = r < COINCIDENT_TOL
-    r_safe = np.where(near, 1.0, r)
-    phi = np.exp(1j * k * r) / (FOUR_PI * r_safe)
-    s = 1j * k - 1.0 / r_safe
-    dphi = phi * s
-    ddphi = phi * (s * s + 1.0 / r_safe ** 2)
-    iso = dphi / r_safe + k * k * phi
-    rad2 = (ddphi - dphi / r_safe) / np.where(near, 1.0, r2)
-    iso[near] = 0.0
-    rad2[near] = 0.0
-    if out_iso is not None:
-        out_iso[...] = iso
-        out_rad[...] = rad2
-        return out_iso, out_rad
-    return iso, rad2
+    return kernel_scalars(tx[:, None, :] - sx[None, :, :], k)
 
 
-def dyadic_sum_chunked(targets, sources, k, fields, weights=None,
-                       chunk=512):
-    """Y = sum_j w_j Y_k(x_i, z_j) . F_j with on-the-fly kernel evaluation.
+def dyadic_sum_chunked(targets, sources, k, fields, chunk=512):
+    """Y = sum_j Y_k(x_i, z_j) . F_j with on-the-fly kernel evaluation.
 
-    Memory stays O(chunk * n_sources); coincident pairs (self terms) are
-    skipped.  fields has shape (n_sources, 3).
+    The direct sum, for point sets that are not on a lattice and as the
+    oracle of LatticeOperator.  Memory stays O(chunk * n_sources);
+    coincident pairs (self terms) are skipped.  fields has shape
+    (n_sources, 3).
     """
     tx = np.asarray(targets, dtype=float)
     sx = np.asarray(sources, dtype=float)
     F = np.asarray(fields, dtype=complex)
-    if weights is not None:
-        F = F * np.asarray(weights, dtype=float)[:, None]
     out = np.empty((tx.shape[0], 3), dtype=complex)
     for lo in range(0, tx.shape[0], chunk):
         hi = min(lo + chunk, tx.shape[0])
         d = tx[lo:hi, None, :] - sx[None, :, :]
-        iso, rad2 = dyadic_kernel_scalars(tx[lo:hi], sx, k)
+        iso, rad2 = kernel_scalars(d, k)
         dF = np.einsum("ijk,jk->ij", d, F)
         out[lo:hi] = iso @ F + np.einsum("ij,ijk->ik", rad2 * dF, d)
     return out
+
+
+def kernel_components(iso, rad2, d):
+    """Independent entries of iso I + rad2 d d^T, stacked on a new first axis.
+
+    Order (xx, yy, zz, xy, xz, yz), indexed through SYM; a scalar kernel
+    (rad2 None) has the single component iso.
+    """
+    if rad2 is None:
+        return iso[None]
+    return np.stack([iso + rad2 * d[..., a] * d[..., b] if a == b
+                     else rad2 * d[..., a] * d[..., b]
+                     for a, b in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2),
+                                  (1, 2))])
+
+
+# component of kernel_components holding tensor entry (a, b)
+SYM = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+
+
+def assemble_dense(component, count, m, dtype, self_term=0.0):
+    """(m C)x(m C) matrix of a pairwise kernel plus self_term on the diagonal.
+
+    component(c) returns the (C, C) pair values of kernel component c
+    (see kernel_components); m is 3 for a 3x3 kernel acting on (C, 3)
+    fields, 1 for a scalar kernel.  The matrix must fit in physical memory:
+    a larger one raises ValueError before anything is allocated.
+    """
+    size = m * count
+    nbytes = size * size * np.dtype(dtype).itemsize
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > limit:
+        raise ValueError(
+            "dense operator on C=%d cells needs %d bytes, more than the %d "
+            "bytes of physical memory" % (count, nbytes, limit))
+    A = np.empty((count, m, count, m), dtype=dtype)
+    for a in range(m):
+        for b in range(m):
+            A[:, a, :, b] = component(SYM[a][b])
+    A = A.reshape(size, size)
+    A[np.arange(size), np.arange(size)] += self_term
+    return A
+
+
+class LatticeOperator:
+    """Translation-invariant kernel on a masked cubic lattice plus a self term.
+
+        (A F)_i = self_term F_i + weight sum_{j != i} K(x_i - x_j) F_j
+
+    with x = pitch * ijk for integer lattice indices ijk (C, 3) and K one of
+    the kernel_scalars kinds at wavenumber k.  A 3x3 kernel acts on (C, 3)
+    fields; the scalar kind acts on each column of a (C,) or (C, m) field.
+
+    The kernel is evaluated once on the (2n)^3 table of lattice offsets of
+    an n^3 bounding box, offset o stored at o mod 2n.  apply is a
+    zero-padded FFT convolution with the stored FFT of that table (the
+    discrete-dipole method of Goodman, Draine & Flatau, Opt. Lett. 16
+    (1991) 1198); dense() gathers the matrix from the same table.  Both are
+    built on first use.
+    """
+
+    def __init__(self, ijk, pitch, kind, k=0.0, weight=1.0, self_term=0.0):
+        ijk = np.asarray(ijk, dtype=np.int64)
+        self.ijk = ijk - ijk.min(axis=0)
+        self.count = ijk.shape[0]
+        self.extent = self.ijk.max(axis=0) + 1
+        self.pitch = float(pitch)
+        self.kind = kind
+        self.k = k
+        self.weight = weight
+        self.self_term = self_term
+        self.m = 1 if kind == "scalar" else 3
+        self.dtype = np.result_type(complex if k else float, self_term)
+
+    @functools.cached_property
+    def table(self):
+        """Kernel components at every offset, in FFT order along each axis."""
+        axes = [self.pitch * np.fft.fftfreq(2 * n, 1.0 / (2 * n))
+                for n in self.extent]
+        d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        iso, rad2 = kernel_scalars(d, self.k, self.kind)
+        return self.weight * kernel_components(iso, rad2, d)
+
+    @functools.cached_property
+    def spectrum(self):
+        return np.fft.fftn(self.table, axes=(1, 2, 3))
+
+    def apply(self, F):
+        """A F by FFT convolution; real if the kernel, self term and F are."""
+        F = np.asarray(F)
+        cols = F.reshape(self.count, -1)
+        cells = tuple(self.ijk.T)
+        grid = np.zeros((cols.shape[1],) + self.table.shape[1:],
+                        dtype=complex)
+        grid[(slice(None),) + cells] = cols.T
+        spec = np.fft.fftn(grid, axes=(1, 2, 3))
+        K = self.spectrum
+        if self.m == 1:
+            spec *= K[0]
+        else:
+            spec = np.stack([sum(K[SYM[a][b]] * spec[b] for b in range(3))
+                             for a in range(3)])
+        out = np.fft.ifftn(spec, axes=(1, 2, 3))[(slice(None),) + cells].T
+        if np.result_type(self.dtype, F.dtype) == float:
+            out = out.real
+        return (out + self.self_term * cols).reshape(F.shape)
+
+    def dense(self):
+        """The (m C)x(m C) matrix of the operator; float64 if A is real."""
+        return assemble_dense(lambda c: self.table[c].reshape(-1)[self._pairs],
+                              self.count, self.m, self.dtype, self.self_term)
+
+    @functools.cached_property
+    def _pairs(self):
+        """Flat table index of the offset x_i - x_j, for every pair."""
+        diff = self.ijk.T[:, :, None] - self.ijk.T[:, None, :]
+        return np.ravel_multi_index(tuple(diff), tuple(2 * self.extent),
+                                    mode="wrap")
 
 
 def direction_grid():

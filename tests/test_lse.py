@@ -1,6 +1,10 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
+from dielscat.cli import main
 from dielscat.effective import tensor_T_ball
 from dielscat.foldylax import IncidentWave
 from dielscat.geometry import unit_ball, unit_box
@@ -13,7 +17,8 @@ from dielscat.lse import (DyadicVolumeOperator, VolumeGrid, discrete_curl,
                           nnprime_inner_product, nprime_apply,
                           select_resonant_eigenvalue, solve_effective_lse,
                           weighted_norm)
-from dielscat.tensors import direction_grid, dyadic_sum_chunked
+from dielscat.tensors import (direction_grid, dyadic_green,
+                              dyadic_sum_chunked, helmholtz_kernel)
 
 
 def test_volume_grid_box():
@@ -249,3 +254,70 @@ def test_weighted_norm_and_inner_product():
         np.sqrt(3.0 * grid.total_weight()))
     inner = nnprime_inner_product(grid)
     assert inner > 0.0
+
+
+def test_dense_memory_check_refuses_before_allocating():
+    """A (3C)^2 matrix past physical memory is refused at once, by name."""
+    grid = VolumeGrid(unit_ball(), 64)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="C=%d cells" % grid.count):
+        magnetization_matrix(grid)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_cli_reports_oversized_dense_spectrum(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid_n": 64, "mode": "full"}))
+    assert main(["spectrum", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+
+
+def _pointwise_volume_matrix(grid, block, self_term):
+    n = grid.count
+    A = np.zeros((n, 3, n, 3), dtype=complex)
+    for i in range(n):
+        A[i, :, i, :] = self_term * np.eye(3)
+        for j in range(n):
+            if i != j:
+                A[i, :, j, :] = grid.weight * block(grid.centers[i],
+                                                    grid.centers[j])
+    return A.reshape(3 * n, 3 * n)
+
+
+@pytest.mark.parametrize("k", [0.0, 1.3])
+def test_volume_operators_match_pointwise_sums(k):
+    """Each volume operator's FFT apply against a double loop of the
+    pointwise kernels, with its weight and self-cell term."""
+    grid = VolumeGrid(unit_ball(), 5)
+    w, r2 = grid.weight, grid.r_eq ** 2
+    eye = np.eye(3)
+
+    def rhat(x, z):
+        return np.outer(x - z, x - z) / np.sum((x - z) ** 2)
+
+    cases = [
+        (lambda F: newtonian_apply(F, grid, k),
+         lambda x, z: helmholtz_kernel(x, z, k) * eye,
+         r2 / 2.0 + 1j * k * w / (4 * np.pi)),
+        (lambda F: magnetization_apply(F, grid, k),
+         lambda x, z: k * k * helmholtz_kernel(x, z, k) * eye
+         - dyadic_green(x, z, k), 1.0 / 3.0),
+        (lambda F: DyadicVolumeOperator(grid, k).apply(F),
+         lambda x, z: dyadic_green(x, z, k), 0.0),
+    ]
+    if k == 0.0:
+        cases.append((lambda F: nprime_apply(F, grid),
+                       lambda x, z: helmholtz_kernel(x, z, 0.0) * rhat(x, z),
+                       r2 / 6.0))
+    rng = np.random.default_rng(21)
+    F = rng.normal(size=(grid.count, 3)) + 1j * rng.normal(
+        size=(grid.count, 3))
+    for apply, block, self_term in cases:
+        want = (_pointwise_volume_matrix(grid, block, self_term)
+                @ F.reshape(-1)).reshape(-1, 3)
+        got = apply(F)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    dense = DyadicVolumeOperator(grid, k).dense_blocks()
+    want = _pointwise_volume_matrix(grid, lambda x, z: dyadic_green(x, z, k),
+                                    0.0)
+    assert np.max(np.abs(dense - want)) <= 1e-12 * np.max(np.abs(want))

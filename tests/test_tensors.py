@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dielscat.tensors import (direction_grid, dyadic_green, dyadic_green_fd,
-                              dyadic_kernel_scalars, dyadic_sum_chunked,
-                              grad_helmholtz_kernel, helmholtz_kernel,
-                              refine_direction_grid)
+from dielscat.foldylax import _kernel_matrix, _kernel_sum
+from dielscat.geometry import (Cluster, DomainShape, generate_cluster,
+                               unit_ball, unit_box)
+from dielscat.lse import VolumeGrid
+from dielscat.tensors import (LatticeOperator, direction_grid, dyadic_green,
+                              dyadic_green_fd, dyadic_kernel_scalars,
+                              dyadic_sum_chunked, grad_helmholtz_kernel,
+                              helmholtz_kernel, refine_direction_grid)
 
 
 def random_points(rng, n):
@@ -127,3 +132,130 @@ def test_refine_direction_grid_adds_midpoints():
     assert dirs.shape[0] < fine.shape[0] <= 2 * dirs.shape[0]
     assert np.allclose(np.linalg.norm(fine, axis=1), 1.0)
     assert np.allclose(fine[:dirs.shape[0]], dirs)
+
+
+KINDS = ("dyadic", "hessian", "projected", "scalar")
+
+
+def pointwise_block(x, z, k, kind):
+    """K(x - z) from the pointwise oracles, as a 3x3 tensor or a scalar."""
+    if kind == "scalar":
+        return helmholtz_kernel(x, z, k)
+    if kind == "dyadic":
+        return dyadic_green(x, z, k)
+    if kind == "hessian":
+        return dyadic_green(x, z, k) - k * k * helmholtz_kernel(x, z, k) \
+            * np.eye(3)
+    rhat = (x - z) / np.linalg.norm(x - z)
+    return helmholtz_kernel(x, z, k) * np.outer(rhat, rhat)
+
+
+def pointwise_matrix(points, k, kind, weight, self_term):
+    """Double loop over pairs: the (mC)x(mC) matrix the lattice gathers."""
+    m = 1 if kind == "scalar" else 3
+    n = len(points)
+    A = np.zeros((n, m, n, m), dtype=complex)
+    for i in range(n):
+        A[i, :, i, :] = self_term * np.eye(m)
+        for j in range(n):
+            if i != j:
+                A[i, :, j, :] = weight * np.reshape(
+                    pointwise_block(points[i], points[j], k, kind), (m, m))
+    return A.reshape(m * n, m * n)
+
+
+def lattice_geometries():
+    box = VolumeGrid(unit_box(), 4)
+    ball = VolumeGrid(unit_ball(), 5)
+    slab = generate_cluster(DomainShape("box", (1.0, 1.0, 0.5),
+                                        center=(0.5, 0.5, 0.25)), 0.25)
+    return {"box": (box.ijk, box.side, box.centers, box.weight),
+            "ball": (ball.ijk, ball.side, ball.centers, ball.weight),
+            "slab": (slab.lattice_index(), slab.d, slab.centers, 1.0)}
+
+
+GEOMETRIES = lattice_geometries()
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [0.0, 1.3])
+def test_lattice_operator_matches_pointwise_kernel(geometry, kind, k):
+    ijk, pitch, points, weight = GEOMETRIES[geometry]
+    op = LatticeOperator(ijk, pitch, kind, k, weight, 0.25)
+    want = pointwise_matrix(points, k, kind, weight, 0.25)
+    dense = op.dense()
+    assert dense.dtype == (np.float64 if k == 0.0 else np.complex128)
+    assert np.max(np.abs(dense - want)) <= 1e-12 * np.max(np.abs(want))
+    rng = np.random.default_rng(17)
+    F = rng.normal(size=(len(points), 3)) + 1j * rng.normal(
+        size=(len(points), 3))
+    got = op.apply(F)
+    ref = (dense @ F.reshape(-1)).reshape(-1, 3) if op.m == 3 else dense @ F
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_lattice_operator_real_in_real_out():
+    grid = VolumeGrid(unit_ball(), 6)
+    op = LatticeOperator(grid.ijk, grid.side, "scalar", 0.0, grid.weight, 0.5)
+    v = np.random.default_rng(3).normal(size=grid.count)
+    out = op.apply(v)
+    assert out.dtype == np.float64 and out.shape == v.shape
+    assert np.allclose(out, op.dense() @ v, rtol=1e-12, atol=0.0)
+
+
+def test_cluster_lattice_fft_matches_direct_sum():
+    """Foldy-Lax on a ball cluster: the FFT path and its dense gather agree
+    with the direct sum and with the off-lattice dense assembly."""
+    cluster = generate_cluster(unit_ball(), 0.3)
+    assert cluster.lattice_index() is not None
+    # the same centres with a pitch they are not on: the direct paths
+    direct = Cluster(cluster.centers, 0.3 * (1 - 1e-3), cluster.domain)
+    assert direct.lattice_index() is None
+    k = 2.1
+    rng = np.random.default_rng(8)
+    F = rng.normal(size=(cluster.count, 3)) + 1j * rng.normal(
+        size=(cluster.count, 3))
+    want = dyadic_sum_chunked(cluster.centers, cluster.centers, k, F)
+    got = _kernel_sum(cluster, k, F)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    dense = _kernel_matrix(cluster, k)
+    ref = _kernel_matrix(direct, k)
+    assert np.max(np.abs(dense - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_lattice_index_rejects_off_lattice_sets():
+    pair = Cluster(np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5]]), 0.12,
+                   unit_box())
+    assert pair.lattice_index() is None
+    far = Cluster(np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]]), 0.1,
+                  unit_box())
+    assert far.lattice_index() is None
+    twice = Cluster(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 0.1,
+                    unit_box())
+    assert twice.lattice_index() is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 6)] * 3),
+       mask=st.lists(st.booleans(), min_size=216, max_size=216),
+       kind=st.sampled_from(KINDS), k=st.sampled_from([0.0, 0.7]),
+       seed=st.integers(0, 2 ** 16))
+def test_lattice_operator_properties(shape, mask, kind, k, seed):
+    """On a random mask of an n <= 6 lattice: dense() is complex-symmetric,
+    apply is linear and equals dense() @ F."""
+    flat = [i for i in range(int(np.prod(shape))) if mask[i]] or [0]
+    ijk = np.stack(np.unravel_index(flat, shape), axis=1)
+    op = LatticeOperator(ijk, 0.3, kind, k, 0.8, 0.1)
+    A = op.dense()
+    np.testing.assert_array_equal(A, A.T)
+    rng = np.random.default_rng(seed)
+    F, G = (rng.normal(size=(len(flat), 3)) + 1j * rng.normal(
+        size=(len(flat), 3)) for _ in range(2))
+    a, b = 0.7 - 0.2j, -1.3
+    lhs = op.apply(a * F + b * G)
+    rhs = a * op.apply(F) + b * op.apply(G)
+    scale = np.linalg.norm(lhs)
+    assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
+    want = (A @ F.reshape(-1)).reshape(-1, 3) if op.m == 3 else A @ F
+    assert np.linalg.norm(op.apply(F) - want) <= 1e-12 * np.linalg.norm(want)
