@@ -9,11 +9,12 @@ import sys
 import numpy as np
 
 from .effective import coupling_xi, p0_ball, tensor_T
-from .experiments import (run_convergence, run_counting, run_regime_map,
-                          run_resonance)
+from .experiments import (BOUNDARY_PITCHES, COUNTING_PITCHES,
+                          COUNTING_REFINE, run_convergence, run_counting,
+                          run_regime_map, run_resonance)
 from .foldylax import IncidentWave, assemble_and_solve, cluster_far_field
-from .geometry import DomainShape, derive_scales, generate_cluster, unit_ball, \
-    unit_box
+from .geometry import DomainShape, boundary_grid_counts, derive_scales, \
+    generate_cluster, unit_ball, unit_box
 from .lse import (VolumeGrid, effective_far_field, magnetization_spectrum,
                   solve_effective_lse, weighted_norm)
 from .reporting import emit, emit_plot_data, far_field_rows
@@ -108,9 +109,41 @@ def validate_config(config, subcommand):
         elif subcommand == "effective":
             if not config["xi_values"]:
                 raise ValueError("xi_values must be nonempty")
+        elif subcommand == "counting":
+            _validate_counting(config)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
     return config
+
+
+def _pitch_list(config, key, default):
+    pitches = config.get(key, default)
+    if not isinstance(pitches, list) or not pitches:
+        raise ValueError("%s must be a nonempty list of pitches" % key)
+    for d in pitches:
+        if isinstance(d, bool) or not isinstance(d, (int, float)) \
+                or not 0.0 < d <= 1.0:
+            raise ValueError("%s: pitch %r is not in (0, 1]" % (key, d))
+    return pitches
+
+
+def _validate_counting(config):
+    """Every pitch must give a positive value, whose log the fit takes."""
+    refine = config.get("refine", COUNTING_REFINE)
+    if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
+        raise ValueError("refine must be a positive integer, not %r"
+                         % (refine,))
+    for d in _pitch_list(config, "pitches", COUNTING_PITCHES):
+        if np.floor(1.0 / d + 1e-12) < 2:
+            raise ValueError("pitches: pitch %r fits one particle in the "
+                             "unit box, whose counting sum is zero" % d)
+    for d in _pitch_list(config, "boundary_pitches", BOUNDARY_PITCHES):
+        _, n, c = boundary_grid_counts(unit_box(), d, refine)
+        if np.array_equal(n, c):
+            raise ValueError(
+                "boundary_pitches: pitch %r leaves no quadrature point of "
+                "refine=%d outside the particle cubes of the unit box (1/d "
+                "is an integer or too close to one)" % (d, refine))
 
 
 def _domain_from_config(config, default):

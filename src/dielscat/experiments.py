@@ -21,6 +21,12 @@ from .tensors import direction_grid, refine_direction_grid
 # couplings below this are reported as degenerate instead of compared
 DEGENERATE_XI = 1e-8
 
+# default pitches of run_counting: exactly tiling ones for the interior
+# sums, ones leaving a half-pitch layer for the boundary statistic
+COUNTING_PITCHES = [1.0 / j for j in range(4, 13)]
+BOUNDARY_PITCHES = [1.0 / (j + 0.5) for j in range(6, 15)]
+COUNTING_REFINE = 4
+
 
 def _fit_slope(xs, ys, tail=None):
     """Least-squares slope of log(ys) against log(xs)."""
@@ -192,7 +198,7 @@ def run_counting(config):
     d ln(1/d) relative correction, which pulls its fitted slope below -2 at
     the default pitches.
     """
-    kappa_pitches = config.get("pitches", [1.0 / j for j in range(4, 13)])
+    kappa_pitches = config.get("pitches", COUNTING_PITCHES)
     rows = []
     slopes = {}
     for kappa in (1, 3, 4):
@@ -203,13 +209,12 @@ def run_counting(config):
         slopes["kappa_%d" % kappa] = _fit_slope(kappa_pitches, sums)
         rows.extend({"quantity": "counting_sum", "kappa": kappa, "d": d,
                      "value": v} for d, v in zip(kappa_pitches, sums))
-    boundary_pitches = config.get(
-        "boundary_pitches", [1.0 / (j + 0.5) for j in range(6, 15)])
+    boundary_pitches = config.get("boundary_pitches", BOUNDARY_PITCHES)
     stats = []
     for d in boundary_pitches:
         cluster = generate_cluster(unit_box(), d)
         stats.append(boundary_counting_statistic(
-            cluster, refine=config.get("refine", 4)))
+            cluster, refine=config.get("refine", COUNTING_REFINE)))
     slopes["boundary"] = _fit_slope(boundary_pitches, stats)
     rows.extend({"quantity": "boundary_statistic", "kappa": 3, "d": d,
                  "value": v} for d, v in zip(boundary_pitches, stats))

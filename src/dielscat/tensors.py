@@ -200,6 +200,18 @@ def assemble_dense(component, count, m, dtype, self_term=0.0):
     return A
 
 
+def lattice_offsets(extent, pitch):
+    """Displacements pitch * o of every lattice offset o of an extent box.
+
+    The offsets of an n_x x n_y x n_z box of lattice sites run over
+    [-n, n) on each axis; offset o is stored at o mod 2n (FFT order), so
+    the result has shape (2 n_x, 2 n_y, 2 n_z, 3) and a zero-padded FFT
+    convolution with a kernel evaluated on it sums over all site pairs.
+    """
+    axes = [pitch * np.fft.fftfreq(2 * n, 1.0 / (2 * n)) for n in extent]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 class LatticeOperator:
     """Translation-invariant kernel on a masked cubic lattice plus a self term.
 
@@ -233,9 +245,7 @@ class LatticeOperator:
     @functools.cached_property
     def table(self):
         """Kernel components at every offset, in FFT order along each axis."""
-        axes = [self.pitch * np.fft.fftfreq(2 * n, 1.0 / (2 * n))
-                for n in self.extent]
-        d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        d = lattice_offsets(self.extent, self.pitch)
         iso, rad2 = kernel_scalars(d, self.k, self.kind)
         return self.weight * kernel_components(iso, rad2, d)
 

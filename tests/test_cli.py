@@ -155,6 +155,36 @@ def test_cli_counting(tmp_path):
     assert os.path.exists(os.path.join(out, "counting_results.csv"))
 
 
+@pytest.mark.parametrize("override, key", [
+    ("pitches=[]", "pitches"),
+    ("refine=0", "refine"),
+    ("refine=2.5", "refine"),
+    ("refine=true", "refine"),
+    ("boundary_pitches=[0.5,0.25]", "boundary_pitches"),
+    ("boundary_pitches=[]", "boundary_pitches"),
+    ("boundary_pitches=[0.3,1.5]", "boundary_pitches"),
+    ("pitches=[0.25,0]", "pitches"),
+    ("pitches=0.25", "pitches"),
+    ("pitches=[0.6,0.25]", "pitches"),
+])
+def test_cli_rejects_bad_counting_config(tmp_path, capsys, override, key):
+    cfg = write_config(tmp_path, {})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(cfg, "counting", [override])
+    out = str(tmp_path / "out")
+    assert main(["counting", "--config", cfg, "--out", out,
+                 "--set", override]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_counting_config_rejects_complement_without_quadrature_points():
+    # a 0.1 d layer holds no point of the d/4 grid, but one of the d/8 grid
+    base = {"boundary_pitches": [1.0 / 4.1]}
+    with pytest.raises(ConfigError, match="boundary_pitches"):
+        validate_config(dict(base), "counting")
+    assert validate_config(dict(base, refine=8), "counting")["refine"] == 8
+
+
 def test_cli_spectrum(tmp_path):
     cfg = write_config(tmp_path, {"grid_n": 12, "lmax": 4})
     out = str(tmp_path / "out")

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dielscat.geometry import (Cluster, DomainShape, boundary_counting_statistic,
                                counting_sum, derive_scales, generate_cluster,
@@ -130,6 +133,92 @@ def test_counting_sum_slopes():
                 for d in pitches]
         slope = np.polyfit(np.log(pitches), np.log(vals), 1)[0]
         assert abs(slope - expect) <= tol
+
+
+@settings(max_examples=40)
+@given(shape=st.tuples(st.integers(2, 8), st.integers(1, 8), st.integers(1, 8)),
+       density=st.floats(0.05, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       d=st.floats(0.05, 0.5), kappa=st.sampled_from([1, 3, 4]))
+def test_max_counting_sum_matches_per_site_sums(shape, density, seed, d,
+                                                kappa):
+    mask = np.random.default_rng(seed).random(shape) < density
+    mask.flat[0] = mask.flat[-1] = True
+    cl = Cluster(d * (np.argwhere(mask) + 0.5), d, unit_box())
+    want = max(counting_sum(cl, kappa, m) for m in range(cl.count))
+    assert max_counting_sum(cl, kappa) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [1, 3, 4])
+def test_max_counting_sum_off_lattice_fallback(kappa):
+    cl = generate_cluster(unit_box(), 0.25)
+    assert cl.lattice_index() is not None
+    on_lattice = max_counting_sum(cl, kappa)
+    jitter = np.random.default_rng(7).uniform(-1e-3, 1e-3, cl.centers.shape)
+    doc = json.loads(cl.to_json())
+    doc["centers"] = (cl.centers + jitter).tolist()
+    off = Cluster.from_json(json.dumps(doc))
+    assert off.lattice_index() is None
+    want = max(counting_sum(off, kappa, m) for m in range(off.count))
+    assert max_counting_sum(off, kappa) == pytest.approx(want, rel=1e-12)
+    assert max_counting_sum(off, kappa) == pytest.approx(on_lattice, rel=0.05)
+
+
+def midpoint_boundary_oracle(cluster, refine):
+    """The boundary statistic's midpoint sum, particle by quadrature point."""
+    domain = cluster.domain
+    d = cluster.d
+    step = d / refine
+    corner = domain.center - domain.extents / 2.0
+    counts = np.ceil(domain.extents / step - 1e-12).astype(int)
+    axes = [corner[i] + step * (np.arange(counts[i]) + 0.5) for i in range(3)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grid], axis=1)
+    pts = pts[domain.contains(pts)]
+    # a point is covered iff it falls inside some cube of the lattice
+    lat_counts = np.floor(domain.extents / d + 1e-12).astype(int)
+    rel = (pts - corner) / d
+    inside_lattice = np.all((rel >= 0) & (rel < lat_counts), axis=1)
+    comp = pts[~inside_lattice]
+    total = 0.0
+    for m in range(cluster.count):
+        diff = comp - cluster.centers[m]
+        r3 = np.einsum("ij,ij->i", diff, diff) ** 1.5
+        total += (step ** 3 * np.sum(1.0 / r3)) ** 2
+    return float(total)
+
+
+@pytest.mark.parametrize("extents", [(1.0, 1.0, 1.0), (1.0, 0.8, 1.3)])
+@pytest.mark.parametrize("u", [0.4, 0.5, 0.6])
+@pytest.mark.parametrize("refine", [3, 4, 12])
+def test_boundary_statistic_matches_midpoint_oracle(refine, u, extents):
+    # odd refine puts the centres on quadrature points, all of them covered
+    domain = DomainShape("box", extents, center=(0.3, -0.2, 0.1))
+    for j in (2, 5):
+        cl = generate_cluster(domain, 1.0 / (j + u))
+        want = midpoint_boundary_oracle(cl, refine)
+        assert want > 0
+        got = boundary_counting_statistic(cl, refine=refine)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_boundary_statistic_of_a_subcluster():
+    cl = generate_cluster(unit_box(), 1.0 / 4.5)
+    part = Cluster(cl.centers[::3], cl.d, cl.domain)
+    assert boundary_counting_statistic(part, refine=4) == pytest.approx(
+        midpoint_boundary_oracle(part, 4), rel=1e-12)
+
+
+def test_boundary_statistic_rejects_centres_off_the_corner_lattice():
+    cl = generate_cluster(unit_box(), 1.0 / 4.5)
+    shifted = Cluster(cl.centers + cl.d / 3.0, cl.d, cl.domain)
+    with pytest.raises(ValueError, match="pitch-d lattice anchored"):
+        boundary_counting_statistic(shifted)
+    # on the lattice, but in the uncovered layer past the whole cubes
+    outside = Cluster(cl.centers + cl.d, cl.d, cl.domain)
+    with pytest.raises(ValueError, match="inside the lattice of whole cubes"):
+        boundary_counting_statistic(outside)
+    with pytest.raises(ValueError, match="refine"):
+        boundary_counting_statistic(cl, refine=2.5)
 
 
 def test_boundary_statistic_zero_for_exact_tiling():
