@@ -104,8 +104,7 @@ def validate_config(config, subcommand):
                               config["sign"], config["c_r"],
                               config["lambda_b"])
         elif subcommand == "resonance":
-            if not config["betas"]:
-                raise ValueError("betas must be nonempty")
+            _validate_betas(config["betas"])
         elif subcommand == "effective":
             if not config["xi_values"]:
                 raise ValueError("xi_values must be nonempty")
@@ -116,15 +115,44 @@ def validate_config(config, subcommand):
     return config
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _require_two_distinct(key, abscissae):
+    """A log-log slope fit through one abscissa is meaningless."""
+    if len(set(abscissae)) < 2:
+        raise ValueError("%s: the slope fit needs at least two distinct "
+                         "values, got %r" % (key, sorted(set(abscissae))))
+
+
 def _pitch_list(config, key, default):
     pitches = config.get(key, default)
     if not isinstance(pitches, list) or not pitches:
         raise ValueError("%s must be a nonempty list of pitches" % key)
     for d in pitches:
-        if isinstance(d, bool) or not isinstance(d, (int, float)) \
-                or not 0.0 < d <= 1.0:
+        if not _is_number(d) or not 0.0 < d <= 1.0:
             raise ValueError("%s: pitch %r is not in (0, 1]" % (key, d))
+    _require_two_distinct(key, pitches)
     return pitches
+
+
+def _validate_betas(betas):
+    """Nonzero finite detunings with at least two distinct |beta|.
+
+    beta = 0 is the exact dispersion root: there the k=0 LSE operator that
+    preconditions the scan is singular.
+    """
+    if not isinstance(betas, list) or not betas:
+        raise ValueError("betas must be a nonempty list of detunings")
+    for b in betas:
+        if not _is_number(b) or not -np.inf < b < np.inf:
+            raise ValueError("betas: detuning %r is not a finite number"
+                             % (b,))
+        if b == 0:
+            raise ValueError("betas: beta = 0 is the exact dispersion root, "
+                             "where the resonance solve is singular")
+    _require_two_distinct("betas", [abs(b) for b in betas])
 
 
 def _validate_counting(config):

@@ -176,6 +176,23 @@ def kernel_components(iso, rad2, d):
 SYM = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
+def physical_memory():
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(nbytes, what):
+    """Raise ValueError naming `what` when nbytes exceed physical memory.
+
+    Called before a large allocation, so a solve that cannot fit fails at
+    once instead of being killed for lack of memory.
+    """
+    limit = physical_memory()
+    if nbytes > limit:
+        raise ValueError("%s needs %d bytes, more than the %d bytes of "
+                         "physical memory" % (what, nbytes, limit))
+
+
 def assemble_dense(component, count, m, dtype, self_term=0.0):
     """(m C)x(m C) matrix of a pairwise kernel plus self_term on the diagonal.
 
@@ -185,12 +202,8 @@ def assemble_dense(component, count, m, dtype, self_term=0.0):
     a larger one raises ValueError before anything is allocated.
     """
     size = m * count
-    nbytes = size * size * np.dtype(dtype).itemsize
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > limit:
-        raise ValueError(
-            "dense operator on C=%d cells needs %d bytes, more than the %d "
-            "bytes of physical memory" % (count, nbytes, limit))
+    require_memory(size * size * np.dtype(dtype).itemsize,
+                   "dense operator on C=%d cells" % count)
     A = np.empty((count, m, count, m), dtype=dtype)
     for a in range(m):
         for b in range(m):

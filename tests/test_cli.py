@@ -166,6 +166,9 @@ def test_cli_counting(tmp_path):
     ("pitches=[0.25,0]", "pitches"),
     ("pitches=0.25", "pitches"),
     ("pitches=[0.6,0.25]", "pitches"),
+    ("pitches=[0.25]", "pitches"),
+    ("pitches=[0.25,0.25]", "pitches"),
+    ("boundary_pitches=[0.3]", "boundary_pitches"),
 ])
 def test_cli_rejects_bad_counting_config(tmp_path, capsys, override, key):
     cfg = write_config(tmp_path, {})
@@ -177,9 +180,31 @@ def test_cli_rejects_bad_counting_config(tmp_path, capsys, override, key):
     assert key in capsys.readouterr().err
 
 
+RESONANCE_DOC = {"eta0": 1e9, "lambda_b": 0.4, "betas": [1e-3, 1e-2]}
+
+
+@pytest.mark.parametrize("override", [
+    "betas=[]",
+    "betas=[0,1e-3,1e-2]",
+    "betas=[1e-3,-1e-3]",
+    "betas=[1e-3]",
+    "betas=[true,1e-2]",
+    "betas=[NaN,1e-2]",
+])
+def test_cli_rejects_bad_resonance_betas(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, RESONANCE_DOC)
+    with pytest.raises(ConfigError, match="betas"):
+        parse_config(cfg, "resonance", [override])
+    out = str(tmp_path / "out")
+    assert main(["resonance", "--config", cfg, "--out", out,
+                 "--set", override]) == 2
+    assert "betas" in capsys.readouterr().err
+
+
 def test_counting_config_rejects_complement_without_quadrature_points():
     # a 0.1 d layer holds no point of the d/4 grid, but one of the d/8 grid
-    base = {"boundary_pitches": [1.0 / 4.1]}
+    # (1/4.5 has points on both; the slope fit needs two pitches)
+    base = {"boundary_pitches": [1.0 / 4.1, 1.0 / 4.5]}
     with pytest.raises(ConfigError, match="boundary_pitches"):
         validate_config(dict(base), "counting")
     assert validate_config(dict(base, refine=8), "counting")["refine"] == 8

@@ -4,17 +4,22 @@ import time
 import numpy as np
 import pytest
 
+from scipy.linalg import eigh
+
+from dielscat import lse, tensors
 from dielscat.cli import main
-from dielscat.effective import tensor_T_ball
+from dielscat.effective import (detuned_xi, plasmonic_frequency,
+                                tensor_T_ball)
 from dielscat.foldylax import IncidentWave
 from dielscat.geometry import unit_ball, unit_box
 from dielscat.lse import (DyadicVolumeOperator, VolumeGrid, discrete_curl,
                           discrete_divergence, effective_far_field,
                           harmonic_polynomial_coefficients, lse_operator_apply,
                           lse_self_scalar, magnetization_apply,
-                          magnetization_matrix, magnetization_spectrum,
-                          newtonian_apply, newtonian_operator_norm,
-                          nnprime_inner_product, nprime_apply,
+                          magnetization_eigensystem, magnetization_matrix,
+                          magnetization_spectrum, newtonian_apply,
+                          newtonian_operator_norm, nnprime_inner_product,
+                          nprime_apply, resonance_amplification_scan,
                           select_resonant_eigenvalue, solve_effective_lse,
                           weighted_norm)
 from dielscat.tensors import (direction_grid, dyadic_green,
@@ -321,3 +326,142 @@ def test_volume_operators_match_pointwise_sums(k):
     want = _pointwise_volume_matrix(grid, lambda x, z: dyadic_green(x, z, k),
                                     0.0)
     assert np.max(np.abs(dense - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def mrrr_resonant_eigenvalue(grid, min_above=5e-3, degeneracy_tol=1e-9):
+    """The resonant-eigenvalue selection on scipy's default MRRR eigh."""
+    vals, vecs = eigh(magnetization_matrix(grid), driver="evr")
+    C = grid.count
+    weight = sum((vecs[d::3].sum(axis=0) / np.sqrt(C)) ** 2 for d in range(3))
+    best = None
+    for lam in np.unique(np.round(vals[vals > 1.0 / 3.0 + min_above]
+                                  / degeneracy_tol)):
+        members = np.abs(vals - lam * degeneracy_tol) < degeneracy_tol
+        w = float(weight[members].sum())
+        if best is None or w > best[1]:
+            best = (float(vals[members][0]), w, int(members.sum()))
+    return best
+
+
+@pytest.mark.parametrize("domain, n", [(unit_ball(), 10), (unit_box(), 8)])
+def test_select_resonant_eigenvalue_matches_mrrr_oracle(domain, n):
+    grid = VolumeGrid(domain, n)
+    lam, weight, degeneracy = select_resonant_eigenvalue(grid)
+    want = mrrr_resonant_eigenvalue(grid)
+    assert lam == pytest.approx(want[0], rel=1e-12)
+    assert weight == pytest.approx(want[1], rel=1e-12)
+    assert degeneracy == want[2]
+
+
+def _resonance_problem(lam, beta, eta0):
+    """(xi, T, k, wave) of one detuning of the resonance scan."""
+    xi = detuned_xi(lam, beta)
+    k = float(np.sqrt(plasmonic_frequency(eta0, 0.4, lam, beta)[0]))
+    wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
+    return xi, tensor_T_ball(xi, "-"), k, wave
+
+
+@pytest.fixture(scope="module")
+def ball10():
+    grid = VolumeGrid(unit_ball(), 10)
+    return grid, select_resonant_eigenvalue(grid)[0]
+
+
+def test_resonance_scan_matches_dense_solve(ball10, monkeypatch):
+    """Every detuning's preconditioned GMRES solve against the dense LU.
+
+    At the quasi-static k the exact k=0 inverse leaves GMRES one iteration
+    to do, so five are allowed."""
+    grid, lam = ball10
+    monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 5)
+    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    solve = lse.solve_effective_lse
+    solves = []
+
+    def recording_solve(*args, **kwargs):
+        H, res = solve(*args, **kwargs)
+        solves.append((args, H, res))
+        return H, res
+
+    monkeypatch.setattr(lse, "solve_effective_lse", recording_solve)
+    betas = [1e-3, -1e-3, 1e-2, -1e-2]
+    rows, slope = resonance_amplification_scan(
+        grid, lam, betas, {"theta": (0, 0, 1), "p": (1, 0, 0)},
+        {"eta0": 1e9, "lambda_b": 0.4})
+    assert [r["status"] for r in rows] == ["ok"] * len(betas)
+    assert len(solves) == len(betas)
+    for args, H, res in solves:
+        Hd, _ = solve(*args, method="dense")
+        assert res <= 1e-9
+        assert np.linalg.norm(H - Hd) <= 1e-8 * np.linalg.norm(Hd)
+    assert slope == pytest.approx(-1.0, abs=0.05)
+
+
+def test_preconditioned_lse_converges_off_the_quasistatic_limit(ball10,
+                                                                monkeypatch):
+    """eta0 = 1 gives k ~ 1.6, where A(k) is far from A(0): GMRES needs
+    about a hundred iterations (three restart cycles are allowed).  It stops
+    at relative residual 1e-8, which near the resonance A's conditioning
+    amplifies in the field by well under 100."""
+    grid, lam = ball10
+    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 3)
+    xi, T, k, wave = _resonance_problem(lam, 1e-3, eta0=1.0)
+    assert k > 1.5
+    H, res = solve_effective_lse(grid, xi, T, k, wave, "-",
+                                 eigensystem=magnetization_eigensystem(grid))
+    Hd, _ = solve_effective_lse(grid, xi, T, k, wave, "-", method="dense")
+    assert res <= 1e-8
+    assert np.linalg.norm(H - Hd) <= 1e-6 * np.linalg.norm(Hd)
+
+
+def test_resonance_scan_marks_the_exact_root_failed(ball10, monkeypatch):
+    """At beta = 0 the k=0 operator is singular: the row fails, no NaN."""
+    grid, lam = ball10
+    monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 5)
+    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    rows, _ = resonance_amplification_scan(
+        grid, lam, [0.0, 1e-3], {"theta": (0, 0, 1), "p": (1, 0, 0)},
+        {"eta0": 1e9, "lambda_b": 0.4})
+    assert rows[0]["status"].startswith("failed: ")
+    assert "singular" in rows[0]["status"] and "field_norm" not in rows[0]
+    assert rows[1]["status"] == "ok"
+
+
+def test_preconditioned_lse_raises_on_gmres_failure(ball10, monkeypatch):
+    grid, lam = ball10
+    xi, T, k, wave = _resonance_problem(lam, 1e-3, eta0=1.0)
+    eigensystem = magnetization_eigensystem(grid)
+    monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 2)
+    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    with pytest.raises(RuntimeError, match="GMRES failed"):
+        solve_effective_lse(grid, xi, T, k, wave, "-",
+                            eigensystem=eigensystem)
+    monkeypatch.setattr(lse, "gmres",
+                        lambda op, b, **kw: (np.full_like(b, np.nan), 0))
+    with pytest.raises(RuntimeError, match="GMRES failed"):
+        solve_effective_lse(grid, xi, T, k, wave, "-",
+                            eigensystem=eigensystem)
+
+
+def test_preconditioned_lse_needs_scalar_T(ball10, monkeypatch):
+    grid, lam = ball10
+    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    xi, T, k, wave = _resonance_problem(lam, 1e-3, eta0=1e9)
+    T = T.copy()
+    T[0, 0] *= 1.5
+    with pytest.raises(ValueError, match="scalar T"):
+        solve_effective_lse(grid, xi, T, k, wave, "-",
+                            eigensystem=magnetization_eigensystem(grid))
+
+
+def test_eigensystem_memory_check_counts_the_workspace(monkeypatch):
+    """The eigen-solve needs about four (3C)^2 matrices, not one: a limit
+    that the matrix alone fits is refused at once."""
+    grid = VolumeGrid(unit_ball(), 10)
+    matrix_bytes = (3 * grid.count) ** 2 * 8
+    monkeypatch.setattr(tensors, "physical_memory", lambda: 2 * matrix_bytes)
+    assert magnetization_matrix(grid).nbytes == matrix_bytes
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="C=%d cells" % grid.count):
+        magnetization_eigensystem(grid)
+    assert time.perf_counter() - t0 < 1.0
