@@ -90,9 +90,12 @@ def validate_config(config, subcommand):
         if key not in config:
             raise ConfigError("missing required key %r" % key)
     try:
+        if subcommand in ("lse", "converge", "resonance", "spectrum"):
+            _validate_grid_n(config)
+        if subcommand in ("foldylax", "lse", "converge", "resonance"):
+            _validate_wave(config)
         if subcommand in ("foldylax", "lse"):
-            scales = derive_scales(*(config[k] for k in SCALE_KEYS))
-            IncidentWave(scales.k, config["theta"], config["p"])
+            derive_scales(*(config[k] for k in SCALE_KEYS))
         elif subcommand == "converge":
             a_list = config["a_list"]
             if not a_list:
@@ -117,6 +120,26 @@ def validate_config(config, subcommand):
 
 def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _validate_grid_n(config):
+    """A JSON integer >= 2; a float such as 2.0 is refused, and so are
+    true and false, which Python reads as the integers 1 and 0."""
+    n = config.get("grid_n", 2)
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("grid_n must be an integer >= 2, not %r" % (n,))
+
+
+def _validate_wave(config):
+    """theta and p by IncidentWave's rules, against the studies' defaults."""
+    for key in ("theta", "p"):
+        v = config.get(key)
+        if key in config and not (isinstance(v, list) and len(v) == 3 and
+                                  all(_is_number(x) for x in v)):
+            raise ValueError("%s must be a list of three numbers, not %r"
+                             % (key, v))
+    IncidentWave(1.0, config.get("theta", (0.0, 0.0, 1.0)),
+                 config.get("p", (1.0, 0.0, 0.0)))
 
 
 def _require_two_distinct(key, abscissae):

@@ -13,7 +13,10 @@ from .tensors import (LatticeOperator, assemble_dense, dyadic_kernel_scalars,
 DENSE_LIMIT = 1000          # dense direct solve while 3*count <= 3000
 GMRES_TOL = 1e-10
 GMRES_RESTART = 100
-GMRES_MAXITER = 10000
+# the matvec budget, in restart cycles: 100 iterations, at least 10x the 8
+# matvecs of the slowest solve in the tests and benchmark workloads
+# (converge-box, N=1331)
+GMRES_MAXITER = 1
 
 
 class IncidentWave:
@@ -178,7 +181,11 @@ def assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first"):
         A[np.arange(3 * n), np.arange(3 * n)] += 1.0
         Q = np.linalg.solve(A, rhs.reshape(-1)).reshape(n, 3)
     else:
+        matvecs = 0
+
         def matvec(q):
+            nonlocal matvecs
+            matvecs += 1
             Q = q.reshape(n, 3)
             return (Q - _apply_offdiag(cluster, scales, p0, Q,
                                        ordering)).reshape(-1)
@@ -186,11 +193,14 @@ def assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first"):
         op = LinearOperator((3 * n, 3 * n), matvec=matvec, dtype=complex)
         q, info = gmres(op, rhs.reshape(-1), rtol=GMRES_TOL, atol=0.0,
                         restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
-        if info != 0:
-            raise RuntimeError(
-                "point-interaction GMRES failed to converge "
-                "(info=%d, invertibility margin=%.3g)" % (info, margin))
         Q = q.reshape(n, 3)
+        if info != 0 or not np.all(np.isfinite(q)):
+            raise RuntimeError(
+                "point-interaction GMRES failed after %d matvecs (budget %d "
+                "restarts of %d), relative residual %.3g, invertibility "
+                "margin=%.3g" % (matvecs, GMRES_MAXITER, GMRES_RESTART,
+                                 system_residual(cluster, scales, p0, wave,
+                                                 Q, rhs, ordering), margin))
     res = system_residual(cluster, scales, p0, wave, Q, rhs=rhs,
                           ordering=ordering)
     return FoldyLaxSolution(Q, res, "Q-form", margin=margin,

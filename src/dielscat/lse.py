@@ -12,11 +12,16 @@ from scipy.sparse.linalg import LinearOperator, eigsh, gmres
 from .effective import detuned_xi, plasmonic_frequency, tensor_T_ball
 from .foldylax import FarFieldSamples, IncidentWave, incident_magnetic_many
 from .geometry import parse_sign
+from .symmetry import SymmetryBasis
 from .tensors import FOUR_PI, LatticeOperator, direction_grid, require_memory
 
 LSE_GMRES_TOL = 1e-8
 LSE_GMRES_RESTART = 100
-LSE_GMRES_MAXITER = 10000
+# the matvec budget, in restart cycles: 1,100 iterations, at least 10x the
+# 106 matvecs of the slowest solve in the tests and benchmark workloads
+# (ball n=10 preconditioned at eta0 = 1, k ~ 1.6; the resonance-ball
+# workload needs at most 7)
+LSE_GMRES_MAXITER = 11
 DENSE_LSE_LIMIT = 1500          # dense LU while cell count is below this
 
 # discrete eigenvalues this close to 0 or 1 are treated as the images of the
@@ -235,13 +240,18 @@ def solve_effective_lse(grid, xi, T, k, wave, sign, method="auto",
     count, preconditioned by the exact inverse of A(0) and started from
     A(0)^-1 b.  A(0) is exact to invert: Y_0 is the Magnetization kernel
     grad grad Phi_0 with weight -w and sigma_0 = -1/3 is minus its self
-    term, so G_0 + sigma_0 I = -M and A(0) = I + s xi t M =
-    V diag(1 + s xi t lambda) V^T.  A(k) - A(0) = O(k^2), so at the
-    quasi-static k of the resonance study GMRES stops after one iteration,
-    and it still converges, in more, at k ~ 1.  scipy's gmres applies the
+    term, so G_0 + sigma_0 I = -M and A(0) = I + s xi t M, which the
+    eigensystem inverts block by block under the cube symmetry
+    (MagnetizationEigensystem.inverse: per orbit gather, V_G diag(1 /
+    (1 + s xi t lambda)) V_G^T per irrep block G, scatter back; no 3C x 3C
+    product).  A(k) - A(0) = O(k^2), so at the quasi-static k of the
+    resonance study GMRES stops after one iteration, and it still
+    converges, in more, at k ~ 1.  scipy's gmres applies the
     preconditioner on the left and tests convergence on the true residual
-    b - A x.  A k=0 operator that is singular at this coupling, a GMRES
-    failure or a non-finite result raise RuntimeError.
+    b - A x.  A k=0 operator that is singular at this coupling raises
+    RuntimeError, and so does a GMRES solve that is not converged within
+    LSE_GMRES_MAXITER restarts of LSE_GMRES_RESTART iterations or is not
+    finite, naming its matvec count and relative residual.
 
     Returns (H, relative residual).
     """
@@ -256,6 +266,12 @@ def solve_effective_lse(grid, xi, T, k, wave, sign, method="auto",
     elif method == "auto":
         method = "dense" if n <= DENSE_LSE_LIMIT else "gmres"
     kernel_op = DyadicVolumeOperator(grid, k)
+
+    def relative_residual(H):
+        defect = lse_operator_apply(H, grid, xi, T, k, sign,
+                                    kernel_op=kernel_op) - rhs
+        return float(np.linalg.norm(defect) / np.linalg.norm(rhs))
+
     if method == "dense":
         G = kernel_op.dense_blocks()
         diag = np.arange(3 * n)
@@ -267,52 +283,34 @@ def solve_effective_lse(grid, xi, T, k, wave, sign, method="auto",
         H = lu_solve(lu_factor(A, overwrite_a=True),
                      rhs.reshape(-1)).reshape(n, 3)
     else:
+        matvecs = 0
+
         def matvec(h):
+            nonlocal matvecs
+            matvecs += 1
             return lse_operator_apply(h.reshape(n, 3), grid, xi, T, k, sign,
                                       kernel_op=kernel_op).reshape(-1)
 
         op = LinearOperator((3 * n, 3 * n), matvec=matvec, dtype=complex)
         precond = x0 = None
         if eigensystem is not None:
-            precond = _static_lse_inverse(eigensystem, s * xi * T[0, 0])
+            precond = eigensystem.inverse(s * xi * T[0, 0])
             x0 = precond.matvec(rhs.reshape(-1))
-            # a NaN start would run GMRES through all its restarts
+            # a NaN start would run GMRES through its whole budget
             if not np.all(np.isfinite(x0)):
-                raise RuntimeError("the k=0 LSE operator is singular at "
-                                   "this coupling (1 + s xi t lambda = 0)")
+                raise RuntimeError("the k=0 preconditioned start is not "
+                                   "finite")
         h, info = gmres(op, rhs.reshape(-1), x0=x0, M=precond,
                         rtol=LSE_GMRES_TOL, atol=0.0,
                         restart=LSE_GMRES_RESTART, maxiter=LSE_GMRES_MAXITER)
-        if info != 0 or not np.all(np.isfinite(h)):
-            raise RuntimeError("effective-medium GMRES failed (info=%d)"
-                               % info)
         H = h.reshape(n, 3)
-    defect = lse_operator_apply(H, grid, xi, T, k, sign,
-                                kernel_op=kernel_op) - rhs
-    residual = float(np.linalg.norm(defect) / np.linalg.norm(rhs))
-    return H, residual
-
-
-def _static_lse_inverse(eigensystem, c):
-    """(I + c M)^-1 = V diag(1 / (1 + c lambda)) V^T as a LinearOperator.
-
-    The real eigenvectors act on the real and imaginary parts of a complex
-    vector as the two columns of one real product; V @ y with complex y
-    would make a complex copy of V on every call.
-    """
-    vals, vecs = eigensystem
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = 1.0 / (1.0 + c * vals)
-
-    def solve(y):
-        y = np.ascontiguousarray(y, dtype=complex).reshape(-1)
-        z = (vecs.T @ y.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        with np.errstate(invalid="ignore"):
-            z *= scale
-        return (vecs @ z.view(float).reshape(-1, 2)).view(complex)[:, 0]
-
-    n = vals.size
-    return LinearOperator((n, n), matvec=solve, dtype=complex)
+        if info != 0 or not np.all(np.isfinite(h)):
+            raise RuntimeError(
+                "effective-medium GMRES failed after %d matvecs (budget %d "
+                "restarts of %d), relative residual %.3g"
+                % (matvecs, LSE_GMRES_MAXITER, LSE_GMRES_RESTART,
+                   relative_residual(H)))
+    return H, relative_residual(H)
 
 
 def effective_far_field(H, grid, xi, T, k, sign, directions):
@@ -466,46 +464,125 @@ def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10,
     return SpectrumReport(np.sort(vals), grid.n, mode, raw, tags)
 
 
+class MagnetizationEigensystem:
+    """Every eigenpair of the k=0 Magnetization matrix, one block per irrep.
+
+    basis is the grid's SymmetryBasis; values[name] (ascending) and
+    vectors[name] (orthonormal columns, in basis coordinates) are the
+    eigenpairs of irrep `name`'s block, each eigenvalue an eigenvalue of M
+    of multiplicity basis.dims[name] (times its multiplicity in the block).
+    """
+
+    def __init__(self, basis, values, vectors):
+        self.basis = basis
+        self.values = values
+        self.vectors = vectors
+
+    def inverse(self, c):
+        """(I + c M)^-1 as a LinearOperator on complex (3C,) vectors.
+
+        Gathers the coefficients of each orbit, applies V diag(1 / (1 + c
+        lambda)) V^T to each block, the real and imaginary parts as the
+        two columns of one real product, and scatters back.  Exact: no
+        eigenpair is dropped.  A denominator 1 + c lambda within rounding
+        of zero (3C eps max(1, |c|), the eigenvalues' own error) makes
+        I + c M singular and raises RuntimeError.
+        """
+        basis = self.basis
+        n = 3 * basis.count
+        denom = {name: 1.0 + c * v for name, v in self.values.items()}
+        if min(np.min(np.abs(x), initial=np.inf) for x in denom.values()) \
+                <= n * np.finfo(float).eps * max(1.0, abs(c)):
+            raise RuntimeError("the k=0 LSE operator is singular at this "
+                               "coupling (1 + s xi t lambda = 0)")
+
+        def solve(y):
+            y = np.ascontiguousarray(y, dtype=complex).reshape(-1)
+            Z = basis.forward(y.view(float).reshape(-1, 2))
+            for name, V in self.vectors.items():
+                z = basis.block(Z, name)
+                z = z.reshape(len(V), z.shape[1] * 2)
+                w = V.T @ z
+                w.view(complex)[...] /= denom[name][:, None]
+                z[...] = V @ w
+            return basis.backward(Z).view(complex)[:, 0]
+
+        return LinearOperator((n, n), matvec=solve, dtype=complex)
+
+
 @functools.lru_cache(maxsize=1)
 def magnetization_eigensystem(grid):
-    """(vals, vecs): every eigenpair of the dense k=0 Magnetization matrix.
+    """Every eigenpair of the k=0 Magnetization matrix M, by cube symmetry.
 
-    Eigenvalues ascending, orthonormal real eigenvectors in the columns,
-    both read-only.  The solve is divide-and-conquer (LAPACK dsyevd; Gu &
-    Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172), about four times
-    faster than scipy's default MRRR solver ("evr") at order 1656.  It
-    holds the matrix, the eigenvectors and about 2 (3C)^2 of workspace, so
-    it raises ValueError before allocating anything when 4 (3C)^2 doubles
-    exceed physical memory.  The last grid's result is kept, so a resonance
-    study selects its eigenvalue and preconditions every detuning with one
-    decomposition.
+    The grid's cells and every lattice kernel are invariant under the 48
+    signed axis permutations about the grid centre, so M commutes with
+    them and is block diagonal in the symmetry-adapted basis of
+    symmetry.SymmetryBasis: one real symmetric block per irrep of O_h, of
+    order m about d 3C/48 for an irrep of dimension d (ball n=10: 27 ...
+    111 against 3C = 1656).  Each block is assembled from the 3 rows of M
+    at every orbit representative, gathered from the Magnetization
+    LatticeOperator's kernel table (SymmetryBasis.reduce), and solved by
+    one divide-and-conquer eigh (LAPACK dsyevd; Gu & Eisenstat, SIAM J.
+    Matrix Anal. Appl. 16 (1995) 172).  The decomposition is exact: the
+    union of the block spectra, each eigenvalue repeated d times, is the
+    spectrum of M; no 3C x 3C matrix, projector or basis is formed.
+
+    A grid whose cells are not mapped onto themselves by all 48 raises
+    ValueError naming the grid.  The block eigenvectors, the representative
+    rows (twice) and the orbit bases must fit in physical memory, else
+    ValueError before they are allocated.  The last grid's result is kept,
+    so a resonance study selects its eigenvalue and preconditions every
+    detuning with one decomposition.
     """
-    size = 3 * grid.count
-    require_memory(4 * size * size * 8,
-                   "eigendecomposition on C=%d cells" % grid.count)
-    vals, vecs = eigh(magnetization_matrix(grid), overwrite_a=True,
-                      check_finite=False, driver="evd")
-    vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return vals, vecs
+    basis = SymmetryBasis(grid.ijk, "the %s grid (n=%d, C=%d cells)"
+                          % (grid.domain.kind, grid.n, grid.count))
+    orders = np.array(list(basis.orders.values()))
+    rows = 3 * len(basis.representatives) * 3 * grid.count
+    orbit_bases = sum((3 * t.size) ** 2 for t in basis.types)
+    require_memory(8 * (2 * rows + 2 * int(np.sum(orders ** 2))
+                        + 2 * int(orders.max()) ** 2 + orbit_bases),
+                   "block eigendecomposition on C=%d cells" % grid.count)
+    blocks = basis.reduce(
+        magnetization_operator(grid).dense(basis.representatives))
+    values, vectors = {}, {}
+    for name, B in blocks.items():
+        vals, vecs = eigh(B, overwrite_a=True, check_finite=False,
+                          driver="evd")
+        vals.flags.writeable = False
+        vecs.flags.writeable = False
+        values[name], vectors[name] = vals, vecs
+    return MagnetizationEigensystem(basis, values, vectors)
 
 
 def select_resonant_eigenvalue(grid, min_above=5e-3, degeneracy_tol=1e-9):
     """Exact discrete eigenvalue > 1/3 most strongly coupled to constants.
 
-    Reads every eigenpair from magnetization_eigensystem (one
-    divide-and-conquer eigh per grid); the coupling weight of each
-    eigenvalue multiplet is the squared overlap of its eigenspace with the
-    three constant vector fields (the leading content of a long-wavelength
-    incident field).  Returns (eigenvalue, multiplet weight, degeneracy).
+    Reads every eigenpair from magnetization_eigensystem (one eigh per
+    irrep block).  The coupling weight of an eigenvalue multiplet is the
+    squared overlap of its eigenspace with the three constant vector
+    fields (the leading content of a long-wavelength incident field).
+    Those span the vector irrep T1u with e_x in its first partner row, so
+    only T1u eigenvectors have weight, 3 times the squared overlap of
+    their first-row function with e_x.  Multiplets are grouped over the
+    whole spectrum counted with multiplicity.  Returns (eigenvalue,
+    multiplet weight, degeneracy).
     """
-    vals, vecs = magnetization_eigensystem(grid)
+    system = magnetization_eigensystem(grid)
+    basis = system.basis
     C = grid.count
-    weight = np.zeros(vals.size)
-    for d in range(3):
-        const = np.zeros((C, 3))
-        const[:, d] = 1.0 / np.sqrt(C)
-        weight += (vecs.T @ const.reshape(-1)) ** 2
+    const_x = np.zeros((3 * C, 1))
+    const_x[0::3] = 1.0 / np.sqrt(C)
+    overlap = system.vectors["T1u"].T @ basis.block(
+        basis.forward(const_x), "T1u")[:, 0, 0]
+    vals, weight = [], []
+    for name, lam in system.values.items():
+        d = basis.dims[name]
+        vals.append(np.tile(lam, d))
+        weight.append(np.tile(overlap ** 2, d) if name == "T1u"
+                      else np.zeros(d * lam.size))
+    order = np.argsort(np.concatenate(vals), kind="stable")
+    vals = np.concatenate(vals)[order]
+    weight = np.concatenate(weight)[order]
     mask = vals > 1.0 / 3.0 + min_above
     best = None
     for lam in np.unique(np.round(vals[mask] / degeneracy_tol)):

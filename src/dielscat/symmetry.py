@@ -1,0 +1,271 @@
+# The cube group O_h as the 48 signed axis permutations, its ten real
+# orthogonal irreducible representations, and the symmetry-adapted basis in
+# which an O_h-invariant operator on vector fields is block diagonal.
+
+import functools
+import itertools
+
+import numpy as np
+
+@functools.lru_cache(maxsize=1)
+def cube_group():
+    """The 48 signed permutation matrices R, shape (48, 3, 3), identity first.
+
+    R[i, pi(i)] = s_i for an axis permutation pi and signs s_i = +-1.
+    """
+    mats = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            R = np.zeros((3, 3), dtype=np.int64)
+            R[np.arange(3), perm] = signs
+            mats.append(R)
+    group = np.array(mats)
+    group.flags.writeable = False
+    return group
+
+
+@functools.lru_cache(maxsize=1)
+def irreps():
+    """Mulliken name -> (48, d, d) real orthogonal matrices of each irrep.
+
+    All ten are read off R with axis permutation pi: A1g = 1, A1u = det R,
+    A2g = sgn pi, A2u = sgn pi det R, Eg = the 2-d representation of pi on
+    the traceless diagonals, Eu = det R Eg, T1u = R (the vector
+    representation, which the constant fields span), T1g = det R R,
+    T2u = sgn pi R, T2g = sgn pi det R R.
+    """
+    G = cube_group().astype(float)
+    perm = np.abs(G)
+    det = np.linalg.det(G).round()[:, None, None]
+    sgn = np.linalg.det(perm).round()[:, None, None]
+    # orthonormal basis of the plane orthogonal to (1, 1, 1)
+    B = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T
+    B /= np.linalg.norm(B, axis=0)
+    E = B.T @ perm @ B
+    one = np.ones((48, 1, 1))
+    return {"A1g": one, "A1u": det * one, "A2g": sgn * one,
+            "A2u": sgn * det * one, "Eg": E, "Eu": det * E,
+            "T1g": det * G, "T1u": G, "T2g": sgn * det * G, "T2u": sgn * G}
+
+
+def _codes(points):
+    """One integer per row of an integer point array (|coordinates| < 2^20)."""
+    p = np.asarray(points, dtype=np.int64) + (1 << 20)
+    return (p[..., 0] << 42) | (p[..., 1] << 21) | p[..., 2]
+
+
+def _lookup(keys, queries):
+    """Index into keys of each query; -1 where a query is not a key."""
+    order = np.argsort(keys)
+    pos = np.minimum(np.searchsorted(keys, queries, sorter=order),
+                     keys.size - 1)
+    idx = order[pos]
+    return np.where(keys[idx] == queries, idx, -1)
+
+
+def _doubled_coordinates(ijk):
+    """2 ijk minus the doubled centre of the bounding box: integers on
+    which the 48 signed permutations act about the lattice centre."""
+    ijk = np.asarray(ijk, dtype=np.int64)
+    return 2 * ijk - (ijk.min(axis=0) + ijk.max(axis=0))
+
+
+def cell_images(ijk, points=None):
+    """Cell index of R x for every group element R and lattice point x.
+
+    points (default: every cell) are doubled coordinates; the result has
+    shape (len(points), 48) with -1 where R x is not a cell.
+    """
+    u = _doubled_coordinates(ijk)
+    points = u if points is None else points
+    images = np.einsum("gij,pj->pgi", cube_group(), points)
+    return _lookup(_codes(u), _codes(images))
+
+
+class _OrbitType:
+    """The orbits whose representatives share one stabiliser subgroup.
+
+    Positions p of an orbit list its points R_g x in order of first
+    occurrence over g; cells[o, p] is the cell at position p of orbit o.
+    U (3s x 3s, s = orbit size) holds, column by column, an orthonormal
+    basis of the fields on one orbit, grouped by irrep, then partner row r,
+    then copy j; counts[name] is the number of copies of that irrep and
+    start[name] the column where its group begins.
+    """
+
+    def __init__(self, x, orbits, images):
+        G = cube_group()
+        pts = G @ x
+        _, first = np.unique(_codes(pts), return_index=True)
+        first = np.sort(first)
+        size = first.size
+        listed = _codes(pts[first])
+        self.orbits = orbits
+        self.cells = images[orbits][:, first]
+        self.size = size
+        # (P_g f)(R_g y) = R_g f(y) on the fields of one orbit
+        dest = _lookup(listed, _codes(np.einsum("gij,pj->gpi", G,
+                                                pts[first])))
+        P = np.zeros((48, size, 3, size, 3))
+        g, p = np.meshgrid(np.arange(48), np.arange(size), indexing="ij")
+        P[g, dest, :, p, :] = G[g]
+        P = P.reshape(48, 3 * size, 3 * size)
+        columns = []
+        self.counts, self.start = {}, {}
+        for name, D in irreps().items():
+            self.start[name] = sum(c.shape[1] for c in columns)
+            d = D.shape[1]
+            # P_ij = (d/48) sum_g D(g)_ij P_g; the row-1 copies are spanned
+            # by P_1j applied to the three unit fields at the representative
+            proj = ((D.reshape(48, -1).T * (d / 48.0)) @ P.reshape(48, -1)) \
+                .reshape(d, d, 3 * size, 3 * size)
+            gen = proj[0, :, :, :3].transpose(1, 0, 2).reshape(3 * size,
+                                                                3 * d)
+            u, s, _ = np.linalg.svd(gen, full_matrices=False)
+            row1 = u[:, s > 1e-8]
+            self.counts[name] = row1.shape[1]
+            # partner rows by the transfer operators P_r1, isometries on
+            # the row-1 subspace
+            columns += [proj[r, 0] @ row1 for r in range(d)]
+        self.U = np.hstack(columns)
+        assert self.U.shape == (3 * size, 3 * size) and np.allclose(
+            self.U.T @ self.U, np.eye(3 * size), atol=1e-12)
+
+
+class SymmetryBasis:
+    """Symmetry-adapted orthonormal basis of vector fields on a cell set.
+
+    The cell set (integer lattice indices ijk, shape (C, 3)) must be mapped
+    onto itself by the 48 signed axis permutations about the centre of its
+    bounding box; any other raises ValueError.  Then every orbit of cells
+    carries an orthonormal basis adapted to the ten irreps (Bossavit,
+    Comput. Methods Appl. Mech. Eng. 56 (1986) 167; Allgower, Boehmer,
+    Georg & Miranda, SIAM J. Numer. Anal. 29 (1992) 534), and an operator
+    that commutes with the group is block diagonal in it: one symmetric
+    block of order orders[name] per irrep, shared by its d partner rows.
+
+    forward maps (3C, S) fields (row 3 i + a holds component a at cell i)
+    to coefficients, backward maps them back; in the coefficient array the
+    block of each irrep occupies rows span[name] as an (m, d, S) array,
+    basis function by partner row.
+    """
+
+    def __init__(self, ijk, what="cell set"):
+        u = _doubled_coordinates(ijk)
+        self.count = u.shape[0]
+        # one representative per orbit: |coordinates| in descending order
+        reps = -np.sort(-np.abs(u), axis=1)
+        _, first = np.unique(_codes(reps), return_index=True)
+        reps = reps[first]
+        images = cell_images(ijk, reps)
+        if np.any(images < 0):
+            raise ValueError("%s is not invariant under the 48 signed axis "
+                             "permutations of the cube" % what)
+        self.representatives = images[:, 0]
+        # the stabiliser of a representative is fixed by which of
+        # x0 = x1, x1 = x2, x2 = 0 hold
+        kind = ((reps[:, 0] == reps[:, 1]) * 4 + (reps[:, 1] == reps[:, 2])
+                * 2 + (reps[:, 2] == 0))
+        self.types = [_OrbitType(reps[orbits[0]], orbits, images)
+                      for orbits in (np.flatnonzero(kind == key)
+                                     for key in np.unique(kind))]
+        dims = {name: D.shape[1] for name, D in irreps().items()}
+        self.orders = {name: sum(t.counts[name] * t.orbits.size
+                                 for t in self.types) for name in dims}
+        self.dims = dims
+        self._layout()
+
+    def _layout(self):
+        """Index arrays from per-orbit coefficients to the irrep blocks.
+
+        forward computes the coefficients of each orbit type as one product
+        U^T X_t, with the type's fields gathered as an (3s, orbits) array;
+        _order then sorts them by irrep, basis function and partner row.
+        """
+        order, self.span, stop = [], {}, 0
+        base = np.cumsum([0] + [t.orbits.size * 3 * t.size
+                                for t in self.types])
+        for name, d in self.dims.items():
+            parts = []
+            for t, b in zip(self.types, base):
+                n = t.counts[name]
+                # coefficient (orbit o, copy j, row r) is U column
+                # start + r n + j applied to orbit o
+                o, j, r = np.meshgrid(np.arange(t.orbits.size),
+                                      np.arange(n), np.arange(d),
+                                      indexing="ij")
+                col = t.start[name] + r * n + j
+                parts.append((b + col * t.orbits.size + o).reshape(-1))
+            parts = np.concatenate(parts)
+            self.span[name] = slice(stop, stop + parts.size)
+            stop += parts.size
+            order.append(parts)
+        self._order = np.concatenate(order)
+        self._rows = [(t.cells.T[:, None, :] * 3 + np.arange(3)[:, None])
+                      .reshape(3 * t.size, t.orbits.size)
+                      for t in self.types]
+
+    def forward(self, X):
+        """Coefficients (3C, S) of the fields X (3C, S)."""
+        S = X.shape[1]
+        Z = np.concatenate([
+            (t.U.T @ X[rows].reshape(rows.shape[0], -1)).reshape(-1, S)
+            for t, rows in zip(self.types, self._rows)])
+        return Z[self._order]
+
+    def backward(self, Z):
+        """Fields (3C, S) of the coefficients Z (3C, S)."""
+        flat = np.empty_like(Z)
+        flat[self._order] = Z
+        X = np.empty_like(Z)
+        stop = 0
+        for t, rows in zip(self.types, self._rows):
+            n = rows.size
+            X[rows] = (t.U @ flat[stop:stop + n].reshape(rows.shape[0], -1)) \
+                .reshape(rows.shape + Z.shape[1:])
+            stop += n
+        return X
+
+    def block(self, Z, name):
+        """View of irrep `name`'s coefficients in Z as (m, d, S)."""
+        return Z[self.span[name]].reshape(self.orders[name], self.dims[name],
+                                          Z.shape[1])
+
+    def reduce(self, rows):
+        """The blocks {name: (m, m)} of a symmetric O_h-invariant operator.
+
+        rows (3 R, 3C) are the operator's rows at the R orbit
+        representatives.  With q^(r) the partner rows of the basis
+        functions a and b, block[a, b] = q_a^(1) . A q_b^(1) equals
+        (|o_a|/d) sum_r q_a^(r)(x_a) . (A q_b^(r))(x_a), since the sum over
+        r of the product is constant on the orbit o_a of a's
+        representative x_a; so no full row or basis matrix is formed.
+        """
+        AQ = self.forward(rows.T)
+        blocks = {}
+        for name, d in self.dims.items():
+            at_rep, orbit, size = self._representative_values(name)
+            AQ_rep = self.block(AQ, name).reshape(-1, d, len(
+                self.representatives), 3)
+            B = np.zeros((self.orders[name],) * 2)
+            for r in range(d):
+                for c in range(3):
+                    B += at_rep[:, r, c, None] * AQ_rep[:, r, orbit, c].T
+            B *= (size / d)[:, None]
+            blocks[name] = (B + B.T) / 2.0
+        return blocks
+
+    def _representative_values(self, name):
+        """q^(r)(x_a) (m, d, 3), orbit index and orbit size of every basis
+        function a of irrep `name`."""
+        d = self.dims[name]
+        values, orbit, size = [], [], []
+        for t in self.types:
+            n = t.counts[name]
+            at = t.U[:3, t.start[name]:t.start[name] + d * n].reshape(3, d, n)
+            values.append(np.tile(at.transpose(2, 1, 0), (t.orbits.size, 1,
+                                                          1)))
+            orbit.append(np.repeat(t.orbits, n))
+            size.append(np.full(t.orbits.size * n, t.size))
+        return (np.concatenate(values), np.concatenate(orbit),
+                np.concatenate(size).astype(float))

@@ -193,24 +193,26 @@ def require_memory(nbytes, what):
                          "physical memory" % (what, nbytes, limit))
 
 
-def assemble_dense(component, count, m, dtype, self_term=0.0):
-    """(m C)x(m C) matrix of a pairwise kernel plus self_term on the diagonal.
+def assemble_dense(component, count, m, dtype, self_term=0.0, targets=None):
+    """(m T)x(m C) matrix of a pairwise kernel, self_term where i == j.
 
-    component(c) returns the (C, C) pair values of kernel component c
-    (see kernel_components); m is 3 for a 3x3 kernel acting on (C, 3)
-    fields, 1 for a scalar kernel.  The matrix must fit in physical memory:
-    a larger one raises ValueError before anything is allocated.
+    component(c) returns the (T, C) pair values of kernel component c
+    (see kernel_components) from each target cell (the indices `targets`,
+    default all C cells) to each of the C source cells; m is 3 for a 3x3
+    kernel acting on (C, 3) fields, 1 for a scalar kernel.  The matrix
+    must fit in physical memory: a larger one raises ValueError before
+    anything is allocated.
     """
-    size = m * count
-    require_memory(size * size * np.dtype(dtype).itemsize,
+    targets = np.arange(count) if targets is None else np.asarray(targets)
+    rows = targets.size
+    require_memory(m * rows * m * count * np.dtype(dtype).itemsize,
                    "dense operator on C=%d cells" % count)
-    A = np.empty((count, m, count, m), dtype=dtype)
+    A = np.empty((rows, m, count, m), dtype=dtype)
     for a in range(m):
         for b in range(m):
             A[:, a, :, b] = component(SYM[a][b])
-    A = A.reshape(size, size)
-    A[np.arange(size), np.arange(size)] += self_term
-    return A
+    A[np.arange(rows), :, targets, :] += self_term * np.eye(m)
+    return A.reshape(m * rows, m * count)
 
 
 def lattice_offsets(extent, pitch):
@@ -286,17 +288,22 @@ class LatticeOperator:
             out = out.real
         return (out + self.self_term * cols).reshape(F.shape)
 
-    def dense(self):
-        """The (m C)x(m C) matrix of the operator; float64 if A is real."""
-        return assemble_dense(lambda c: self.table[c].reshape(-1)[self._pairs],
-                              self.count, self.m, self.dtype, self.self_term)
+    def dense(self, cells=None):
+        """The (m C)x(m C) matrix of the operator, or only its rows at the
+        cell indices `cells`; float64 if A is real."""
+        targets = self.ijk if cells is None else self.ijk[cells]
 
-    @functools.cached_property
-    def _pairs(self):
-        """Flat table index of the offset x_i - x_j, for every pair."""
-        diff = self.ijk.T[:, :, None] - self.ijk.T[:, None, :]
-        return np.ravel_multi_index(tuple(diff), tuple(2 * self.extent),
-                                    mode="wrap")
+        # built only once assemble_dense has checked the matrix fits
+        @functools.cache
+        def pairs():
+            """Flat table index of the offset x_i - x_j, for every pair."""
+            diff = targets.T[:, :, None] - self.ijk.T[:, None, :]
+            return np.ravel_multi_index(tuple(diff), tuple(2 * self.extent),
+                                        mode="wrap")
+
+        return assemble_dense(lambda c: self.table[c].reshape(-1)[pairs()],
+                              self.count, self.m, self.dtype, self.self_term,
+                              cells)
 
 
 def direction_grid():

@@ -228,3 +228,38 @@ def test_cli_bad_config_exit_code(tmp_path):
 def test_cli_missing_config_file(tmp_path):
     assert main(["foldylax", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
+
+
+CONVERGE_DOC = {"a_list": [0.03, 0.02], "h": 0.9, "eta0": 1.0, "c0": 1.0,
+                "sign": "+", "c_r": 2.0, "lambda_b": 0.4}
+STUDY_DOCS = {"lse": FOLDYLAX_DOC, "converge": CONVERGE_DOC,
+              "resonance": RESONANCE_DOC, "spectrum": {}}
+
+
+@pytest.mark.parametrize("subcommand, override, match", [
+    ("resonance", "grid_n=2.5", "grid_n"),
+    ("resonance", "grid_n=true", "grid_n"),
+    ("resonance", "grid_n=1", "grid_n"),
+    ("resonance", "grid_n=10.0", "grid_n"),
+    ("resonance", "grid_n=ten", "grid_n"),
+    ("lse", "grid_n=2.5", "grid_n"),
+    ("converge", "grid_n=false", "grid_n"),
+    ("spectrum", "grid_n=0", "grid_n"),
+    ("resonance", "theta=[0,0,2]", "theta must be a unit vector"),
+    ("resonance", "p=[0,0,1]", r"theta \. p"),
+    ("resonance", "p=[1,0]", "p must be a list"),
+    ("resonance", "theta=[0,0,true]", "theta must be a list"),
+    ("converge", "theta=[0,0,2]", "theta must be a unit vector"),
+    ("converge", "p=[0,0,1]", r"theta \. p"),
+    ("converge", "p=[0,0.5,0]", "p must be a unit vector"),
+])
+def test_cli_rejects_bad_grid_and_wave(tmp_path, capsys, subcommand,
+                                       override, match):
+    """Refused before any solve: exit 2 with a ConfigError naming the key."""
+    cfg = write_config(tmp_path, STUDY_DOCS[subcommand])
+    with pytest.raises(ConfigError, match=match):
+        parse_config(cfg, subcommand, [override])
+    out = str(tmp_path / "out")
+    assert main([subcommand, "--config", cfg, "--out", out,
+                 "--set", override]) == 2
+    assert override.split("=")[0] in capsys.readouterr().err

@@ -12,6 +12,7 @@ from dielscat.effective import (detuned_xi, plasmonic_frequency,
                                 tensor_T_ball)
 from dielscat.foldylax import IncidentWave
 from dielscat.geometry import unit_ball, unit_box
+from dielscat.symmetry import SymmetryBasis
 from dielscat.lse import (DyadicVolumeOperator, VolumeGrid, discrete_curl,
                           discrete_divergence, effective_far_field,
                           harmonic_polynomial_coefficients, lse_operator_apply,
@@ -454,14 +455,107 @@ def test_preconditioned_lse_needs_scalar_T(ball10, monkeypatch):
                             eigensystem=magnetization_eigensystem(grid))
 
 
-def test_eigensystem_memory_check_counts_the_workspace(monkeypatch):
-    """The eigen-solve needs about four (3C)^2 matrices, not one: a limit
-    that the matrix alone fits is refused at once."""
-    grid = VolumeGrid(unit_ball(), 10)
-    matrix_bytes = (3 * grid.count) ** 2 * 8
-    monkeypatch.setattr(tensors, "physical_memory", lambda: 2 * matrix_bytes)
-    assert magnetization_matrix(grid).nbytes == matrix_bytes
+def test_eigensystem_memory_check_counts_blocks_rows_and_basis(monkeypatch):
+    """The block eigen-solve keeps its eigenvectors and needs the
+    representative rows and the orbit bases too: a limit that the block
+    eigenvectors alone fit is refused at once, before the rows of a grid
+    of 137,376 cells (about 57 GB of them) are gathered."""
+    grid = VolumeGrid(unit_ball(), 64)
+    basis = SymmetryBasis(grid.ijk)
+    vectors = sum(m * m for m in basis.orders.values()) * 8
+    monkeypatch.setattr(tensors, "physical_memory", lambda: vectors + 1)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="C=%d cells" % grid.count):
         magnetization_eigensystem(grid)
     assert time.perf_counter() - t0 < 1.0
+
+
+def dense_eigensystem(grid):
+    """The full divide-and-conquer eigh (LAPACK dsyevd) of the k=0
+    Magnetization matrix: the oracle of the block eigensystem."""
+    return eigh(magnetization_matrix(grid), driver="evd")
+
+
+def block_spectrum(system):
+    """Every block eigenvalue, repeated by its irrep's dimension, sorted."""
+    return np.sort(np.concatenate([np.tile(v, system.basis.dims[name])
+                                   for name, v in system.values.items()]))
+
+
+@pytest.mark.parametrize("domain, n", [(unit_ball(), 10), (unit_ball(), 11),
+                                       (unit_box(), 8)])
+def test_block_eigensystem_matches_dense_eigh(domain, n):
+    """The block spectrum counted with multiplicity is the full spectrum,
+    and the block (I + c M)^-1 is V diag(1 / (1 + c lambda)) V^T."""
+    grid = VolumeGrid(domain, n)
+    system = magnetization_eigensystem(grid)
+    vals, vecs = dense_eigensystem(grid)
+    assert np.max(np.abs(block_spectrum(system) - vals)) <= 1e-12
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=(3 * grid.count, 2)) @ np.array([1.0, 1j])
+    for c in (-2.3, -1.0 / 0.37, 0.7 - 0.2j):
+        want = vecs @ ((vecs.T @ y) / (1.0 + c * vals))
+        got = system.inverse(c).matvec(y)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+def test_block_inverse_refuses_a_singular_coupling():
+    grid = VolumeGrid(unit_ball(), 10)
+    system = magnetization_eigensystem(grid)
+    lam = system.values["T1u"][-5]
+    with pytest.raises(RuntimeError, match="singular"):
+        system.inverse(-1.0 / lam)
+
+
+class WrongSignEigensystem:
+    """The k=0 preconditioner with the sign of its coupling flipped."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def inverse(self, c):
+        return self.system.inverse(-c)
+
+
+def test_wrong_preconditioner_fails_within_the_matvec_budget():
+    """A wrong-sign k=0 preconditioner stalls GMRES: the solve raises,
+    naming its matvecs and residual, in seconds instead of running ~10^6
+    matvecs (ball n=8: about 2.5 ms a matvec on 2 cores)."""
+    grid = VolumeGrid(unit_ball(), 8)
+    lam = select_resonant_eigenvalue(grid)[0]
+    xi, T, k, wave = _resonance_problem(lam, 1e-3, eta0=1e9)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"GMRES failed after \d+ matvecs "
+                       r".*relative residual"):
+        solve_effective_lse(grid, xi, T, k, wave, "-",
+                            eigensystem=WrongSignEigensystem(
+                                magnetization_eigensystem(grid)))
+    assert time.perf_counter() - t0 < 5.0
+
+
+SYMMETRY_OPS = [np.array(R) for R in (
+    [[0, 1, 0], [0, 0, 1], [1, 0, 0]],        # rotation by 120 deg
+    [[1, 0, 0], [0, 1, 0], [0, 0, -1]],       # mirror z -> -z
+    [[0, -1, 0], [1, 0, 0], [0, 0, -1]],      # rotoreflection S4
+    [[0, 0, -1], [0, -1, 0], [-1, 0, 0]])]    # mirror with axis swap
+
+
+def test_resonance_scan_is_invariant_under_the_cube_group(ball10):
+    """The ball grid is O_h-invariant, so incidence (R theta, R p) gives
+    the field R H(R^-1 x) (times det R, H being a pseudovector) and the
+    same norms and far-field sup over the O_h-invariant direction set."""
+    grid, lam = ball10
+    theta = np.array([0.6, 0.0, 0.8])
+    p = np.array([0.0, 1.0, 0.0])
+    betas = [1e-3, -1e-2]
+    scales = {"eta0": 1e9, "lambda_b": 0.4}
+    keys = ("field_norm", "far_sup", "incident_ratio")
+    base, _ = resonance_amplification_scan(
+        grid, lam, betas, {"theta": theta, "p": p}, scales)
+    for R in SYMMETRY_OPS:
+        rows, _ = resonance_amplification_scan(
+            grid, lam, betas, {"theta": R @ theta, "p": R @ p}, scales)
+        for want, got in zip(base, rows):
+            assert got["status"] == "ok"
+            for key in keys:
+                assert got[key] == pytest.approx(want[key], rel=1e-9)

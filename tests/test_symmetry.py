@@ -1,0 +1,112 @@
+import numpy as np
+import pytest
+
+from dielscat.geometry import DomainShape, unit_ball, unit_box
+from dielscat.lse import VolumeGrid, magnetization_eigensystem
+from dielscat.symmetry import (SymmetryBasis, cell_images, cube_group,
+                               irreps)
+from dielscat.tensors import LatticeOperator
+
+KINDS = ("dyadic", "hessian", "projected", "scalar")
+
+
+def group_index(R):
+    """Index of the signed permutation R in cube_group()."""
+    return int(np.flatnonzero((cube_group() == R).all(axis=(1, 2)))[0])
+
+
+def test_irreps_are_orthogonal_irreducible_representations():
+    """Each D is real orthogonal and multiplicative, and the characters
+    are orthonormal: ten inequivalent irreps with sum d^2 = 48."""
+    G = cube_group()
+    assert len({R.tobytes() for R in G}) == 48
+    assert np.array_equal(G[0], np.eye(3))
+    table = np.array([[group_index(Rg @ Rh) for Rh in G] for Rg in G])
+    chars = []
+    for D in irreps().values():
+        d = D.shape[1]
+        assert np.allclose(D @ D.transpose(0, 2, 1), np.eye(d), atol=1e-14)
+        assert np.allclose(D[:, None] @ D[None, :], D[table], atol=1e-14)
+        chars.append(np.trace(D, axis1=1, axis2=2))
+    chars = np.array(chars)
+    assert np.allclose(chars @ chars.T / 48.0, np.eye(10), atol=1e-14)
+    assert sum(D.shape[1] ** 2 for D in irreps().values()) == 48
+
+
+EQUIVARIANCE_GRIDS = {"ball": VolumeGrid(unit_ball(), 7),
+                      "box": VolumeGrid(unit_box(), 6)}
+
+
+@pytest.mark.parametrize("geometry", sorted(EQUIVARIANCE_GRIDS))
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [0.0, 1.3])
+def test_lattice_operators_commute_with_the_cube_group(geometry, kind, k):
+    """P_g A P_g^T = A for all 48 signed permutations g about the grid
+    centre, (P_g F)(R x) = R F(x): R K(R^-1 x) R^T = K(x) for every kernel
+    kind, and g maps the grid's cells onto themselves."""
+    grid = EQUIVARIANCE_GRIDS[geometry]
+    op = LatticeOperator(grid.ijk, grid.side, kind, k, grid.weight, 0.25)
+    A = op.dense()
+    C = grid.count
+    images = cell_images(grid.ijk)
+    assert np.all(images >= 0)
+    scale = np.max(np.abs(A))
+    A4 = A.reshape(C, op.m, C, op.m)
+    for g, R in enumerate(cube_group()):
+        perm = images[:, g]
+        assert np.array_equal(np.sort(perm), np.arange(C))
+        # (P_g A P_g^T)[R x_i, R x_j] = R A[x_i, x_j] R^T, where
+        # (R B R^T)_ad = s_a s_d B[pi(a), pi(d)] for R[a, pi(a)] = s_a
+        moved = A4[perm][:, :, perm]
+        if op.m == 3:
+            pi, s = np.nonzero(R)[1], R.sum(axis=1)
+            rotated = A4[:, pi][:, :, :, pi] * (s[:, None, None]
+                                                * s[None, None, :])
+        else:
+            rotated = A4
+        assert np.max(np.abs(moved - rotated)) <= 1e-13 * scale
+
+
+def box_112_grid():
+    """A (1, 1, 2) box of cubic cells of side 1/4: a cell set that the
+    axis permutations do not map onto itself (VolumeGrid divides every
+    axis into n cells, so it builds only cubic boxes)."""
+    grid = VolumeGrid(unit_box(), 4)
+    grid.domain = DomainShape("box", (1.0, 1.0, 2.0), center=(0.5, 0.5, 1.0))
+    grid.ijk = np.stack(np.unravel_index(np.arange(128), (4, 4, 8)), axis=1)
+    grid.count = 128
+    grid.centers = (grid.ijk + 0.5) * grid.side
+    return grid
+
+
+def test_block_eigensystem_rejects_a_non_invariant_grid():
+    grid = box_112_grid()
+    with pytest.raises(ValueError, match="not invariant"):
+        SymmetryBasis(grid.ijk)
+    with pytest.raises(ValueError, match=r"box grid \(n=4, C=128 cells\)"):
+        magnetization_eigensystem(grid)
+
+
+@pytest.mark.parametrize("domain, n", [(unit_ball(), 10), (unit_ball(), 11),
+                                       (unit_box(), 2), (unit_box(), 5)])
+def test_symmetry_basis_is_orthonormal_and_complete(domain, n):
+    """forward and backward are inverse orthogonal maps, and the block
+    orders times the irrep dimensions add up to 3C."""
+    grid = VolumeGrid(domain, n)
+    basis = SymmetryBasis(grid.ijk)
+    assert sum(m * basis.dims[name] for name, m in basis.orders.items()) \
+        == 3 * grid.count
+    X = np.random.default_rng(n).normal(size=(3 * grid.count, 4))
+    Z = basis.forward(X)
+    assert np.allclose(np.linalg.norm(Z, axis=0), np.linalg.norm(X, axis=0),
+                       rtol=1e-13)
+    assert np.allclose(basis.backward(Z), X, rtol=0.0, atol=1e-13)
+    # a constant field lies in its T1u partner row
+    const = np.zeros((3 * grid.count, 1))
+    const[1::3] = 1.0
+    Z = basis.forward(const)
+    t1u = basis.block(Z, "T1u")
+    assert np.linalg.norm(t1u[:, 1]) == pytest.approx(
+        np.sqrt(grid.count), rel=1e-13)
+    assert np.linalg.norm(Z) == pytest.approx(np.linalg.norm(t1u[:, 1]),
+                                              rel=1e-13)
