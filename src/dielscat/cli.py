@@ -90,8 +90,8 @@ def validate_config(config, subcommand):
         if key not in config:
             raise ConfigError("missing required key %r" % key)
     try:
-        if subcommand in ("lse", "converge", "resonance", "spectrum"):
-            _validate_grid_n(config)
+        if subcommand in ("lse", "converge", "resonance"):
+            _require_int("grid_n", config.get("grid_n", 2), 2)
         if subcommand in ("foldylax", "lse", "converge", "resonance"):
             _validate_wave(config)
         if subcommand in ("foldylax", "lse"):
@@ -113,6 +113,8 @@ def validate_config(config, subcommand):
                 raise ValueError("xi_values must be nonempty")
         elif subcommand == "counting":
             _validate_counting(config)
+        elif subcommand == "spectrum":
+            _validate_spectrum(config)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
     return config
@@ -122,12 +124,12 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _validate_grid_n(config):
-    """A JSON integer >= 2; a float such as 2.0 is refused, and so are
+def _require_int(key, value, least):
+    """A JSON integer >= least; a float such as 2.0 is refused, and so are
     true and false, which Python reads as the integers 1 and 0."""
-    n = config.get("grid_n", 2)
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("grid_n must be an integer >= 2, not %r" % (n,))
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError("%s must be an integer >= %d, not %r"
+                         % (key, least, value))
 
 
 def _validate_wave(config):
@@ -181,9 +183,7 @@ def _validate_betas(betas):
 def _validate_counting(config):
     """Every pitch must give a positive value, whose log the fit takes."""
     refine = config.get("refine", COUNTING_REFINE)
-    if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
-        raise ValueError("refine must be a positive integer, not %r"
-                         % (refine,))
+    _require_int("refine", refine, 1)
     for d in _pitch_list(config, "pitches", COUNTING_PITCHES):
         if np.floor(1.0 / d + 1e-12) < 2:
             raise ValueError("pitches: pitch %r fits one particle in the "
@@ -195,6 +195,18 @@ def _validate_counting(config):
                 "boundary_pitches: pitch %r leaves no quadrature point of "
                 "refine=%d outside the particle cubes of the unit box (1/d "
                 "is an integer or too close to one)" % (d, refine))
+
+
+def _validate_spectrum(config):
+    """magnetization_spectrum's arguments: the diagnostics need n >= 12, and
+    a count below 1 would slice eigenvalues off the end of the list."""
+    _require_int("grid_n", config.get("grid_n", 12), 12)
+    _require_int("lmax", config.get("lmax", 1), 1)
+    if "count" in config:
+        _require_int("count", config["count"], 1)
+    if config.get("mode", "gradient") not in ("gradient", "full"):
+        raise ValueError("mode must be \"gradient\" or \"full\", not %r"
+                         % (config["mode"],))
 
 
 def _domain_from_config(config, default):

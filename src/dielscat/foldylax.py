@@ -5,8 +5,8 @@
 import functools
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
+from .linalg import gmres
 from .tensors import (LatticeOperator, assemble_dense, dyadic_kernel_scalars,
                       dyadic_sum_chunked, kernel_components, spectral_norm)
 
@@ -190,8 +190,7 @@ def assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first"):
             return (Q - _apply_offdiag(cluster, scales, p0, Q,
                                        ordering)).reshape(-1)
 
-        op = LinearOperator((3 * n, 3 * n), matvec=matvec, dtype=complex)
-        q, info = gmres(op, rhs.reshape(-1), rtol=GMRES_TOL, atol=0.0,
+        q, info = gmres(matvec, rhs.reshape(-1), rtol=GMRES_TOL,
                         restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
         Q = q.reshape(n, 3)
         if info != 0 or not np.all(np.isfinite(q)):

@@ -6,12 +6,12 @@
 import functools
 
 import numpy as np
-from scipy.linalg import eigh, lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, eigsh, gmres
+from numpy.linalg import eigh
 
 from .effective import detuned_xi, plasmonic_frequency, tensor_T_ball
 from .foldylax import FarFieldSamples, IncidentWave, incident_magnetic_many
 from .geometry import parse_sign
+from .linalg import gmres
 from .symmetry import SymmetryBasis
 from .tensors import FOUR_PI, LatticeOperator, direction_grid, require_memory
 
@@ -182,6 +182,8 @@ def newtonian_operator_norm(grid, tol=1e-8):
     volume ratio to the 2/3 power, the norm is rescaled to the exact domain
     volume, which removes the leading fluctuation.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     n = grid.count
     op = LinearOperator((n, n), matvec=newtonian_operator(grid).apply,
                         dtype=float)
@@ -207,6 +209,21 @@ class DyadicVolumeOperator(LatticeOperator):
     # apart from those of the other lattice operators
     apply = LatticeOperator.apply
     dense_blocks = LatticeOperator.dense
+
+
+def lu_factor(a):
+    """LU factorization of a, overwriting it (scipy.linalg.lu_factor).
+
+    scipy is imported here, on first use: only the dense LSE path needs it.
+    """
+    from scipy.linalg import lu_factor as factor
+    return factor(a, overwrite_a=True)
+
+
+def lu_solve(lu, b):
+    """Solve with the factors of lu_factor (scipy.linalg.lu_solve)."""
+    from scipy.linalg import lu_solve as solve
+    return solve(lu, b)
 
 
 def lse_self_scalar(grid, k):
@@ -246,12 +263,13 @@ def solve_effective_lse(grid, xi, T, k, wave, sign, method="auto",
     (1 + s xi t lambda)) V_G^T per irrep block G, scatter back; no 3C x 3C
     product).  A(k) - A(0) = O(k^2), so at the quasi-static k of the
     resonance study GMRES stops after one iteration, and it still
-    converges, in more, at k ~ 1.  scipy's gmres applies the
-    preconditioner on the left and tests convergence on the true residual
-    b - A x.  A k=0 operator that is singular at this coupling raises
-    RuntimeError, and so does a GMRES solve that is not converged within
-    LSE_GMRES_MAXITER restarts of LSE_GMRES_RESTART iterations or is not
-    finite, naming its matvec count and relative residual.
+    converges, in more, at k ~ 1.  linalg.gmres applies the
+    preconditioner on the left, minimizing the preconditioned residual, and
+    tests convergence on the true residual b - A x.  A k=0 operator that
+    is singular at this coupling raises RuntimeError, and so does a GMRES
+    solve that is not converged within LSE_GMRES_MAXITER restarts of
+    LSE_GMRES_RESTART iterations or is not finite, naming its matvec count
+    and relative residual.
 
     Returns (H, relative residual).
     """
@@ -280,8 +298,7 @@ def solve_effective_lse(grid, xi, T, k, wave, sign, method="auto",
         A = (G.reshape(3 * n, n, 3) @ T).reshape(3 * n, 3 * n)
         A *= -s * xi
         A[diag, diag] += 1.0
-        H = lu_solve(lu_factor(A, overwrite_a=True),
-                     rhs.reshape(-1)).reshape(n, 3)
+        H = lu_solve(lu_factor(A), rhs.reshape(-1)).reshape(n, 3)
     else:
         matvecs = 0
 
@@ -291,18 +308,17 @@ def solve_effective_lse(grid, xi, T, k, wave, sign, method="auto",
             return lse_operator_apply(h.reshape(n, 3), grid, xi, T, k, sign,
                                       kernel_op=kernel_op).reshape(-1)
 
-        op = LinearOperator((3 * n, 3 * n), matvec=matvec, dtype=complex)
         precond = x0 = None
         if eigensystem is not None:
             precond = eigensystem.inverse(s * xi * T[0, 0])
-            x0 = precond.matvec(rhs.reshape(-1))
+            x0 = precond(rhs.reshape(-1))
             # a NaN start would run GMRES through its whole budget
             if not np.all(np.isfinite(x0)):
                 raise RuntimeError("the k=0 preconditioned start is not "
                                    "finite")
-        h, info = gmres(op, rhs.reshape(-1), x0=x0, M=precond,
-                        rtol=LSE_GMRES_TOL, atol=0.0,
-                        restart=LSE_GMRES_RESTART, maxiter=LSE_GMRES_MAXITER)
+        h, info = gmres(matvec, rhs.reshape(-1), x0=x0, psolve=precond,
+                        rtol=LSE_GMRES_TOL, restart=LSE_GMRES_RESTART,
+                        maxiter=LSE_GMRES_MAXITER)
         H = h.reshape(n, 3)
         if info != 0 or not np.all(np.isfinite(h)):
             raise RuntimeError(
@@ -438,8 +454,10 @@ def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10,
     if grid.n < 12:
         raise ValueError("spectrum diagnostics need resolution n >= 12")
     if mode == "full":
-        vals = eigh(magnetization_matrix(grid), eigvals_only=True,
-                    overwrite_a=True, check_finite=False)
+        # eigvalsh factors a copy of the matrix: both must fit
+        require_memory(2 * 8 * (3 * grid.count) ** 2,
+                       "dense spectrum on C=%d cells" % grid.count)
+        vals = np.linalg.eigvalsh(magnetization_matrix(grid))
         raw = vals.size
         vals = vals[(vals > edge_tol) & (vals < 1.0 - edge_tol)]
         tags = None
@@ -454,7 +472,7 @@ def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10,
         s, U = eigh(G)
         keep = s > 1e-10 * s[-1]
         W = U[:, keep] / np.sqrt(s[keep])
-        vals = eigh(W.T @ A @ W, eigvals_only=True)
+        vals = np.linalg.eigvalsh(W.T @ A @ W)
         raw = vals.size
         tags = ["gradient"] * raw
     else:
@@ -479,7 +497,7 @@ class MagnetizationEigensystem:
         self.vectors = vectors
 
     def inverse(self, c):
-        """(I + c M)^-1 as a LinearOperator on complex (3C,) vectors.
+        """(I + c M)^-1 as a function of complex (3C,) vectors.
 
         Gathers the coefficients of each orbit, applies V diag(1 / (1 + c
         lambda)) V^T to each block, the real and imaginary parts as the
@@ -507,7 +525,7 @@ class MagnetizationEigensystem:
                 z[...] = V @ w
             return basis.backward(Z).view(complex)[:, 0]
 
-        return LinearOperator((n, n), matvec=solve, dtype=complex)
+        return solve
 
 
 @functools.lru_cache(maxsize=1)
@@ -522,10 +540,11 @@ def magnetization_eigensystem(grid):
     111 against 3C = 1656).  Each block is assembled from the 3 rows of M
     at every orbit representative, gathered from the Magnetization
     LatticeOperator's kernel table (SymmetryBasis.reduce), and solved by
-    one divide-and-conquer eigh (LAPACK dsyevd; Gu & Eisenstat, SIAM J.
-    Matrix Anal. Appl. 16 (1995) 172).  The decomposition is exact: the
-    union of the block spectra, each eigenvalue repeated d times, is the
-    spectrum of M; no 3C x 3C matrix, projector or basis is formed.
+    one divide-and-conquer eigh (numpy.linalg.eigh, LAPACK dsyevd; Gu &
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172).  The
+    decomposition is exact: the union of the block spectra, each eigenvalue
+    repeated d times, is the spectrum of M; no 3C x 3C matrix, projector or
+    basis is formed.
 
     A grid whose cells are not mapped onto themselves by all 48 raises
     ValueError naming the grid.  The block eigenvectors, the representative
@@ -539,15 +558,15 @@ def magnetization_eigensystem(grid):
     orders = np.array(list(basis.orders.values()))
     rows = 3 * len(basis.representatives) * 3 * grid.count
     orbit_bases = sum((3 * t.size) ** 2 for t in basis.types)
+    # eigh factors a copy of each block, with a 2 m^2 dsyevd workspace
     require_memory(8 * (2 * rows + 2 * int(np.sum(orders ** 2))
-                        + 2 * int(orders.max()) ** 2 + orbit_bases),
+                        + 3 * int(orders.max()) ** 2 + orbit_bases),
                    "block eigendecomposition on C=%d cells" % grid.count)
     blocks = basis.reduce(
         magnetization_operator(grid).dense(basis.representatives))
     values, vectors = {}, {}
     for name, B in blocks.items():
-        vals, vecs = eigh(B, overwrite_a=True, check_finite=False,
-                          driver="evd")
+        vals, vecs = eigh(B)
         vals.flags.writeable = False
         vecs.flags.writeable = False
         values[name], vectors[name] = vals, vecs

@@ -245,6 +245,13 @@ STUDY_DOCS = {"lse": FOLDYLAX_DOC, "converge": CONVERGE_DOC,
     ("lse", "grid_n=2.5", "grid_n"),
     ("converge", "grid_n=false", "grid_n"),
     ("spectrum", "grid_n=0", "grid_n"),
+    ("spectrum", "grid_n=11", "grid_n"),
+    ("spectrum", "count=-2", "count"),
+    ("spectrum", "count=0", "count"),
+    ("spectrum", "count=2.5", "count"),
+    ("spectrum", "lmax=0", "lmax"),
+    ("spectrum", "lmax=4.0", "lmax"),
+    ("spectrum", "mode=bogus", "mode"),
     ("resonance", "theta=[0,0,2]", "theta must be a unit vector"),
     ("resonance", "p=[0,0,1]", r"theta \. p"),
     ("resonance", "p=[1,0]", "p must be a list"),

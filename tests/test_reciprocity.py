@@ -1,0 +1,82 @@
+import numpy as np
+import pytest
+
+from dielscat import foldylax, lse
+from dielscat.effective import p0_ball, tensor_T_ball
+from dielscat.foldylax import IncidentWave, assemble_and_solve, \
+    cluster_far_field
+from dielscat.geometry import derive_scales, generate_cluster, unit_ball, \
+    unit_box
+from dielscat.lse import VolumeGrid, effective_far_field, solve_effective_lse
+
+# incidence (theta, p) and observation (xhat, q), generic so that no cube
+# symmetry of the grids maps one onto the other
+THETA = np.array([0.6, 0.0, 0.8])
+P = np.array([0.0, 1.0, 0.0])
+XHAT = np.array([1.0, 2.0, 2.0]) / 3.0
+Q = np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)
+
+# the relative residual a dense LU solve of these systems stays below
+DENSE_TOL = 1e-12
+
+
+def foldylax_problem(a):
+    """Foldy-Lax on the converge-box cluster of particle size a: returns
+    solve(theta, p) -> (q . E_inf(xhat), solution vector, residual) and the
+    solver's tolerance, the far-field factor |c| and the particle count."""
+    scales = derive_scales(a, 0.9, 1.0, 1.0, "+", 2.0, 0.4)
+    cluster = generate_cluster(unit_box(), scales.d)
+
+    def solve(theta, p, xhat, q):
+        sol = assemble_and_solve(cluster, scales, p0_ball(),
+                                 IncidentWave(scales.k, theta, p))
+        far = cluster_far_field(sol, cluster, scales, xhat).values[0]
+        return q @ far, sol.vectors, sol.residual
+
+    tol = DENSE_TOL if cluster.count <= foldylax.DENSE_LIMIT \
+        else foldylax.GMRES_TOL
+    return solve, tol, scales.k ** 3 * scales.eta / (4 * np.pi), \
+        cluster.count
+
+
+def lse_problem(method):
+    """The LSE on the ball n=10 (C = 552 cells) at xi = 2, k = 1.2."""
+    grid = VolumeGrid(unit_ball(), 10)
+    xi, k = 2.0, 1.2
+    T = tensor_T_ball(xi, "-")
+
+    def solve(theta, p, xhat, q):
+        H, res = solve_effective_lse(grid, xi, T, k,
+                                     IncidentWave(k, theta, p), "-",
+                                     method=method)
+        far = effective_far_field(H, grid, xi, T, k, "-", xhat).values[0]
+        return q @ far, H, res
+
+    tol = DENSE_TOL if method == "dense" else lse.LSE_GMRES_TOL
+    return solve, tol, abs(k * xi * grid.weight * T[0, 0]) / (4 * np.pi), \
+        grid.count
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: foldylax_problem(0.02),     # N = 343, dense
+    lambda: foldylax_problem(0.012),    # N = 1331, GMRES
+    lambda: lse_problem("dense"),
+    lambda: lse_problem("gmres"),
+], ids=["foldylax-dense", "foldylax-gmres", "lse-dense", "lse-gmres"])
+def test_far_field_reciprocity(problem):
+    """q . E_inf(xhat; theta, p) = p . E_inf(-theta; -xhat, q).
+
+    P0 and T are scalar and the kernel is symmetric, so each system matrix
+    A is complex-symmetric, and with q . E_inf = c g^T X for the solution
+    X of A X = b(theta, p), the two sides are c g^T A^-1 f and
+    c f^T A^-1 g.  Solves with relative residual at most tol change their
+    difference by at most tol |c| sqrt(n) (|X| + |X'|), n the number of
+    particles or cells and X' the reversed problem's solution.
+    """
+    solve, tol, c, n = problem()
+    forward, X, res = solve(THETA, P, XHAT, Q)
+    reverse, Xr, res_r = solve(-XHAT, Q, -THETA, P)
+    assert max(res, res_r) <= tol
+    bound = tol * c * np.sqrt(n) * (np.linalg.norm(X) + np.linalg.norm(Xr))
+    assert abs(forward - reverse) <= bound
+    assert bound <= 1e-6 * abs(forward)
