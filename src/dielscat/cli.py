@@ -12,7 +12,8 @@ from .effective import coupling_xi, p0_ball, tensor_T
 from .experiments import (BOUNDARY_PITCHES, COUNTING_PITCHES,
                           COUNTING_REFINE, run_convergence, run_counting,
                           run_regime_map, run_resonance)
-from .foldylax import IncidentWave, assemble_and_solve, cluster_far_field
+from .foldylax import (IncidentWave, assemble_and_solve, check_ordering,
+                       cluster_far_field)
 from .geometry import DomainShape, boundary_grid_counts, derive_scales, \
     generate_cluster, unit_ball, unit_box
 from .lse import (VolumeGrid, effective_far_field, magnetization_spectrum,
@@ -90,12 +91,14 @@ def validate_config(config, subcommand):
         if key not in config:
             raise ConfigError("missing required key %r" % key)
     try:
+        _validate_domain(config)
         if subcommand in ("lse", "converge", "resonance"):
             _require_int("grid_n", config.get("grid_n", 2), 2)
         if subcommand in ("foldylax", "lse", "converge", "resonance"):
             _validate_wave(config)
         if subcommand in ("foldylax", "lse"):
             derive_scales(*(config[k] for k in SCALE_KEYS))
+            check_ordering(config.get("ordering", "p0-first"))
         elif subcommand == "converge":
             a_list = config["a_list"]
             if not a_list:
@@ -132,16 +135,51 @@ def _require_int(key, value, least):
                          % (key, least, value))
 
 
+def _require_three_numbers(key, value, positive=False):
+    """A list of three finite JSON numbers, each > 0 if positive."""
+    if not (isinstance(value, list) and len(value) == 3 and
+            all(_is_number(x) and np.isfinite(x) and (x > 0 or not positive)
+                for x in value)):
+        raise ValueError("%s must be a list of three finite %snumbers, not %r"
+                         % (key, "positive " if positive else "", value))
+
+
 def _validate_wave(config):
     """theta and p by IncidentWave's rules, against the studies' defaults."""
     for key in ("theta", "p"):
-        v = config.get(key)
-        if key in config and not (isinstance(v, list) and len(v) == 3 and
-                                  all(_is_number(x) for x in v)):
-            raise ValueError("%s must be a list of three numbers, not %r"
-                             % (key, v))
+        if key in config:
+            _require_three_numbers(key, config[key])
     IncidentWave(1.0, config.get("theta", (0.0, 0.0, 1.0)),
                  config.get("p", (1.0, 0.0, 0.0)))
+
+
+def _validate_domain(config):
+    """DomainShape.from_dict's input: {"kind": "box", "extents": three
+    positive numbers} or {"kind": "ball", "radius": a positive number},
+    each with an optional "center" of three numbers."""
+    if "domain" not in config:
+        return
+    doc = config["domain"]
+    if not isinstance(doc, dict):
+        raise ValueError("domain must be an object, not %r" % (doc,))
+    kind = doc.get("kind")
+    size = {"box": "extents", "ball": "radius"}.get(kind) \
+        if isinstance(kind, str) else None
+    if size is None:
+        raise ValueError("domain.kind must be \"box\" or \"ball\", not %r"
+                         % (kind,))
+    for key in doc:
+        if key not in ("kind", size, "center"):
+            raise ValueError("unknown key %r in a %s domain" % (key, kind))
+    if size not in doc:
+        raise ValueError("a %s domain needs domain.%s" % (kind, size))
+    if size == "extents":
+        _require_three_numbers("domain.extents", doc[size], positive=True)
+    elif not (_is_number(doc[size]) and 0 < doc[size] < np.inf):
+        raise ValueError("domain.radius must be a finite positive number, "
+                         "not %r" % (doc[size],))
+    if "center" in doc:
+        _require_three_numbers("domain.center", doc["center"])
 
 
 def _require_two_distinct(key, abscissae):

@@ -7,8 +7,9 @@ import functools
 import numpy as np
 
 from .linalg import gmres
-from .tensors import (LatticeOperator, assemble_dense, dyadic_kernel_scalars,
-                      dyadic_sum_chunked, kernel_components, spectral_norm)
+from .tensors import (LatticeOperator, assemble_dense, cis,
+                      dyadic_kernel_scalars, dyadic_sum_chunked,
+                      kernel_components, spectral_norm)
 
 DENSE_LIMIT = 1000          # dense direct solve while 3*count <= 3000
 GMRES_TOL = 1e-10
@@ -17,6 +18,16 @@ GMRES_RESTART = 100
 # matvecs of the slowest solve in the tests and benchmark workloads
 # (converge-box, N=1331)
 GMRES_MAXITER = 1
+
+# where P0 stands in the kernel products: P0.Y_k or Y_k.P0
+ORDERINGS = ("p0-first", "p0-last")
+
+
+def check_ordering(ordering):
+    """Raise ValueError unless ordering is one of ORDERINGS."""
+    if ordering not in ORDERINGS:
+        raise ValueError("ordering must be one of %s, not %r"
+                         % (", ".join(ORDERINGS), ordering))
 
 
 class IncidentWave:
@@ -49,7 +60,7 @@ def incident_magnetic(wave, x):
 def incident_magnetic_many(wave, points):
     """Magnetic incident field at an (n,3) array of points."""
     pts = np.asarray(points, dtype=float)
-    phase = np.exp(1j * wave.k * (pts @ wave.theta))
+    phase = cis(wave.k * (pts @ wave.theta))
     return np.outer(phase, np.cross(wave.theta, wave.p).astype(complex))
 
 
@@ -167,6 +178,7 @@ def assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first"):
     """
     if abs(wave.k - scales.k) > 1e-10 * scales.k:
         raise ValueError("wave.k inconsistent with the derived scales")
+    check_ordering(ordering)
     margin = invertibility_margin(scales, p0)
     rhs = rhs_constant(scales) * incident_magnetic_many(
         wave, cluster.centers) @ p0.T
@@ -248,7 +260,7 @@ def cluster_far_field(solution, cluster, scales, directions):
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     k = scales.k
     pref = -1j * k ** 3 * scales.eta / (4.0 * np.pi)
-    phases = np.exp(-1j * k * dirs @ cluster.centers.T)
+    phases = cis(-k * (dirs @ cluster.centers.T))
     moments = phases @ solution.vectors
     values = pref * np.cross(dirs, moments)
     return FarFieldSamples(dirs, values)

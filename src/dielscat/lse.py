@@ -13,7 +13,8 @@ from .foldylax import FarFieldSamples, IncidentWave, incident_magnetic_many
 from .geometry import parse_sign
 from .linalg import gmres
 from .symmetry import SymmetryBasis
-from .tensors import FOUR_PI, LatticeOperator, direction_grid, require_memory
+from .tensors import (FOUR_PI, LatticeOperator, cis, direction_grid,
+                      require_memory)
 
 LSE_GMRES_TOL = 1e-8
 LSE_GMRES_RESTART = 100
@@ -340,7 +341,7 @@ def effective_far_field(H, grid, xi, T, k, sign, directions):
     s = parse_sign(sign)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     TH = np.asarray(H, dtype=complex) @ np.asarray(T, dtype=complex).T
-    phases = np.exp(-1j * k * dirs @ grid.centers.T)
+    phases = cis(-k * (dirs @ grid.centers.T))
     moments = grid.weight * phases @ TH
     pref = -s * 1j * k * xi / FOUR_PI
     values = pref * np.cross(dirs, moments)

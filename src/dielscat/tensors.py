@@ -19,6 +19,19 @@ def spectral_norm(dyadic):
     return float(np.linalg.norm(dyadic, 2))
 
 
+def cis(x):
+    """e^{ix} for real x, as one complex array built from np.cos and np.sin.
+
+    The same values as np.exp(1j * x), without the scalar complex exp that
+    numpy calls for a complex argument.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def helmholtz_kernel(x, z, k):
     """Scalar outgoing Helmholtz kernel e^{ikr}/(4 pi r) with r = |x-z|."""
     r = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(z, dtype=float))
@@ -105,7 +118,7 @@ def kernel_scalars(d, k, kind="dyadic"):
     r2 = np.where(near, 1.0, r2)
     r = np.sqrt(r2)
     if k:
-        phi = np.exp(1j * k * r) / (FOUR_PI * r)
+        phi = cis(k * r) / (FOUR_PI * r)
         s = 1j * k - 1.0 / r
     else:
         phi = 1.0 / (FOUR_PI * r)
@@ -242,6 +255,14 @@ class LatticeOperator:
     discrete-dipole method of Goodman, Draine & Flatau, Opt. Lett. 16
     (1991) 1198); dense() gathers the matrix from the same table.  Both are
     built on first use.
+
+    The convolution is pruned (Markel, IEEE Trans. Audio Electroacoust. 19
+    (1971) 305): only n^3 of the (2n)^3 padded inputs are non-zero and only
+    n^3 of the outputs are read.  The forward transform pads each axis just
+    before transforming it, so it skips the all-zero lines; the inverse
+    keeps the first n entries of each axis just after transforming it, so
+    it skips the unread lines.  That is 14 n^3 instead of 24 n^3 of line
+    work each way, and the padded input grid is never allocated.
     """
 
     def __init__(self, ijk, pitch, kind, k=0.0, weight=1.0, self_term=0.0):
@@ -273,17 +294,20 @@ class LatticeOperator:
         F = np.asarray(F)
         cols = F.reshape(self.count, -1)
         cells = tuple(self.ijk.T)
-        grid = np.zeros((cols.shape[1],) + self.table.shape[1:],
-                        dtype=complex)
+        grid = np.zeros((cols.shape[1],) + tuple(self.extent), dtype=complex)
         grid[(slice(None),) + cells] = cols.T
-        spec = np.fft.fftn(grid, axes=(1, 2, 3))
+        # fftn pads each axis only as it transforms it (the last axis first)
+        spec = np.fft.fftn(grid, s=tuple(2 * self.extent), axes=(1, 2, 3))
         K = self.spectrum
         if self.m == 1:
             spec *= K[0]
         else:
             spec = np.stack([sum(K[SYM[a][b]] * spec[b] for b in range(3))
                              for a in range(3)])
-        out = np.fft.ifftn(spec, axes=(1, 2, 3))[(slice(None),) + cells].T
+        for axis, n in enumerate(self.extent, start=1):
+            spec = np.fft.ifft(spec, axis=axis)[(slice(None),) * axis
+                                                + (slice(n),)]
+        out = spec[(slice(None),) + cells].T
         if np.result_type(self.dtype, F.dtype) == float:
             out = out.real
         return (out + self.self_term * cols).reshape(F.shape)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dielscat
 from dielscat.cli import ConfigError, main, parse_config, validate_config
 from dielscat.reporting import emit, far_field_rows, format_float
 
@@ -232,7 +235,8 @@ def test_cli_missing_config_file(tmp_path):
 
 CONVERGE_DOC = {"a_list": [0.03, 0.02], "h": 0.9, "eta0": 1.0, "c0": 1.0,
                 "sign": "+", "c_r": 2.0, "lambda_b": 0.4}
-STUDY_DOCS = {"lse": FOLDYLAX_DOC, "converge": CONVERGE_DOC,
+STUDY_DOCS = {"foldylax": FOLDYLAX_DOC, "lse": FOLDYLAX_DOC,
+              "converge": CONVERGE_DOC,
               "resonance": RESONANCE_DOC, "spectrum": {}}
 
 
@@ -259,10 +263,36 @@ STUDY_DOCS = {"lse": FOLDYLAX_DOC, "converge": CONVERGE_DOC,
     ("converge", "theta=[0,0,2]", "theta must be a unit vector"),
     ("converge", "p=[0,0,1]", r"theta \. p"),
     ("converge", "p=[0,0.5,0]", "p must be a unit vector"),
+    ("spectrum", "domain=5", "domain must be an object"),
+    ("spectrum", "domain=[1,1,1]", "domain must be an object"),
+    ("spectrum", 'domain={"kind":"ball"}', "domain.radius"),
+    ("spectrum", 'domain={"radius":1}', "domain.kind"),
+    ("spectrum", 'domain={"kind":"cube","radius":1}', "domain.kind"),
+    ("spectrum", 'domain={"kind":["ball"],"radius":1}', "domain.kind"),
+    ("spectrum", 'domain={"kind":"ball","radius":0}', "domain.radius"),
+    ("spectrum", 'domain={"kind":"ball","radius":"1"}', "domain.radius"),
+    ("spectrum", 'domain={"kind":"ball","radius":true}', "domain.radius"),
+    ("spectrum", 'domain={"kind":"ball","radius":1,"center":[0,0]}',
+     "domain.center"),
+    ("spectrum", 'domain={"kind":"ball","radius":1,"center":[0,0,null]}',
+     "domain.center"),
+    ("spectrum", 'domain={"kind":"ball","radius":1,"extents":[1,1,1]}',
+     "extents.* ball domain"),
+    ("lse", 'domain={"kind":"box"}', "domain.extents"),
+    ("lse", 'domain={"kind":"box","extents":[1,1,-1]}', "domain.extents"),
+    ("lse", 'domain={"kind":"box","extents":1}', "domain.extents"),
+    ("lse", 'domain={"kind":"box","extents":[1,1,Infinity]}',
+     "domain.extents"),
+    ("foldylax", "domain=null", "domain must be an object"),
+    ("foldylax", 'domain={"kind":"box","extents":[1,1,1],"center":"0"}',
+     "domain.center"),
+    ("foldylax", "ordering=bogus", "ordering must be one of"),
+    ("foldylax", "ordering=null", "ordering must be one of"),
 ])
 def test_cli_rejects_bad_grid_and_wave(tmp_path, capsys, subcommand,
                                        override, match):
-    """Refused before any solve: exit 2 with a ConfigError naming the key."""
+    """Refused before any solve: exit 2 with a ConfigError naming the key.
+    The grid, wave, domain and ordering keys."""
     cfg = write_config(tmp_path, STUDY_DOCS[subcommand])
     with pytest.raises(ConfigError, match=match):
         parse_config(cfg, subcommand, [override])
@@ -270,3 +300,33 @@ def test_cli_rejects_bad_grid_and_wave(tmp_path, capsys, subcommand,
     assert main([subcommand, "--config", cfg, "--out", out,
                  "--set", override]) == 2
     assert override.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, override", [
+    ("spectrum", 'domain={"kind":"ball","radius":0.9}'),
+    ("spectrum", 'domain={"kind":"ball","radius":1,"center":[0,0.5,0]}'),
+    ("lse", 'domain={"kind":"box","extents":[1,0.5,1]}'),
+    ("foldylax", 'domain={"kind":"box","extents":[1,1,1],'
+                 '"center":[0.5,0.5,0.5]}'),
+    ("foldylax", "ordering=p0-last"),
+])
+def test_validate_config_accepts_good_domain_and_ordering(tmp_path,
+                                                          subcommand,
+                                                          override):
+    cfg = write_config(tmp_path, STUDY_DOCS[subcommand])
+    parse_config(cfg, subcommand, [override])
+
+
+def test_import_cli_does_not_load_scipy():
+    """Set-up time depends on the CLI import leaving scipy unloaded: only
+    the dense LSE and a few diagnostics import it, on first call."""
+    script = ("import sys\n"
+              "import dielscat.cli\n"
+              "assert 'scipy' not in sys.modules, sorted(\n"
+              "    m for m in sys.modules if m.startswith('scipy'))[:5]\n")
+    src = os.path.dirname(os.path.dirname(dielscat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

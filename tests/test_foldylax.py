@@ -109,6 +109,14 @@ def test_ordering_variants_agree_for_isotropic_p0():
     assert np.allclose(a1.vectors, a2.vectors, rtol=1e-10)
 
 
+@pytest.mark.parametrize("ordering", ["bogus", "P0-FIRST", None])
+def test_assemble_and_solve_rejects_unknown_ordering(ordering):
+    scales, cluster, wave = small_setup(a=0.06)
+    with pytest.raises(ValueError, match="ordering"):
+        assemble_and_solve(cluster, scales, p0_ball(), wave,
+                           ordering=ordering)
+
+
 def test_far_field_transversality():
     scales, cluster, wave = small_setup(a=0.05)
     sol = assemble_and_solve(cluster, scales, p0_ball(), wave)

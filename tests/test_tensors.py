@@ -6,14 +6,25 @@ from dielscat.foldylax import _kernel_matrix, _kernel_sum
 from dielscat.geometry import (Cluster, DomainShape, generate_cluster,
                                unit_ball, unit_box)
 from dielscat.lse import VolumeGrid
-from dielscat.tensors import (LatticeOperator, direction_grid, dyadic_green,
-                              dyadic_green_fd, dyadic_kernel_scalars,
-                              dyadic_sum_chunked, grad_helmholtz_kernel,
-                              helmholtz_kernel, refine_direction_grid)
+from dielscat.tensors import (LatticeOperator, cis, direction_grid,
+                              dyadic_green, dyadic_green_fd,
+                              dyadic_kernel_scalars, dyadic_sum_chunked,
+                              grad_helmholtz_kernel, helmholtz_kernel,
+                              kernel_scalars, refine_direction_grid)
 
 
 def random_points(rng, n):
     return rng.uniform(-1.0, 1.0, size=(n, 3))
+
+
+def test_cis_matches_complex_exp():
+    x = np.concatenate([np.linspace(-200.0, 200.0, 100001),
+                        np.random.default_rng(4).uniform(-200, 200, 10000)])
+    got = cis(x)
+    assert got.dtype == np.complex128 and got.shape == x.shape
+    assert np.max(np.abs(got - np.exp(1j * x))) <= 4e-16
+    assert cis(np.pi / 3).shape == ()
+    np.testing.assert_array_equal(cis(np.zeros((2, 3))), np.ones((2, 3)))
 
 
 def test_helmholtz_kernel_static_limit():
@@ -202,6 +213,54 @@ def test_lattice_operator_real_in_real_out():
     out = op.apply(v)
     assert out.dtype == np.float64 and out.shape == v.shape
     assert np.allclose(out, op.dense() @ v, rtol=1e-12, atol=0.0)
+
+
+# extents that differ on every axis, one of them 1: the pruned transform
+# pads and crops each axis to its own length
+UNEVEN_EXTENTS = [(7, 3, 1), (2, 5, 4), (1, 6, 2)]
+
+
+def uneven_lattice(extent, seed):
+    """A random two-thirds of the cells of a box, keeping both corners so
+    the bounding box is the full extent."""
+    ijk = np.stack(np.unravel_index(np.arange(np.prod(extent)), extent),
+                   axis=1)
+    keep = np.random.default_rng(seed).random(len(ijk)) < 2.0 / 3.0
+    keep[[0, -1]] = True
+    return ijk[keep]
+
+
+@pytest.mark.parametrize("extent", UNEVEN_EXTENTS)
+def test_lattice_operator_uneven_extents(extent):
+    """apply equals the direct pair sum and dense() on a lattice whose
+    extents all differ: the dyadic kernel at k != 0 on (C, 3) fields, the
+    scalar kernel at k = 0 on (C, 2) fields."""
+    ijk = uneven_lattice(extent, sum(extent))
+    pitch = 0.3
+    points = pitch * ijk
+    rng = np.random.default_rng(5)
+    F = rng.normal(size=(len(ijk), 3)) + 1j * rng.normal(size=(len(ijk), 3))
+
+    dyadic = LatticeOperator(ijk, pitch, "dyadic", 1.7)
+    np.testing.assert_array_equal(dyadic.extent, extent)
+    got = dyadic.apply(F)
+    want = dyadic_sum_chunked(points, points, 1.7, F)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    ref = (dyadic.dense() @ F.reshape(-1)).reshape(-1, 3)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    scalar = LatticeOperator(ijk, pitch, "scalar", 0.0, 0.8, 0.1)
+    G = F[:, :2]
+    got = scalar.apply(G)
+    phi, _ = kernel_scalars(points[:, None, :] - points[None, :, :], 0.0,
+                            "scalar")
+    want = 0.8 * phi @ G + 0.1 * G
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    ref = scalar.dense() @ G
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    real = scalar.apply(G.real)
+    assert real.dtype == np.float64 and real.shape == G.shape
+    assert np.linalg.norm(real - ref.real) <= 1e-12 * np.linalg.norm(ref.real)
 
 
 def test_cluster_lattice_fft_matches_direct_sum():
