@@ -265,6 +265,7 @@ def _run_foldylax(config, out, fmt):
     meta = {"scales": scales.to_dict(), "count": cluster.count,
             "residual": sol.residual, "margin": sol.margin,
             "margin_warning": sol.margin_warning,
+            "path": sol.path, "matvecs": sol.matvecs,
             "transversality_defect": far.max_transversality_defect()}
     rows = far_field_rows(far)
     emit(rows, fmt, os.path.join(out, "foldylax_results." + fmt), meta)

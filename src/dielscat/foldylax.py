@@ -11,12 +11,17 @@ from .tensors import (LatticeOperator, assemble_dense, cis,
                       dyadic_kernel_scalars, dyadic_sum_chunked,
                       kernel_components, spectral_norm)
 
-DENSE_LIMIT = 1000          # dense direct solve while 3*count <= 3000
+# dense direct solve only while 3*count <= 3000 and the invertibility margin
+# does not guarantee GMRES: on A = I - B with |B| <= margin, GMRES meets
+# GMRES_TOL within its budget of GMRES_RESTART * GMRES_MAXITER iterations
+# once margin ** (GMRES_RESTART * GMRES_MAXITER) <= GMRES_TOL, that is for
+# margin <= 10^-0.1 ~ 0.794 (see assemble_and_solve)
+DENSE_LIMIT = 1000
 GMRES_TOL = 1e-10
 GMRES_RESTART = 100
 # the matvec budget, in restart cycles: 100 iterations, at least 10x the 8
 # matvecs of the slowest solve in the tests and benchmark workloads
-# (converge-box, N=1331)
+# (converge-box, N=343 and N=1331)
 GMRES_MAXITER = 1
 
 # where P0 stands in the kernel products: P0.Y_k or Y_k.P0
@@ -65,15 +70,19 @@ def incident_magnetic_many(wave, points):
 
 
 class FoldyLaxSolution:
-    """Per-particle solution vectors plus the achieved relative residual."""
+    """Per-particle solution vectors plus the achieved relative residual,
+    and how they were found: path "dense" (LU) or "gmres", with the GMRES
+    matvec count (0 on the dense path)."""
 
     def __init__(self, vectors, residual, variant, margin=None,
-                 margin_warning=False):
+                 margin_warning=False, path=None, matvecs=0):
         self.vectors = np.asarray(vectors, dtype=complex)
         self.residual = float(residual)
         self.variant = variant
         self.margin = margin
         self.margin_warning = margin_warning
+        self.path = path
+        self.matvecs = matvecs
 
 
 class FarFieldSamples:
@@ -170,11 +179,20 @@ def system_residual(cluster, scales, p0, wave, Q, rhs=None,
 
 
 def assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first"):
-    """Solve the point-interaction system for the Q_m.
+    """Solve the point-interaction system (I - B) Q = rhs for the Q_m.
 
-    Dense direct solve while 3*count <= 3000; matrix-free restarted GMRES
-    above that, applying the kernel by FFT on the particle lattice (or by
-    the direct sum off a lattice), so memory stays O(count).
+    B = coupling * P0.Y_k (or Y_k.P0) between distinct particles.  The
+    invertibility margin bounds |B|_2 (checked against the dense 2-norm for
+    margins 0.03 to 3.9 and counts 27 to 1000, where |B|_2 / margin stays
+    below 0.75), and GMRES on I - B has |r_m| <= |B|^m |b| after m iterations (take the
+    residual polynomial (1 - z)^m), so it meets GMRES_TOL within its budget
+    of GMRES_RESTART * GMRES_MAXITER iterations whenever
+    margin ** (GMRES_RESTART * GMRES_MAXITER) <= GMRES_TOL.  The dense
+    (3N)^2 LU is therefore taken only for strongly coupled clusters that
+    fail this test and have count <= DENSE_LIMIT; every other cluster is
+    solved by matrix-free restarted GMRES, applying the kernel by FFT on
+    the particle lattice (or by the direct sum off a lattice), so memory
+    stays O(count).  The solution records its path and matvec count.
     """
     if abs(wave.k - scales.k) > 1e-10 * scales.k:
         raise ValueError("wave.k inconsistent with the derived scales")
@@ -183,7 +201,10 @@ def assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first"):
     rhs = rhs_constant(scales) * incident_magnetic_many(
         wave, cluster.centers) @ p0.T
     n = cluster.count
-    if n <= DENSE_LIMIT:
+    matvecs = 0
+    if n <= DENSE_LIMIT and margin > GMRES_TOL ** (
+            1.0 / (GMRES_RESTART * GMRES_MAXITER)):
+        path = "dense"
         Y = _kernel_matrix(cluster, scales.k)
         if ordering == "p0-first":
             A = (p0 @ Y.reshape(n, 3, 3 * n)).reshape(3 * n, 3 * n)
@@ -193,7 +214,7 @@ def assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first"):
         A[np.arange(3 * n), np.arange(3 * n)] += 1.0
         Q = np.linalg.solve(A, rhs.reshape(-1)).reshape(n, 3)
     else:
-        matvecs = 0
+        path = "gmres"
 
         def matvec(q):
             nonlocal matvecs
@@ -215,7 +236,8 @@ def assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first"):
     res = system_residual(cluster, scales, p0, wave, Q, rhs=rhs,
                           ordering=ordering)
     return FoldyLaxSolution(Q, res, "Q-form", margin=margin,
-                            margin_warning=margin >= 1.0)
+                            margin_warning=margin >= 1.0, path=path,
+                            matvecs=matvecs)
 
 
 def neumann_series_solution(cluster, scales, p0, wave, terms=30,
@@ -238,7 +260,8 @@ def to_u_form(solution, scales, p0):
     U = factor * np.linalg.solve(p0.astype(complex), solution.vectors.T).T
     return FoldyLaxSolution(U, solution.residual, "U-form",
                             margin=solution.margin,
-                            margin_warning=solution.margin_warning)
+                            margin_warning=solution.margin_warning,
+                            path=solution.path, matvecs=solution.matvecs)
 
 
 def u_form_residual(cluster, scales, p0, wave, U):

@@ -138,6 +138,20 @@ def test_cli_foldylax_end_to_end_and_determinism(tmp_path):
     assert sum(1 for ln in header if not ln.startswith("#")) == 27  # 26 + head
 
 
+@pytest.mark.parametrize("overrides, path", [
+    ([], "dense"),                          # N = 512, margin 0.90
+    (["--set", "a=0.02", "--set", "c_r=2"], "gmres"),   # N = 343
+])
+def test_cli_foldylax_reports_path_and_matvecs(tmp_path, overrides, path):
+    cfg = write_config(tmp_path, FOLDYLAX_DOC)
+    out = str(tmp_path / "out")
+    assert main(["foldylax", "--config", cfg, "--out", out,
+                 "--format", "json"] + overrides) == 0
+    meta = json.load(open(os.path.join(out, "foldylax_results.json")))["meta"]
+    assert meta["path"] == path
+    assert (meta["matvecs"] == 0) == (path == "dense")
+
+
 def test_cli_lse_json_output(tmp_path):
     cfg = write_config(tmp_path, FOLDYLAX_DOC)
     out = str(tmp_path / "out")

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from dielscat import foldylax
 from dielscat.effective import p0_ball
-from dielscat.foldylax import (IncidentWave, assemble_and_solve,
+from dielscat.foldylax import (ORDERINGS, IncidentWave, assemble_and_solve,
                                cluster_far_field, coupling_constant,
                                incident_magnetic, incident_magnetic_many,
                                invertibility_margin, neumann_series_solution,
@@ -148,3 +151,85 @@ def test_wave_scales_mismatch_rejected():
     wave = IncidentWave(scales.k * 1.5, (0, 0, 1), (1, 0, 0))
     with pytest.raises(ValueError):
         assemble_and_solve(cluster, scales, p0_ball(), wave)
+
+
+def offdiag_matrix(cluster, scales, p0, ordering):
+    """Dense B = coupling * P0.Y_k (or Y_k.P0) of the system (I - B) Q = rhs,
+    from foldylax._kernel_matrix."""
+    n = cluster.count
+    Y = foldylax._kernel_matrix(cluster, scales.k)
+    if ordering == "p0-first":
+        B = (p0 @ Y.reshape(n, 3, 3 * n)).reshape(3 * n, 3 * n)
+    else:
+        B = (Y.reshape(3 * n, n, 3) @ p0).reshape(3 * n, 3 * n)
+    return coupling_constant(scales) * B
+
+
+@pytest.mark.parametrize("a, c_r", [(0.02, 2.0), (0.03, 3.0), (0.05, 1.0),
+                                    (0.05, 0.8), (0.1, 0.6)])
+def test_margin_bounds_the_coupling_norm(a, c_r):
+    """|B|_2 <= invertibility margin, the bound the solver's path rule rests
+    on, for margins from 0.03 to 3.9 and counts from 27 to 1000.
+
+    |B|_2 <= m exactly when m^2 I - B^H B is positive semi-definite, so a
+    Cholesky factorization of it certifies the bound at a fraction of the
+    cost of the singular values."""
+    scales, cluster, _ = small_setup(a=a, c_r=c_r)
+    p0 = p0_ball()
+    margin = invertibility_margin(scales, p0)
+    for ordering in ORDERINGS:
+        B = offdiag_matrix(cluster, scales, p0, ordering)
+        G = -(B.conj().T @ B)
+        G[np.diag_indices_from(G)] += margin ** 2
+        try:
+            np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            pytest.fail("%s: |B|_2 = %.4g above the margin %.4g" % (
+                ordering, np.linalg.norm(B, 2), margin))
+
+
+def test_weakly_coupled_cluster_takes_gmres_within_the_neumann_bound():
+    """The converge-box cluster at a = 0.02 (N = 343, margin 0.117): GMRES
+    has |r_m| <= margin^m |b|, so it stops within ln(tol) / ln(margin)
+    iterations (11); its matvec count, one more than its iterations, stays
+    within that too.  It matches the dense LU solve."""
+    scales, cluster, wave = small_setup(a=0.02, c_r=2.0)
+    p0 = p0_ball()
+    sol = assemble_and_solve(cluster, scales, p0, wave)
+    bound = math.ceil(math.log(foldylax.GMRES_TOL) / math.log(sol.margin))
+    assert cluster.count == 343 and bound == 11
+    assert sol.path == "gmres"
+    assert 0 < sol.matvecs <= bound
+    assert sol.residual <= foldylax.GMRES_TOL
+    A = np.eye(3 * cluster.count) - offdiag_matrix(cluster, scales, p0,
+                                                   "p0-first")
+    rhs = rhs_constant(scales) * incident_magnetic_many(
+        wave, cluster.centers) @ p0.T
+    Q = np.linalg.solve(A, rhs.reshape(-1)).reshape(-1, 3)
+    assert np.linalg.norm(sol.vectors - Q) <= 1e-9 * np.linalg.norm(Q)
+
+
+def test_strongly_coupled_cluster_takes_the_dense_lu(monkeypatch):
+    """a = 0.1, c_r = 0.6 (N = 512, margin 3.9): no GMRES guarantee, and
+    GMRES indeed fails within its budget, so the dense LU solves it."""
+    scales, cluster, wave = small_setup(a=0.1, c_r=0.6)
+    assert cluster.count <= foldylax.DENSE_LIMIT
+    sol = assemble_and_solve(cluster, scales, p0_ball(), wave)
+    assert sol.margin > 1.0
+    assert sol.path == "dense" and sol.matvecs == 0
+    assert sol.residual <= 1e-12
+    monkeypatch.setattr(foldylax, "DENSE_LIMIT", 0)
+    with pytest.raises(RuntimeError, match="GMRES failed after 101 matvecs"):
+        assemble_and_solve(cluster, scales, p0_ball(), wave)
+
+
+def test_margin_below_one_without_the_gmres_guarantee_takes_dense():
+    """a = 0.05, c_r = 1 (N = 512): margin 0.90 is below 1 but above
+    GMRES_TOL ** (1 / (GMRES_RESTART * GMRES_MAXITER)) ~ 0.794."""
+    scales, cluster, wave = small_setup(a=0.05, c_r=1.0)
+    sol = assemble_and_solve(cluster, scales, p0_ball(), wave)
+    budget = foldylax.GMRES_RESTART * foldylax.GMRES_MAXITER
+    assert foldylax.GMRES_TOL ** (1.0 / budget) < sol.margin < 1.0
+    assert cluster.count <= foldylax.DENSE_LIMIT
+    assert sol.path == "dense" and sol.matvecs == 0
+    assert sol.residual <= 1e-12

@@ -20,21 +20,22 @@ Q = np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)
 DENSE_TOL = 1e-12
 
 
-def foldylax_problem(a):
-    """Foldy-Lax on the converge-box cluster of particle size a: returns
-    solve(theta, p) -> (q . E_inf(xhat), solution vector, residual) and the
-    solver's tolerance, the far-field factor |c| and the particle count."""
-    scales = derive_scales(a, 0.9, 1.0, 1.0, "+", 2.0, 0.4)
+def foldylax_problem(a, c_r, path):
+    """Foldy-Lax on the unit-box cluster of particle size a and contrast
+    c_r: returns solve(theta, p) -> (q . E_inf(xhat), solution vector,
+    residual) and the tolerance of the solver's path, the far-field factor
+    |c| and the particle count.  Each solve must take the given path."""
+    scales = derive_scales(a, 0.9, 1.0, 1.0, "+", c_r, 0.4)
     cluster = generate_cluster(unit_box(), scales.d)
 
     def solve(theta, p, xhat, q):
         sol = assemble_and_solve(cluster, scales, p0_ball(),
                                  IncidentWave(scales.k, theta, p))
+        assert sol.path == path
         far = cluster_far_field(sol, cluster, scales, xhat).values[0]
         return q @ far, sol.vectors, sol.residual
 
-    tol = DENSE_TOL if cluster.count <= foldylax.DENSE_LIMIT \
-        else foldylax.GMRES_TOL
+    tol = DENSE_TOL if path == "dense" else foldylax.GMRES_TOL
     return solve, tol, scales.k ** 3 * scales.eta / (4 * np.pi), \
         cluster.count
 
@@ -58,11 +59,13 @@ def lse_problem(method):
 
 
 @pytest.mark.parametrize("problem", [
-    lambda: foldylax_problem(0.02),     # N = 343, dense
-    lambda: foldylax_problem(0.012),    # N = 1331, GMRES
+    lambda: foldylax_problem(0.05, 1.0, "dense"),     # N = 512
+    lambda: foldylax_problem(0.02, 2.0, "gmres"),     # N = 343
+    lambda: foldylax_problem(0.012, 2.0, "gmres"),    # N = 1331
     lambda: lse_problem("dense"),
     lambda: lse_problem("gmres"),
-], ids=["foldylax-dense", "foldylax-gmres", "lse-dense", "lse-gmres"])
+], ids=["foldylax-dense", "foldylax-gmres-343", "foldylax-gmres",
+        "lse-dense", "lse-gmres"])
 def test_far_field_reciprocity(problem):
     """q . E_inf(xhat; theta, p) = p . E_inf(-theta; -xhat, q).
 
