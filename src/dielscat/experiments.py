@@ -201,11 +201,9 @@ def run_counting(config):
     kappa_pitches = config.get("pitches", COUNTING_PITCHES)
     rows = []
     slopes = {}
+    clusters = [generate_cluster(unit_box(), d) for d in kappa_pitches]
     for kappa in (1, 3, 4):
-        sums = []
-        for d in kappa_pitches:
-            cluster = generate_cluster(unit_box(), d)
-            sums.append(max_counting_sum(cluster, kappa))
+        sums = [max_counting_sum(cluster, kappa) for cluster in clusters]
         slopes["kappa_%d" % kappa] = _fit_slope(kappa_pitches, sums)
         rows.extend({"quantity": "counting_sum", "kappa": kappa, "d": d,
                      "value": v} for d, v in zip(kappa_pitches, sums))

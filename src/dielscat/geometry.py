@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from .tensors import lattice_offsets
+from .tensors import require_memory
 
 H_LOW = 9.0 / 11.0
 H_HIGH = 1.0
@@ -168,9 +168,14 @@ class Cluster:
         ijk = np.rint(rel).astype(np.int64)
         if np.max(np.abs(rel - ijk)) > 1e-9:
             return None
-        if len(np.unique(ijk, axis=0)) < self.count:
+        extent = ijk.max(axis=0) + 1
+        if np.prod(2.0 * extent) > 8.0 * self.count ** 2:
             return None
-        if np.prod(2.0 * (ijk.max(axis=0) + 1)) > 8.0 * self.count ** 2:
+        # two centres share a site iff fewer sites than centres are occupied;
+        # the grid has at most 1/8 of the offset table's entries
+        occupied = np.zeros(tuple(extent), dtype=bool)
+        occupied[tuple(ijk.T)] = True
+        if np.count_nonzero(occupied) < self.count:
             return None
         return ijk
 
@@ -237,15 +242,18 @@ def max_counting_sum(cluster, exponent):
         return max(counting_sum(cluster, exponent, m)
                    for m in range(cluster.count))
     extent = ijk.max(axis=0) + 1
-    r2 = np.sum(lattice_offsets(extent, cluster.d) ** 2, axis=-1)
+    sq = [(cluster.d * np.fft.fftfreq(2 * k, 1.0 / (2 * k))) ** 2
+          for k in extent]
+    r2 = sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]
     r2[0, 0, 0] = 1.0
     table = r2 ** (-0.5 * float(exponent))
     table[0, 0, 0] = 0.0
-    occupancy = np.zeros(table.shape)
+    occupancy = np.zeros(tuple(extent))
     occupancy[tuple(ijk.T)] = 1.0
-    # the table is even, so the correlation is a convolution
-    sums = np.fft.irfftn(np.fft.rfftn(occupancy) * np.fft.rfftn(table),
-                         s=table.shape, axes=(0, 1, 2))
+    # the table is even, so the correlation is a convolution; rfftn pads
+    # the occupancy with zeros to the table's shape
+    sums = np.fft.irfftn(np.fft.rfftn(occupancy, s=table.shape, axes=(0, 1, 2))
+                         * np.fft.rfftn(table), s=table.shape, axes=(0, 1, 2))
     return float(np.max(sums[tuple(ijk.T)]))
 
 
@@ -275,6 +283,17 @@ def boundary_grid_counts(domain, d, refine):
     return lattice, n, c
 
 
+def _folded(start, stop, odd):
+    """Octant ranges [lo, hi) of the offsets p + delta, p in [start, stop).
+
+    delta is 0 for odd refine and 1/2 for even; |p + delta| = m + delta with
+    m = p for p >= 0 and m = -p - 1 + odd for p < 0, so the offsets fold onto
+    one range of m from the non-negative p and one from the negative p.
+    """
+    return ((np.maximum(start, 0), np.maximum(stop, 0)),
+            (np.maximum(-stop, 0) + odd, np.maximum(-start, 0) + odd))
+
+
 def boundary_counting_statistic(cluster, refine=4):
     """sum_m ( int_{Omega \\ union of cubes} |z_m - z|^-3 dz )^2.
 
@@ -293,13 +312,24 @@ def boundary_counting_statistic(cluster, refine=4):
     points, [c_x, n_x) x [0, n_y) x [0, n_z), [0, c_x) x [c_y, n_y) x
     [0, n_z) and [0, c_x) x [0, c_y) x [c_z, n_z), each thin along its own
     axis.  Every centre sits at the same fractional offset of the fine
-    lattice, so for each thin-axis offset between a centre and a layer the
-    r^-3 kernel is tabulated once on the in-plane offsets as a summed-area
-    table (Crow, SIGGRAPH 1984); a particle's sum over a box is then
-    four-corner lookups per layer.  The midpoint sum is kept to round-off,
-    at O(N + n_f^2 layers) cost: N particles times the few layers of the
-    complement's thickness, plus one n_f^2 table per distinct thin-axis
-    offset (at most n_f of them) for n_f fine points per axis.
+    lattice, so an offset from a centre to a fine point is m + delta fine
+    steps along each axis, with m an integer and delta = 1/2 for even
+    refine, 0 for odd.  The r^-3 kernel is even on every axis, so it is
+    tabulated once per call on the octant of absolute offsets, m in [0, n)
+    per axis, as one summed-volume table shared by the three boxes (the
+    summed-area table of Crow, SIGGRAPH 1984, in three dimensions).  Its
+    singular entry at zero offset (odd refine) is never inside a range: a
+    thin-axis offset is at least (refine + 1)/2.  Per box, the thin-axis
+    offsets are all positive and each in-plane range folds at zero into two
+    octant ranges, so a particle's sum is four sub-boxes of eight-corner
+    differences of the table.  The integral depends only on the particle's
+    lattice site, so the differences are taken one axis at a time over the
+    whole lattice and read off at the centres.  The midpoint sum is kept to
+    round-off, at O(n_f^3 + 96 N) cost for n_f fine points per axis and N
+    sites: one table, and at most 3 boxes x 4 sub-boxes x 8 corners of
+    lookups per site.  The table, and the differences along its first axis,
+    must fit in physical memory (ValueError otherwise, before either is
+    allocated).
     """
     if cluster.count == 0:
         raise ValueError("empty cluster")
@@ -317,31 +347,47 @@ def boundary_counting_statistic(cluster, refine=4):
     if np.any(ijk < 0) or np.any(ijk >= lattice):
         raise ValueError("boundary statistic needs every centre inside the "
                          "lattice of whole cubes in the box")
-    # a centre sits at fine coordinate refine * ijk + shift; offsets to fine
-    # points are (integer - shift) fine steps, and the weight step^3 cancels
-    # the step^-3 of the kernel
+    if np.array_equal(n, c):
+        return 0.0
     refine = int(refine)
-    shift = (refine - 1) / 2.0
-    integral = np.zeros(cluster.count)
+    half, odd = divmod(refine, 2)
+    shape = n + 1
+    entries = np.prod(shape, dtype=float)
+    # the first axis's differences hold up to three (lattice, plane) arrays
+    planes = np.max(lattice * entries / shape)
+    require_memory(8 * int(entries + 3 * planes),
+                   "the boundary statistic's summed-volume table of "
+                   "%d x %d x %d fine points (refine=%d)"
+                   % (tuple(shape) + (refine,)))
+    # sat[i, j, k] sums the kernel over m < (i, j, k); the weight step^3
+    # cancels the step^-3 of the kernel
+    sat = np.zeros(tuple(shape))
+    q = sat[1:, 1:, 1:]
+    sq = [(np.arange(k) + 0.5 * (1 - odd)) ** 2 for k in n]
+    q[...] = sq[0][:, None, None] + sq[1][None, :, None]
+    q += sq[2]
+    if odd:
+        # the singular zero offset, weighted inf^-1.5 = 0
+        q[0, 0, 0] = np.inf
+    np.power(q, -1.5, out=q)
+    for axis in range(3):
+        np.cumsum(sat, axis=axis, out=sat)
+    # a centre sits at fine coordinate refine * i + (refine - 1)/2, so the
+    # offset to fine point g is p + delta with p = g - refine * i - half
+    start = [-refine * np.arange(k) - half for k in lattice]
+    integral = np.zeros(tuple(lattice))
     for a in range(3):
         if c[a] == n[a]:
             continue
-        plane = [b for b in range(3) if b != a]
-        width = [c[b] if b < a else n[b] for b in plane]
-        layers = np.arange(c[a], n[a])
-        thin = layers[:, None] - refine * ijk[None, :, a]
-        offsets, which = np.unique(thin, return_inverse=True)
-        which = which.reshape(thin.shape)
-        # in-plane offsets run from -refine * (lattice - 1) to width - 1
-        base = [refine * (lattice[b] - 1) for b in plane]
-        axes = [np.arange(-lo, w) - shift for lo, w in zip(base, width)]
-        q = ((offsets - shift) ** 2)[:, None, None] \
-            + (axes[0] ** 2)[None, :, None] + (axes[1] ** 2)[None, None, :]
-        sat = np.zeros((offsets.size, q.shape[1] + 1, q.shape[2] + 1))
-        sat[:, 1:, 1:] = np.cumsum(np.cumsum(q ** -1.5, axis=1), axis=2)
-        lo = [e - refine * ijk[:, b] for e, b in zip(base, plane)]
-        hi = [e + w for e, w in zip(lo, width)]
-        integral += np.sum(sat[which, hi[0], hi[1]] - sat[which, lo[0], hi[1]]
-                           - sat[which, hi[0], lo[1]]
-                           + sat[which, lo[0], lo[1]], axis=0)
-    return float(np.sum(integral ** 2))
+        # the thin axis first: its single range shrinks the table the most
+        ranges = {a: [(start[a] + c[a], start[a] + n[a])]}
+        for b in range(3):
+            if b != a:
+                width = c[b] if b < a else n[b]
+                ranges[b] = _folded(start[b], start[b] + width, odd)
+        box = sat
+        for b, pairs in ranges.items():
+            box = sum(box.take(hi, axis=b) - box.take(lo, axis=b)
+                      for lo, hi in pairs)
+        integral += box
+    return float(np.sum(integral[tuple(ijk.T)] ** 2))

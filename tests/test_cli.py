@@ -172,6 +172,19 @@ def test_cli_counting(tmp_path):
     assert os.path.exists(os.path.join(out, "counting_results.csv"))
 
 
+def test_cli_counting_refuses_a_boundary_table_larger_than_memory(
+        tmp_path, capsys):
+    """A refine whose summed-volume table no host holds passes the config
+    check, then fails before the table is allocated: exit 1, naming it."""
+    cfg = write_config(tmp_path, {"pitches": [0.25, 0.2],
+                                  "boundary_pitches": [1 / 4.5, 1 / 5.5],
+                                  "refine": 100000})
+    out = str(tmp_path / "out")
+    assert main(["counting", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "summed-volume table" in err and "refine=100000" in err
+
+
 @pytest.mark.parametrize("override, key", [
     ("pitches=[]", "pitches"),
     ("refine=0", "refine"),

@@ -1,11 +1,14 @@
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dielscat import tensors
 from dielscat.geometry import (Cluster, DomainShape, boundary_counting_statistic,
-                               counting_sum, derive_scales, generate_cluster,
+                               boundary_grid_counts, counting_sum,
+                               derive_scales, generate_cluster,
                                max_counting_sum, parse_sign, unit_ball,
                                unit_box)
 
@@ -187,16 +190,24 @@ def midpoint_boundary_oracle(cluster, refine):
     return float(total)
 
 
-@pytest.mark.parametrize("extents", [(1.0, 1.0, 1.0), (1.0, 0.8, 1.3)])
+@pytest.mark.parametrize("extents", [(1.0, 1.0, 1.0), (1.0, 0.8, 1.3),
+                                     (None, 1.0, 1.3)])
 @pytest.mark.parametrize("u", [0.4, 0.5, 0.6])
-@pytest.mark.parametrize("refine", [3, 4, 12])
+@pytest.mark.parametrize("refine", [1, 2, 3, 4, 5, 12])
 def test_boundary_statistic_matches_midpoint_oracle(refine, u, extents):
-    # odd refine puts the centres on quadrature points, all of them covered
-    domain = DomainShape("box", extents, center=(0.3, -0.2, 0.1))
+    # odd refine puts the centres on quadrature points, all of them covered;
+    # refine 1 also gives in-plane offset 0 to the complement's points.  A
+    # side given as None is three whole cubes long, so the complement box
+    # thin along it is empty.  At refine 1 a layer thinner than d/2 holds
+    # no quadrature point, and the statistic is 0
     for j in (2, 5):
-        cl = generate_cluster(domain, 1.0 / (j + u))
+        d = 1.0 / (j + u)
+        sides = [3 * d if e is None else e for e in extents]
+        domain = DomainShape("box", sides, center=(0.3, -0.2, 0.1))
+        cl = generate_cluster(domain, d)
         want = midpoint_boundary_oracle(cl, refine)
-        assert want > 0
+        _, n, c = boundary_grid_counts(domain, d, refine)
+        assert (want > 0) == (not np.array_equal(n, c))
         got = boundary_counting_statistic(cl, refine=refine)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -219,6 +230,27 @@ def test_boundary_statistic_rejects_centres_off_the_corner_lattice():
         boundary_counting_statistic(outside)
     with pytest.raises(ValueError, match="refine"):
         boundary_counting_statistic(cl, refine=2.5)
+
+
+def test_boundary_statistic_refuses_a_table_larger_than_memory(monkeypatch):
+    """The summed-volume table is checked against physical memory before it
+    is allocated: a limit one byte short of the table alone is refused,
+    naming the table, and so, at once, is a refine whose table no host
+    holds."""
+    cl = generate_cluster(unit_box(), 1.0 / 4.5)
+    want = boundary_counting_statistic(cl, refine=4)
+    _, n, _ = boundary_grid_counts(cl.domain, cl.d, 4)
+    monkeypatch.setattr(tensors, "physical_memory",
+                        lambda: 8 * int(np.prod(n + 1)) - 1)
+    with pytest.raises(ValueError,
+                       match="summed-volume table of 19 x 19 x 19"):
+        boundary_counting_statistic(cl, refine=4)
+    monkeypatch.setattr(tensors, "physical_memory", lambda: 2 ** 40)
+    assert boundary_counting_statistic(cl, refine=4) == want
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"refine=100000\)"):
+        boundary_counting_statistic(cl, refine=100000)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_boundary_statistic_zero_for_exact_tiling():
