@@ -8,8 +8,7 @@
 import numpy.fft  # noqa: F401
 import numpy.ma  # noqa: F401
 
-from .tensors import (dyadic_green, dyadic_green_fd, grad_helmholtz_kernel,
-                      helmholtz_kernel)
+from .tensors import dyadic_green, dyadic_green_fd, helmholtz_kernel
 from .geometry import (Cluster, DomainShape, ScaleSet,
                        boundary_counting_statistic, counting_sum,
                        derive_scales, generate_cluster, unit_ball, unit_box)

@@ -12,8 +12,7 @@ from .effective import coupling_xi, p0_ball, tensor_T
 from .experiments import (BOUNDARY_PITCHES, COUNTING_PITCHES,
                           COUNTING_REFINE, run_convergence, run_counting,
                           run_regime_map, run_resonance)
-from .foldylax import (IncidentWave, assemble_and_solve, check_ordering,
-                       cluster_far_field)
+from .foldylax import IncidentWave, assemble_and_solve, cluster_far_field
 from .geometry import DomainShape, boundary_grid_counts, derive_scales, \
     generate_cluster, unit_ball, unit_box
 from .lse import (VolumeGrid, effective_far_field, magnetization_spectrum,
@@ -28,7 +27,7 @@ SCALE_KEYS = ("a", "h", "eta0", "c0", "sign", "c_r", "lambda_b")
 
 # every key a config may carry, per subcommand; unknown keys are rejected
 ALLOWED_KEYS = {
-    "foldylax": set(SCALE_KEYS) | {"theta", "p", "domain", "ordering"},
+    "foldylax": set(SCALE_KEYS) | {"theta", "p", "domain"},
     "lse": set(SCALE_KEYS) | {"theta", "p", "domain", "grid_n"},
     "effective": {"xi_values", "signs", "k", "delta", "diam_omega",
                   "vol_omega"},
@@ -98,7 +97,6 @@ def validate_config(config, subcommand):
             _validate_wave(config)
         if subcommand in ("foldylax", "lse"):
             derive_scales(*(config[k] for k in SCALE_KEYS))
-            check_ordering(config.get("ordering", "p0-first"))
         elif subcommand == "converge":
             a_list = config["a_list"]
             if not a_list:
@@ -259,8 +257,7 @@ def _run_foldylax(config, out, fmt):
     cluster = generate_cluster(domain, scales.d)
     wave = IncidentWave(scales.k, config["theta"], config["p"])
     p0 = p0_ball()
-    sol = assemble_and_solve(cluster, scales, p0, wave,
-                             ordering=config.get("ordering", "p0-first"))
+    sol = assemble_and_solve(cluster, scales, p0, wave)
     far = cluster_far_field(sol, cluster, scales, direction_grid())
     meta = {"scales": scales.to_dict(), "count": cluster.count,
             "residual": sol.residual, "margin": sol.margin,

@@ -143,7 +143,9 @@ def run_resonance(config):
     Selects the discrete Magnetization eigenvalue above 1/3 with the
     strongest coupling to long-wavelength excitation, scans the detuning
     over both signs, fits the amplification slope, and evaluates the
-    back-scattered polarization alignment near the peak.
+    back-scattered polarization alignment near the peak.  A detuning whose
+    solve fails keeps its row with status "failed: ..."; when none is ok,
+    the peak fields of the report are None.
     """
     from .lse import resonance_amplification_scan
     grid = VolumeGrid(unit_ball(), config.get("grid_n", 14))
@@ -155,9 +157,10 @@ def run_resonance(config):
                        "lambda_b": config["lambda_b"]}
     rows, slope = resonance_amplification_scan(
         grid, lam, betas, {"theta": theta, "p": p}, scales_template)
-    # back-scatter polarization angle at the strongest amplification
+    # back-scatter polarization angle at the strongest amplification; none
+    # when every detuning failed
     peak = max((r for r in rows if r["status"] == "ok"),
-               key=lambda r: r["field_norm"])
+               key=lambda r: r["field_norm"], default=None)
     angles = {}
     for r in rows:
         if r["status"] != "ok":
@@ -178,8 +181,9 @@ def run_resonance(config):
         rows.append(r)
     report = {"lambda_target": lam, "coupling_weight": coupling_weight,
               "degeneracy": degeneracy, "slope": slope,
-              "peak_beta": peak["beta"],
-              "peak_back_angle_deg": angles[peak["beta"]]}
+              "peak_beta": None if peak is None else peak["beta"],
+              "peak_back_angle_deg":
+                  None if peak is None else angles[peak["beta"]]}
     return rows, report
 
 

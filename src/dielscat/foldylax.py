@@ -1,22 +1,20 @@
-# Point-interaction (coupled point dipole) solver: assembles the algebraic
-# system for the per-particle vectors Q_m, solves it directly or by
-# matrix-free GMRES, and evaluates the cluster far field.
+# Point-interaction (coupled point dipole) solver: the per-particle system
+# for the vectors Q_m, solved in its rescaled form by the coupled-lattice
+# solver of linalg, and the cluster far field.
 
 import functools
 
 import numpy as np
 
-from .linalg import gmres
+from .linalg import solve_coupled
 from .tensors import (LatticeOperator, assemble_dense, cis,
                       dyadic_kernel_scalars, dyadic_sum_chunked,
                       kernel_components, spectral_norm)
 
-# dense direct solve only while 3*count <= 3000 and the invertibility margin
-# does not guarantee GMRES: on A = I - B with |B| <= margin, GMRES meets
-# GMRES_TOL within its budget of GMRES_RESTART * GMRES_MAXITER iterations
-# once margin ** (GMRES_RESTART * GMRES_MAXITER) <= GMRES_TOL, that is for
-# margin <= 10^-0.1 ~ 0.794 (see assemble_and_solve)
-DENSE_LIMIT = 1000
+# GMRES on I - B meets GMRES_TOL within its budget of GMRES_RESTART *
+# GMRES_MAXITER iterations once margin ** (GMRES_RESTART * GMRES_MAXITER)
+# <= GMRES_TOL, that is for margin <= 10^-0.1 ~ 0.794 (see
+# assemble_and_solve)
 GMRES_TOL = 1e-10
 GMRES_RESTART = 100
 # the matvec budget, in restart cycles: 100 iterations, at least 10x the 8
@@ -24,15 +22,11 @@ GMRES_RESTART = 100
 # (converge-box, N=343 and N=1331)
 GMRES_MAXITER = 1
 
-# where P0 stands in the kernel products: P0.Y_k or Y_k.P0
-ORDERINGS = ("p0-first", "p0-last")
-
-
-def check_ordering(ordering):
-    """Raise ValueError unless ordering is one of ORDERINGS."""
-    if ordering not in ORDERINGS:
-        raise ValueError("ordering must be one of %s, not %r"
-                         % (", ".join(ORDERINGS), ordering))
+# perfbench/probes.py still wraps foldylax.gmres, and perfbench's tests need
+# every probe target to resolve.  The solve runs GMRES inside
+# linalg.solve_coupled, so the name holds None until the probes are
+# refreshed.
+gmres = None
 
 
 class IncidentWave:
@@ -129,126 +123,105 @@ def rhs_constant(scales):
     return 1j * s.k / (s.sign * s.c0) * s.a ** (5.0 - s.h)
 
 
+class DirectSumOperator:
+    """Y_k between distinct points of any set, with LatticeOperator's apply
+    and dense: (A F)_i = sum_{j != i} Y_k(x_i, x_j) . F_j, no self term.
+
+    apply is the direct sum (dyadic_sum_chunked) and dense() the assembled
+    (3n)x(3n) matrix, for clusters whose centers are not on a lattice.
+    """
+
+    def __init__(self, points, k):
+        self.points = np.asarray(points, dtype=float)
+        self.k = k
+
+    def apply(self, F):
+        return dyadic_sum_chunked(self.points, self.points, self.k, F)
+
+    def dense(self):
+        p = self.points
+        comps = kernel_components(*dyadic_kernel_scalars(p, p, self.k),
+                                  p[:, None, :] - p[None, :, :])
+        return assemble_dense(comps.__getitem__, len(p), 3, complex)
+
+
 # GMRES applies one cluster's kernel once per matvec: keeping the last
 # operator builds its offset table and FFT once per solve, not per matvec
 @functools.lru_cache(maxsize=1)
-def _lattice_kernel(cluster, k):
-    """Y_k between distinct particles as a LatticeOperator, or None when the
-    centers are not on the pitch-d lattice."""
+def _kernel(cluster, k):
+    """Y_k between distinct particles: a LatticeOperator when the centers
+    are on the pitch-d lattice, else the direct sum."""
     ijk = cluster.lattice_index()
     if ijk is None:
-        return None
+        return DirectSumOperator(cluster.centers, k)
     return LatticeOperator(ijk, cluster.d, "dyadic", k)
 
 
-def _kernel_sum(cluster, k, F):
-    """sum_{j != m} Y_k(z_m,z_j).F_j: by FFT on a lattice, else directly."""
-    op = _lattice_kernel(cluster, k)
-    if op is None:
-        return dyadic_sum_chunked(cluster.centers, cluster.centers, k, F)
-    return op.apply(F)
+def _apply_offdiag(cluster, scales, F):
+    """coupling * sum_{j != m} Y_k(z_m,z_j).F_j."""
+    return coupling_constant(scales) * _kernel(cluster, scales.k).apply(F)
 
 
-def _kernel_matrix(cluster, k):
-    """Dense (3N)x(3N) matrix of Y_k between distinct particles."""
-    op = _lattice_kernel(cluster, k)
-    if op is not None:
-        return op.dense()
-    c = cluster.centers
-    comps = kernel_components(*dyadic_kernel_scalars(c, c, k),
-                              c[:, None, :] - c[None, :, :])
-    return assemble_dense(comps.__getitem__, cluster.count, 3, complex)
-
-
-def _apply_offdiag(cluster, scales, p0, Q, ordering="p0-first"):
-    """coupling * sum_{j != m} P0.Y_k(z_m,z_j).Q_j (or Y_k.P0 ordering)."""
-    c = coupling_constant(scales)
-    if ordering == "p0-first":
-        return c * _kernel_sum(cluster, scales.k, Q) @ p0.T
-    return c * _kernel_sum(cluster, scales.k, Q @ p0.T)
-
-
-def system_residual(cluster, scales, p0, wave, Q, rhs=None,
-                    ordering="p0-first"):
+def system_residual(cluster, scales, p0, wave, Q, rhs=None):
     """Relative residual of Q in the point-interaction system."""
     if rhs is None:
         rhs = rhs_constant(scales) * incident_magnetic_many(
             wave, cluster.centers) @ p0.T
-    lhs = Q - _apply_offdiag(cluster, scales, p0, Q, ordering)
+    lhs = Q - _apply_offdiag(cluster, scales, Q) @ p0.T
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
 
-def assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first"):
+def assemble_and_solve(cluster, scales, p0, wave):
     """Solve the point-interaction system (I - B) Q = rhs for the Q_m.
 
-    B = coupling * P0.Y_k (or Y_k.P0) between distinct particles.  The
-    invertibility margin bounds |B|_2 (checked against the dense 2-norm for
-    margins 0.03 to 3.9 and counts 27 to 1000, where |B|_2 / margin stays
-    below 0.75), and GMRES on I - B has |r_m| <= |B|^m |b| after m iterations (take the
-    residual polynomial (1 - z)^m), so it meets GMRES_TOL within its budget
-    of GMRES_RESTART * GMRES_MAXITER iterations whenever
-    margin ** (GMRES_RESTART * GMRES_MAXITER) <= GMRES_TOL.  The dense
-    (3N)^2 LU is therefore taken only for strongly coupled clusters that
-    fail this test and have count <= DENSE_LIMIT; every other cluster is
-    solved by matrix-free restarted GMRES, applying the kernel by FFT on
-    the particle lattice (or by the direct sum off a lattice), so memory
-    stays O(count).  The solution records its path and matvec count.
+    B = coupling * P0.Y_k between distinct particles.  linalg.solve_coupled
+    solves the rescaled system (see u_form_residual) U - coupling *
+    Y_k.(P0 U) = ik H_inc, and Q_m = (a^{5-h} / sign c0) P0.U_m solves the
+    Q-form system for every P0.  The invertibility margin bounds |B|_2
+    (checked against the dense 2-norm for margins 0.03 to 3.9 and counts 27
+    to 1000, where |B|_2 / margin stays below 0.75); Y_k is complex
+    symmetric, so for a symmetric P0 the rescaled coupling Y_k.P0 = B^T has
+    the same 2-norm.  GMRES on I - B has |r_m| <= |B|^m |b| after m
+    iterations (take the residual polynomial (1 - z)^m), so it meets
+    GMRES_TOL within its budget of GMRES_RESTART * GMRES_MAXITER iterations
+    whenever margin ** (GMRES_RESTART * GMRES_MAXITER) <= GMRES_TOL.  Only
+    strongly coupled clusters that fail this test and have at most
+    linalg.DENSE_LIMIT particles take the dense (3N)^2 LU; every other
+    cluster is solved by matrix-free restarted GMRES, applying the kernel by
+    FFT on the particle lattice (or by the direct sum off a lattice), so
+    memory stays O(count).  The solution records its path, its matvec count
+    and the relative residual of the rescaled system; a failed GMRES solve
+    raises RuntimeError naming its matvec count, residual and margin.
     """
     if abs(wave.k - scales.k) > 1e-10 * scales.k:
         raise ValueError("wave.k inconsistent with the derived scales")
-    check_ordering(ordering)
     margin = invertibility_margin(scales, p0)
-    rhs = rhs_constant(scales) * incident_magnetic_many(
-        wave, cluster.centers) @ p0.T
-    n = cluster.count
-    matvecs = 0
-    if n <= DENSE_LIMIT and margin > GMRES_TOL ** (
-            1.0 / (GMRES_RESTART * GMRES_MAXITER)):
-        path = "dense"
-        Y = _kernel_matrix(cluster, scales.k)
-        if ordering == "p0-first":
-            A = (p0 @ Y.reshape(n, 3, 3 * n)).reshape(3 * n, 3 * n)
-        else:
-            A = (Y.reshape(3 * n, n, 3) @ p0).reshape(3 * n, 3 * n)
-        A *= -coupling_constant(scales)
-        A[np.arange(3 * n), np.arange(3 * n)] += 1.0
-        Q = np.linalg.solve(A, rhs.reshape(-1)).reshape(n, 3)
-    else:
-        path = "gmres"
-
-        def matvec(q):
-            nonlocal matvecs
-            matvecs += 1
-            Q = q.reshape(n, 3)
-            return (Q - _apply_offdiag(cluster, scales, p0, Q,
-                                       ordering)).reshape(-1)
-
-        q, info = gmres(matvec, rhs.reshape(-1), rtol=GMRES_TOL,
-                        restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
-        Q = q.reshape(n, 3)
-        if info != 0 or not np.all(np.isfinite(q)):
-            raise RuntimeError(
-                "point-interaction GMRES failed after %d matvecs (budget %d "
-                "restarts of %d), relative residual %.3g, invertibility "
-                "margin=%.3g" % (matvecs, GMRES_MAXITER, GMRES_RESTART,
-                                 system_residual(cluster, scales, p0, wave,
-                                                 Q, rhs, ordering), margin))
-    res = system_residual(cluster, scales, p0, wave, Q, rhs=rhs,
-                          ordering=ordering)
+    guaranteed = margin <= GMRES_TOL ** (
+        1.0 / (GMRES_RESTART * GMRES_MAXITER))
+    b = 1j * scales.k * incident_magnetic_many(wave, cluster.centers)
+    try:
+        U, res, path, matvecs = solve_coupled(
+            _kernel(cluster, scales.k), coupling_constant(scales), p0, b,
+            guaranteed=guaranteed, rtol=GMRES_TOL, restart=GMRES_RESTART,
+            maxiter=GMRES_MAXITER)
+    except RuntimeError as exc:
+        raise RuntimeError("point-interaction %s, invertibility margin=%.3g"
+                           % (exc, margin)) from exc
+    s = scales
+    Q = s.a ** (5.0 - s.h) / (s.sign * s.c0) * U @ p0.T
     return FoldyLaxSolution(Q, res, "Q-form", margin=margin,
                             margin_warning=margin >= 1.0, path=path,
                             matvecs=matvecs)
 
 
-def neumann_series_solution(cluster, scales, p0, wave, terms=30,
-                            ordering="p0-first"):
+def neumann_series_solution(cluster, scales, p0, wave, terms=30):
     """Neumann-series oracle: sum of iterated off-diagonal applications."""
     rhs = rhs_constant(scales) * incident_magnetic_many(
         wave, cluster.centers) @ p0.T
     acc = rhs.copy()
     term = rhs.copy()
     for _ in range(terms):
-        term = _apply_offdiag(cluster, scales, p0, term, ordering)
+        term = _apply_offdiag(cluster, scales, term) @ p0.T
         acc += term
     return acc
 
@@ -272,7 +245,7 @@ def u_form_residual(cluster, scales, p0, wave, U):
             = i k H^Inc(z_m).
     """
     rhs = 1j * scales.k * incident_magnetic_many(wave, cluster.centers)
-    lhs = U - _apply_offdiag(cluster, scales, p0, U, ordering="p0-last")
+    lhs = U - _apply_offdiag(cluster, scales, U @ p0.T)
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
 

@@ -31,16 +31,6 @@ class DomainShape:
                 raise ValueError("ball radius must be positive")
             self.extents = None
 
-    def volume(self):
-        if self.kind == "box":
-            return float(np.prod(self.extents))
-        return 4.0 * np.pi * self.radius ** 3 / 3.0
-
-    def diameter(self):
-        if self.kind == "box":
-            return float(np.linalg.norm(self.extents))
-        return 2.0 * self.radius
-
     def min_extent(self):
         if self.kind == "box":
             return float(np.min(self.extents))
@@ -266,21 +256,21 @@ def boundary_grid_counts(domain, d, refine):
     it lies in a whole lattice cube.  Along each axis both sets are
     prefixes of the grid, so (lattice, n, c) describe them fully; the
     complement holds no grid point when n == c on every axis.
+
+    Per axis of extent L, grid point j sits at (j + 1/2) step from the
+    corner: of the ceil(L/step) points laid down, the first
+    floor((L + 1e-12)/step - 1/2) + 1 are within the box (to 1e-12), and
+    the first refine * lattice are covered, since (j + 1/2)/refine <
+    lattice exactly when j < refine * lattice.  O(1) in refine.
     """
     if isinstance(refine, bool) or int(refine) != refine or refine < 1:
         raise ValueError("refine must be a positive integer")
     step = d / refine
-    corner = domain.center - domain.extents / 2.0
-    lattice = np.floor(domain.extents / d + 1e-12).astype(int)
-    n = np.zeros(3, dtype=int)
-    c = np.zeros(3, dtype=int)
-    for i in range(3):
-        x = corner[i] + step * (np.arange(
-            int(np.ceil(domain.extents[i] / step - 1e-12))) + 0.5)
-        x = x[np.abs(x - domain.center[i]) <= domain.extents[i] / 2.0 + 1e-12]
-        n[i] = x.size
-        c[i] = int(np.sum((x - corner[i]) / d < lattice[i]))
-    return lattice, n, c
+    L = domain.extents
+    lattice = np.floor(L / d + 1e-12).astype(int)
+    n = np.minimum(np.ceil(L / step - 1e-12),
+                   np.floor((L + 1e-12) / step - 0.5) + 1).astype(int)
+    return lattice, n, np.minimum(n, int(refine) * lattice)
 
 
 def _folded(start, stop, odd):

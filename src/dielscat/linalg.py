@@ -1,7 +1,12 @@
 # Restarted GMRES in numpy, so that the studies run without importing scipy
-# (its import is most of a CLI process's set-up time and memory).
+# (its import is most of a CLI process's set-up time and memory), and the
+# one solver of the coupled-lattice systems that Foldy-Lax and the LSE share.
 
 import numpy as np
+
+# the largest site count solved by a dense (3n)^2 LU, and then only when
+# GMRES has no convergence guarantee
+DENSE_LIMIT = 1500
 
 
 def _givens(f, g):
@@ -124,3 +129,60 @@ def gmres(matvec, b, x0=None, psolve=None, *, rtol, restart, maxiter):
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
     return x, 0 if rnorm <= atol else maxiter
+
+
+def solve_coupled(kernel, c, P, b, *, guaranteed, rtol, restart, maxiter,
+                  psolve=None, x0=None):
+    """Solve x - c K(x P^T) = b for an (n, 3) field x.
+
+    K is a 3x3 kernel operator on n sites that carries its own self term,
+    with apply(F) and dense() (tensors.LatticeOperator, or
+    foldylax.DirectSumOperator off a lattice); P is a 3x3 tensor acting on
+    each site.  This is the coupled-dipole system of the discrete-dipole
+    approximation (Purcell & Pennypacker, ApJ 186 (1973) 705; Draine &
+    Flatau, JOSA A 11 (1994) 1491): the point-interaction system with K =
+    Y_k between distinct particles and P = P0, and the effective-medium LSE
+    with K its voxel kernel plus self scalar and P = T.
+
+    When n <= DENSE_LIMIT and the caller has no guarantee that GMRES
+    converges within its budget, the dense matrix is solved by
+    np.linalg.solve.  Otherwise restarted GMRES runs on the matrix-free
+    apply, with relative tolerance rtol and at most maxiter cycles of
+    restart iterations, from x0 and left-preconditioned by psolve if given.
+    A GMRES solve that is not converged within its budget, or not finite,
+    raises RuntimeError naming its matvec count and relative residual.
+
+    Returns (x, relative residual |x - c K(x P^T) - b| / |b|, path "dense"
+    or "gmres", GMRES matvec count, 0 on the dense path).
+    """
+    n = b.shape[0]
+
+    def apply(x):
+        return x - c * kernel.apply(x @ P.T)
+
+    def relative_residual(x):
+        return float(np.linalg.norm(apply(x) - b) / np.linalg.norm(b))
+
+    if n <= DENSE_LIMIT and not guaranteed:
+        # per-site P: (K Pbig)[:, 3j+b] = sum_a K[:, 3j+a] P_ab
+        A = (kernel.dense().reshape(3 * n, n, 3) @ P).reshape(3 * n, 3 * n)
+        A *= -c
+        A[np.arange(3 * n), np.arange(3 * n)] += 1.0
+        x = np.linalg.solve(A, b.reshape(-1)).reshape(n, 3)
+        return x, relative_residual(x), "dense", 0
+    matvecs = 0
+
+    def matvec(v):
+        nonlocal matvecs
+        matvecs += 1
+        return apply(v.reshape(n, 3)).reshape(-1)
+
+    x, info = gmres(matvec, b.reshape(-1), x0=x0, psolve=psolve, rtol=rtol,
+                    restart=restart, maxiter=maxiter)
+    x = x.reshape(n, 3)
+    residual = relative_residual(x)
+    if info != 0 or not np.all(np.isfinite(x)):
+        raise RuntimeError("GMRES failed after %d matvecs (budget %d restarts "
+                           "of %d), relative residual %.3g"
+                           % (matvecs, maxiter, restart, residual))
+    return x, residual, "gmres", matvecs

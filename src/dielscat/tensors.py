@@ -1,7 +1,7 @@
 # The Helmholtz kernel family: the scalar kernel Phi_k(x,z) =
-# e^{ik|x-z|}/(4pi|x-z|), its gradient, and the dyadic kernel Y_k(x,z) =
-# grad grad Phi_k + k^2 Phi_k I, with the direct pairwise sum and the FFT
-# lattice operator that every solver applies them through.
+# e^{ik|x-z|}/(4pi|x-z|) and the dyadic kernel Y_k(x,z) = grad grad Phi_k +
+# k^2 Phi_k I, with the direct pairwise sum and the FFT lattice operator
+# that every solver applies them through.
 
 import functools
 import os
@@ -38,17 +38,6 @@ def helmholtz_kernel(x, z, k):
     if r < COINCIDENT_TOL:
         raise ValueError("helmholtz_kernel: coincident evaluation points")
     return np.exp(1j * k * r) / (FOUR_PI * r)
-
-
-def grad_helmholtz_kernel(x, z, k):
-    """Gradient in x of the scalar kernel: Phi'(r) * rhat."""
-    dx = np.asarray(x, dtype=float) - np.asarray(z, dtype=float)
-    r = np.linalg.norm(dx)
-    if r < COINCIDENT_TOL:
-        raise ValueError("grad_helmholtz_kernel: coincident evaluation points")
-    phi = np.exp(1j * k * r) / (FOUR_PI * r)
-    dphi = phi * (1j * k - 1.0 / r)
-    return dphi * (dx / r)
 
 
 def dyadic_green(x, z, k):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dielscat import foldylax
+from dielscat import foldylax, linalg
 from dielscat.effective import p0_ball
-from dielscat.foldylax import (ORDERINGS, IncidentWave, assemble_and_solve,
+from dielscat.foldylax import (IncidentWave, assemble_and_solve,
                                cluster_far_field, coupling_constant,
                                incident_magnetic, incident_magnetic_many,
                                invertibility_margin, neumann_series_solution,
@@ -92,8 +92,8 @@ def test_residual_function_detects_wrong_solution():
 
 
 def test_u_form_consistency():
-    """The rescaled variables solve the rescaled system with swapped kernel
-    ordering and unscaled right-hand side."""
+    """The rescaled variables solve the rescaled system, with P0 after the
+    kernel and an unscaled right-hand side."""
     scales, cluster, wave = small_setup(a=0.05)
     p0 = p0_ball()
     sol = assemble_and_solve(cluster, scales, p0, wave)
@@ -102,22 +102,26 @@ def test_u_form_consistency():
     assert u_form_residual(cluster, scales, p0, wave, U.vectors) <= 1e-9
 
 
-def test_ordering_variants_agree_for_isotropic_p0():
-    """For the ball, P0 is a multiple of I, so both kernel orderings give
-    the same system."""
-    scales, cluster, wave = small_setup(a=0.06)
-    p0 = p0_ball()
-    a1 = assemble_and_solve(cluster, scales, p0, wave, ordering="p0-first")
-    a2 = assemble_and_solve(cluster, scales, p0, wave, ordering="p0-last")
-    assert np.allclose(a1.vectors, a2.vectors, rtol=1e-10)
-
-
-@pytest.mark.parametrize("ordering", ["bogus", "P0-FIRST", None])
-def test_assemble_and_solve_rejects_unknown_ordering(ordering):
-    scales, cluster, wave = small_setup(a=0.06)
-    with pytest.raises(ValueError, match="ordering"):
-        assemble_and_solve(cluster, scales, p0_ball(), wave,
-                           ordering=ordering)
+def test_anisotropic_p0_solves_the_q_form_system():
+    """The solver works on the rescaled system U - c Y.(P0 U) = ik H_inc
+    and returns Q = (a^{5-h} / sign c0) P0.U, which solves the Q-form
+    system Q - c P0.Y.Q = rhs for any P0, not only for the ball's multiple
+    of I.  Checked against the Q-form matrix assembled here, for a generic
+    symmetric positive definite P0 of the ball's norm, on the dense path
+    (N = 512) and on the GMRES path (N = 343)."""
+    rng = np.random.default_rng(12)
+    R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    p0 = (R * np.array([1.0, 0.8, 0.6])) @ R.T * (12.0 / np.pi ** 3)
+    for a, c_r, path in [(0.05, 1.0, "dense"), (0.02, 2.0, "gmres")]:
+        scales, cluster, wave = small_setup(a=a, c_r=c_r)
+        sol = assemble_and_solve(cluster, scales, p0, wave)
+        assert sol.path == path
+        n = cluster.count
+        A = np.eye(3 * n) - offdiag_matrix(cluster, scales, p0)
+        rhs = (rhs_constant(scales) * incident_magnetic_many(
+            wave, cluster.centers) @ p0.T).reshape(-1)
+        defect = A @ sol.vectors.reshape(-1) - rhs
+        assert np.linalg.norm(defect) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_far_field_transversality():
@@ -153,15 +157,12 @@ def test_wave_scales_mismatch_rejected():
         assemble_and_solve(cluster, scales, p0_ball(), wave)
 
 
-def offdiag_matrix(cluster, scales, p0, ordering):
-    """Dense B = coupling * P0.Y_k (or Y_k.P0) of the system (I - B) Q = rhs,
-    from foldylax._kernel_matrix."""
+def offdiag_matrix(cluster, scales, p0):
+    """Dense B = coupling * P0.Y_k of the system (I - B) Q = rhs, from the
+    dense form of the solver's kernel."""
     n = cluster.count
-    Y = foldylax._kernel_matrix(cluster, scales.k)
-    if ordering == "p0-first":
-        B = (p0 @ Y.reshape(n, 3, 3 * n)).reshape(3 * n, 3 * n)
-    else:
-        B = (Y.reshape(3 * n, n, 3) @ p0).reshape(3 * n, 3 * n)
+    Y = foldylax._kernel(cluster, scales.k).dense()
+    B = (p0 @ Y.reshape(n, 3, 3 * n)).reshape(3 * n, 3 * n)
     return coupling_constant(scales) * B
 
 
@@ -177,15 +178,14 @@ def test_margin_bounds_the_coupling_norm(a, c_r):
     scales, cluster, _ = small_setup(a=a, c_r=c_r)
     p0 = p0_ball()
     margin = invertibility_margin(scales, p0)
-    for ordering in ORDERINGS:
-        B = offdiag_matrix(cluster, scales, p0, ordering)
-        G = -(B.conj().T @ B)
-        G[np.diag_indices_from(G)] += margin ** 2
-        try:
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            pytest.fail("%s: |B|_2 = %.4g above the margin %.4g" % (
-                ordering, np.linalg.norm(B, 2), margin))
+    B = offdiag_matrix(cluster, scales, p0)
+    G = -(B.conj().T @ B)
+    G[np.diag_indices_from(G)] += margin ** 2
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        pytest.fail("|B|_2 = %.4g above the margin %.4g" % (
+            np.linalg.norm(B, 2), margin))
 
 
 def test_weakly_coupled_cluster_takes_gmres_within_the_neumann_bound():
@@ -201,8 +201,7 @@ def test_weakly_coupled_cluster_takes_gmres_within_the_neumann_bound():
     assert sol.path == "gmres"
     assert 0 < sol.matvecs <= bound
     assert sol.residual <= foldylax.GMRES_TOL
-    A = np.eye(3 * cluster.count) - offdiag_matrix(cluster, scales, p0,
-                                                   "p0-first")
+    A = np.eye(3 * cluster.count) - offdiag_matrix(cluster, scales, p0)
     rhs = rhs_constant(scales) * incident_magnetic_many(
         wave, cluster.centers) @ p0.T
     Q = np.linalg.solve(A, rhs.reshape(-1)).reshape(-1, 3)
@@ -213,12 +212,12 @@ def test_strongly_coupled_cluster_takes_the_dense_lu(monkeypatch):
     """a = 0.1, c_r = 0.6 (N = 512, margin 3.9): no GMRES guarantee, and
     GMRES indeed fails within its budget, so the dense LU solves it."""
     scales, cluster, wave = small_setup(a=0.1, c_r=0.6)
-    assert cluster.count <= foldylax.DENSE_LIMIT
+    assert cluster.count <= linalg.DENSE_LIMIT
     sol = assemble_and_solve(cluster, scales, p0_ball(), wave)
     assert sol.margin > 1.0
     assert sol.path == "dense" and sol.matvecs == 0
     assert sol.residual <= 1e-12
-    monkeypatch.setattr(foldylax, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
     with pytest.raises(RuntimeError, match="GMRES failed after 101 matvecs"):
         assemble_and_solve(cluster, scales, p0_ball(), wave)
 
@@ -230,6 +229,6 @@ def test_margin_below_one_without_the_gmres_guarantee_takes_dense():
     sol = assemble_and_solve(cluster, scales, p0_ball(), wave)
     budget = foldylax.GMRES_RESTART * foldylax.GMRES_MAXITER
     assert foldylax.GMRES_TOL ** (1.0 / budget) < sol.margin < 1.0
-    assert cluster.count <= foldylax.DENSE_LIMIT
+    assert cluster.count <= linalg.DENSE_LIMIT
     assert sol.path == "dense" and sol.matvecs == 0
     assert sol.residual <= 1e-12

@@ -212,6 +212,43 @@ def test_boundary_statistic_matches_midpoint_oracle(refine, u, extents):
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def boundary_grid_counts_oracle(domain, d, refine):
+    """boundary_grid_counts from the quadrature points themselves: lay them
+    down along each axis and count those in the box and in whole cubes."""
+    step = d / refine
+    corner = domain.center - domain.extents / 2.0
+    lattice = np.floor(domain.extents / d + 1e-12).astype(int)
+    n = np.zeros(3, dtype=int)
+    c = np.zeros(3, dtype=int)
+    for i in range(3):
+        x = corner[i] + step * (np.arange(
+            int(np.ceil(domain.extents[i] / step - 1e-12))) + 0.5)
+        x = x[np.abs(x - domain.center[i]) <= domain.extents[i] / 2.0 + 1e-12]
+        n[i] = x.size
+        c[i] = int(np.sum((x - corner[i]) / d < lattice[i]))
+    return lattice, n, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(extents=st.tuples(*[st.one_of(
+           st.floats(0.05, 3.0),
+           st.integers(1, 30).map(lambda m: m / 10.0))] * 3),
+       center=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       d=st.one_of(
+           st.tuples(st.integers(6, 14), st.floats(0.0, 1.0)).map(
+               lambda ju: 1.0 / (ju[0] + ju[1])),
+           st.integers(1, 20).map(lambda j: 1.0 / j),
+           st.floats(0.01, 1.0)),
+       refine=st.integers(1, 16))
+def test_boundary_grid_counts_match_the_quadrature_points(extents, center,
+                                                          d, refine):
+    domain = DomainShape("box", extents, center)
+    want = boundary_grid_counts_oracle(domain, d, refine)
+    got = boundary_grid_counts(domain, d, refine)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
 def test_boundary_statistic_of_a_subcluster():
     cl = generate_cluster(unit_box(), 1.0 / 4.5)
     part = Cluster(cl.centers[::3], cl.d, cl.domain)

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import gmres as scipy_gmres
 
 import dielscat
-from dielscat import foldylax, linalg, lse
+from dielscat import linalg
 from dielscat.effective import (detuned_xi, p0_ball, plasmonic_frequency,
                                 tensor_T_ball)
 from dielscat.foldylax import IncidentWave, assemble_and_solve
@@ -17,6 +17,10 @@ from dielscat.geometry import derive_scales, generate_cluster, unit_ball, \
     unit_box
 from dielscat.lse import (VolumeGrid, magnetization_eigensystem,
                           select_resonant_eigenvalue, solve_effective_lse)
+
+
+# the numpy GMRES itself, kept for ScipyOracle while linalg.gmres is patched
+NUMPY_GMRES = linalg.gmres
 
 
 def counted(fn, counts, i):
@@ -27,7 +31,7 @@ def counted(fn, counts, i):
 
 
 class ScipyOracle:
-    """A stand-in for a module's gmres that runs scipy's gmres on the same
+    """A stand-in for linalg.gmres that runs scipy's gmres on the same
     system too and records both results and matvec counts."""
 
     def __init__(self):
@@ -35,8 +39,8 @@ class ScipyOracle:
 
     def __call__(self, matvec, b, x0=None, psolve=None, **kw):
         counts = [0, 0]
-        x, info = linalg.gmres(counted(matvec, counts, 0), b, x0=x0,
-                               psolve=psolve, **kw)
+        x, info = NUMPY_GMRES(counted(matvec, counts, 0), b, x0=x0,
+                              psolve=psolve, **kw)
         n = b.size
         A = LinearOperator((n, n), matvec=counted(matvec, counts, 1),
                            dtype=complex)
@@ -71,7 +75,7 @@ def test_gmres_matches_scipy_on_the_preconditioned_lse(ball10, eta0,
     k = float(np.sqrt(plasmonic_frequency(eta0, 0.4, lam, 1e-3)[0]))
     wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
     oracle = ScipyOracle()
-    monkeypatch.setattr(lse, "gmres", oracle)
+    monkeypatch.setattr(linalg, "gmres", oracle)
     solve_effective_lse(grid, xi, tensor_T_ball(xi, "-"), k, wave, "-",
                         eigensystem=magnetization_eigensystem(grid))
     matvecs, = oracle.check()
@@ -85,7 +89,7 @@ def test_gmres_matches_scipy_on_foldylax(monkeypatch):
     assert cluster.count == 1331
     wave = IncidentWave(scales.k, (0, 0, 1), (1, 0, 0))
     oracle = ScipyOracle()
-    monkeypatch.setattr(foldylax, "gmres", oracle)
+    monkeypatch.setattr(linalg, "gmres", oracle)
     assemble_and_solve(cluster, scales, p0_ball(), wave)
     oracle.check()
 
@@ -133,16 +137,22 @@ def test_gmres_reports_a_spent_budget_like_scipy():
 
 
 def test_studies_run_without_importing_scipy(tmp_path):
-    """scipy serves only the dense LSE's LU and newtonian_operator_norm:
-    a fresh interpreter runs the counting and resonance studies through
-    the CLI without importing it."""
+    """scipy serves only newtonian_operator_norm: a fresh interpreter runs
+    the counting and resonance studies and the dense LSE (grid_n=8, C =
+    512 cells) through the CLI without importing it."""
     config = tmp_path / "resonance.json"
     config.write_text(json.dumps({"eta0": 1e9, "lambda_b": 0.4,
                                   "betas": [1e-3, 1e-2]}))
+    lse_config = tmp_path / "lse.json"
+    lse_config.write_text(json.dumps(
+        {"a": 0.05, "h": 0.9, "eta0": 1.0, "c0": 1.0, "sign": "+",
+         "c_r": 1.0, "lambda_b": 0.4, "theta": [0, 0, 1], "p": [1, 0, 0]}))
     empty = tmp_path / "counting.json"
     empty.write_text("{}")
     runs = [["counting", "--config", str(empty), "--out", str(tmp_path)],
             ["resonance", "--config", str(config), "--out", str(tmp_path),
+             "--set", "grid_n=8"],
+            ["lse", "--config", str(lse_config), "--out", str(tmp_path),
              "--set", "grid_n=8"]]
     script = ("import json, sys\n"
               "from dielscat import cli\n"

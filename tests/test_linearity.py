@@ -3,12 +3,12 @@ import functools
 import numpy as np
 import pytest
 
-from dielscat import foldylax, lse
+from dielscat import foldylax, linalg, lse
 from dielscat.effective import p0_ball, tensor_T_ball
 from dielscat.foldylax import IncidentWave, assemble_and_solve
 from dielscat.geometry import derive_scales, generate_cluster, unit_ball, \
     unit_box
-from dielscat.lse import (DyadicVolumeOperator, VolumeGrid, lse_self_scalar,
+from dielscat.lse import (DyadicVolumeOperator, VolumeGrid,
                           magnetization_eigensystem, solve_effective_lse)
 
 # a fixed propagation direction, an orthonormal polarization pair
@@ -50,9 +50,8 @@ LSE_XI, LSE_K = 2.0, 1.2
 def lse_condition(grid):
     """Condition number of the dense LSE matrix, from its singular values."""
     n = grid.count
-    G = DyadicVolumeOperator(grid, LSE_K).dense_blocks()
+    G = DyadicVolumeOperator(grid, LSE_K).dense()
     diag = np.arange(3 * n)
-    G[diag, diag] += lse_self_scalar(grid, LSE_K)
     T = tensor_T_ball(LSE_XI, "-")
     # A = I - s xi (G + sigma I) T with s = -1
     A = LSE_XI * (G.reshape(3 * n, n, 3) @ T).reshape(3 * n, 3 * n)
@@ -66,15 +65,18 @@ def ball10():
     return VolumeGrid(unit_ball(), 10)
 
 
-def lse_problem(method):
-    """The LSE solved by method "dense", "gmres" or "preconditioned" (GMRES
-    with the k=0 eigensystem inverse): solve(p) -> (H, residual), the
-    stopping tolerance and the condition number."""
+def lse_problem(monkeypatch, method):
+    """The LSE solved by method "dense" (its 552 cells are within the dense
+    limit), "gmres" (the limit set to 0) or "preconditioned" (GMRES with the
+    k=0 eigensystem inverse): solve(p) -> (H, residual), the stopping
+    tolerance and the condition number."""
     grid = ball10()
     xi, k = LSE_XI, LSE_K
     T = tensor_T_ball(xi, "-")
-    kwargs = {"method": method}
-    if method == "preconditioned":
+    kwargs = {}
+    if method == "gmres":
+        monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
+    elif method == "preconditioned":
         kwargs = {"eigensystem": magnetization_eigensystem(grid)}
 
     def solve(p):
@@ -86,14 +88,14 @@ def lse_problem(method):
 
 
 @pytest.mark.parametrize("problem", [
-    lambda: foldylax_problem(0.05, 1.0, "dense"),     # N = 512, margin 0.90
-    lambda: foldylax_problem(0.02, 2.0, "gmres"),     # N = 343, margin 0.12
-    lambda: lse_problem("dense"),
-    lambda: lse_problem("gmres"),
-    lambda: lse_problem("preconditioned"),
+    lambda mp: foldylax_problem(0.05, 1.0, "dense"),  # N = 512, margin 0.90
+    lambda mp: foldylax_problem(0.02, 2.0, "gmres"),  # N = 343, margin 0.12
+    lambda mp: lse_problem(mp, "dense"),
+    lambda mp: lse_problem(mp, "gmres"),
+    lambda mp: lse_problem(mp, "preconditioned"),
 ], ids=["foldylax-dense", "foldylax-gmres", "lse-dense", "lse-gmres",
         "lse-preconditioned"])
-def test_solution_is_linear_in_the_polarization(problem):
+def test_solution_is_linear_in_the_polarization(problem, monkeypatch):
     """X(cos psi p1 + sin psi p2) = cos psi X(p1) + sin psi X(p2).
 
     The right-hand side is linear in p and, as |theta x p| = 1, has the
@@ -104,7 +106,7 @@ def test_solution_is_linear_in_the_polarization(problem):
     (1 - tol): relative to |X~(p_psi)| at most
     cond(A) tol (1 + |cos psi| + |sin psi|) / (1 - tol).
     """
-    solve, tol, cond = problem()
+    solve, tol, cond = problem(monkeypatch)
     c, s = np.cos(PSI), np.sin(PSI)
     X1, res1 = solve(P1)
     X2, res2 = solve(P2)

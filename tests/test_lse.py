@@ -6,7 +6,7 @@ import pytest
 
 from scipy.linalg import eigh
 
-from dielscat import lse, tensors
+from dielscat import linalg, lse, tensors
 from dielscat.cli import main
 from dielscat.effective import (detuned_xi, plasmonic_frequency,
                                 tensor_T_ball)
@@ -15,7 +15,7 @@ from dielscat.geometry import unit_ball, unit_box
 from dielscat.symmetry import SymmetryBasis
 from dielscat.lse import (DyadicVolumeOperator, VolumeGrid, discrete_curl,
                           discrete_divergence, effective_far_field,
-                          harmonic_polynomial_coefficients, lse_operator_apply,
+                          harmonic_polynomial_coefficients,
                           lse_self_scalar, magnetization_apply,
                           magnetization_eigensystem, magnetization_matrix,
                           magnetization_spectrum, newtonian_apply,
@@ -141,9 +141,10 @@ def test_dyadic_volume_operator_against_chunked_sum():
     rng = np.random.default_rng(4)
     F = rng.normal(size=(grid.count, 3)) + 1j * rng.normal(size=(grid.count, 3))
     got = op.apply(F)
-    want = dyadic_sum_chunked(grid.centers, grid.centers, k, F) * grid.weight
+    want = (dyadic_sum_chunked(grid.centers, grid.centers, k, F) * grid.weight
+            + lse_self_scalar(grid, k) * F)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
-    dense = op.dense_blocks()
+    dense = op.dense()
     got2 = (dense @ F.reshape(-1)).reshape(-1, 3)
     assert np.allclose(got2, want, rtol=1e-10, atol=1e-12)
 
@@ -164,22 +165,31 @@ def test_lse_born_consistency():
     wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
     from dielscat.foldylax import incident_magnetic_many
     rhs = 1j * k * incident_magnetic_many(wave, grid.centers)
+    op = DyadicVolumeOperator(grid, k)
     defects = []
     for xi in (1e-3, 1e-4):
         T = tensor_T_ball(xi, "-")
-        born = rhs + (rhs - lse_operator_apply(rhs, grid, xi, T, k, "-"))
-        defect = lse_operator_apply(born, grid, xi, T, k, "-") - rhs
+
+        def lhs(H):
+            # H - s xi (G_k + sigma_k I)(T H) with s = -1
+            return H + xi * op.apply(H @ T.T)
+
+        born = rhs + (rhs - lhs(rhs))
+        defect = lhs(born) - rhs
         defects.append(np.linalg.norm(defect) / np.linalg.norm(rhs))
     assert defects[1] == pytest.approx(defects[0] / 100.0, rel=0.05)
 
 
-def test_solve_effective_lse_dense_vs_gmres():
+def test_solve_effective_lse_dense_vs_gmres(monkeypatch):
+    """216 cells take the dense LU; with the dense limit at 0 the same
+    system goes to GMRES."""
     grid = VolumeGrid(unit_box(), 6)
     k, xi = 1.2, 2.0
     T = tensor_T_ball(xi, "-")
     wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
-    Hd, rd = solve_effective_lse(grid, xi, T, k, wave, "-", method="dense")
-    Hg, rg = solve_effective_lse(grid, xi, T, k, wave, "-", method="gmres")
+    Hd, rd = solve_effective_lse(grid, xi, T, k, wave, "-")
+    monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
+    Hg, rg = solve_effective_lse(grid, xi, T, k, wave, "-")
     assert rd <= 1e-10
     assert rg <= 1e-7
     assert np.linalg.norm(Hd - Hg) / np.linalg.norm(Hd) <= 1e-6
@@ -309,7 +319,7 @@ def test_volume_operators_match_pointwise_sums(k):
          lambda x, z: k * k * helmholtz_kernel(x, z, k) * eye
          - dyadic_green(x, z, k), 1.0 / 3.0),
         (lambda F: DyadicVolumeOperator(grid, k).apply(F),
-         lambda x, z: dyadic_green(x, z, k), 0.0),
+         lambda x, z: dyadic_green(x, z, k), lse_self_scalar(grid, k)),
     ]
     if k == 0.0:
         cases.append((lambda F: nprime_apply(F, grid),
@@ -323,9 +333,9 @@ def test_volume_operators_match_pointwise_sums(k):
                 @ F.reshape(-1)).reshape(-1, 3)
         got = apply(F)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    dense = DyadicVolumeOperator(grid, k).dense_blocks()
+    dense = DyadicVolumeOperator(grid, k).dense()
     want = _pointwise_volume_matrix(grid, lambda x, z: dyadic_green(x, z, k),
-                                    0.0)
+                                    lse_self_scalar(grid, k))
     assert np.max(np.abs(dense - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -392,7 +402,7 @@ def test_resonance_scan_matches_dense_solve(ball10, monkeypatch):
     assert [r["status"] for r in rows] == ["ok"] * len(betas)
     assert len(solves) == len(betas)
     for args, H, res in solves:
-        Hd, _ = solve(*args, method="dense")
+        Hd, _ = solve(*args)
         assert res <= 1e-9
         assert np.linalg.norm(H - Hd) <= 1e-8 * np.linalg.norm(Hd)
     assert slope == pytest.approx(-1.0, abs=0.05)
@@ -410,7 +420,7 @@ def test_preconditioned_lse_converges_off_the_quasistatic_limit(ball10,
     assert k > 1.5
     H, res = solve_effective_lse(grid, xi, T, k, wave, "-",
                                  eigensystem=magnetization_eigensystem(grid))
-    Hd, _ = solve_effective_lse(grid, xi, T, k, wave, "-", method="dense")
+    Hd, _ = solve_effective_lse(grid, xi, T, k, wave, "-")
     assert res <= 1e-8
     assert np.linalg.norm(H - Hd) <= 1e-6 * np.linalg.norm(Hd)
 
@@ -437,7 +447,7 @@ def test_preconditioned_lse_raises_on_gmres_failure(ball10, monkeypatch):
     with pytest.raises(RuntimeError, match="GMRES failed"):
         solve_effective_lse(grid, xi, T, k, wave, "-",
                             eigensystem=eigensystem)
-    monkeypatch.setattr(lse, "gmres",
+    monkeypatch.setattr(linalg, "gmres",
                         lambda op, b, **kw: (np.full_like(b, np.nan), 0))
     with pytest.raises(RuntimeError, match="GMRES failed"):
         solve_effective_lse(grid, xi, T, k, wave, "-",

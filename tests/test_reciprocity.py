@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dielscat import foldylax, lse
+from dielscat import foldylax, linalg, lse
 from dielscat.effective import p0_ball, tensor_T_ball
 from dielscat.foldylax import IncidentWave, assemble_and_solve, \
     cluster_far_field
@@ -40,16 +40,19 @@ def foldylax_problem(a, c_r, path):
         cluster.count
 
 
-def lse_problem(method):
-    """The LSE on the ball n=10 (C = 552 cells) at xi = 2, k = 1.2."""
+def lse_problem(monkeypatch, method):
+    """The LSE on the ball n=10 (C = 552 cells) at xi = 2, k = 1.2, solved
+    by method "dense" (within the dense limit) or "gmres" (the limit set to
+    0)."""
     grid = VolumeGrid(unit_ball(), 10)
     xi, k = 2.0, 1.2
     T = tensor_T_ball(xi, "-")
+    if method == "gmres":
+        monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
 
     def solve(theta, p, xhat, q):
         H, res = solve_effective_lse(grid, xi, T, k,
-                                     IncidentWave(k, theta, p), "-",
-                                     method=method)
+                                     IncidentWave(k, theta, p), "-")
         far = effective_far_field(H, grid, xi, T, k, "-", xhat).values[0]
         return q @ far, H, res
 
@@ -59,14 +62,14 @@ def lse_problem(method):
 
 
 @pytest.mark.parametrize("problem", [
-    lambda: foldylax_problem(0.05, 1.0, "dense"),     # N = 512
-    lambda: foldylax_problem(0.02, 2.0, "gmres"),     # N = 343
-    lambda: foldylax_problem(0.012, 2.0, "gmres"),    # N = 1331
-    lambda: lse_problem("dense"),
-    lambda: lse_problem("gmres"),
+    lambda mp: foldylax_problem(0.05, 1.0, "dense"),     # N = 512
+    lambda mp: foldylax_problem(0.02, 2.0, "gmres"),     # N = 343
+    lambda mp: foldylax_problem(0.012, 2.0, "gmres"),    # N = 1331
+    lambda mp: lse_problem(mp, "dense"),
+    lambda mp: lse_problem(mp, "gmres"),
 ], ids=["foldylax-dense", "foldylax-gmres-343", "foldylax-gmres",
         "lse-dense", "lse-gmres"])
-def test_far_field_reciprocity(problem):
+def test_far_field_reciprocity(problem, monkeypatch):
     """q . E_inf(xhat; theta, p) = p . E_inf(-theta; -xhat, q).
 
     P0 and T are scalar and the kernel is symmetric, so each system matrix
@@ -76,7 +79,7 @@ def test_far_field_reciprocity(problem):
     difference by at most tol |c| sqrt(n) (|X| + |X'|), n the number of
     particles or cells and X' the reversed problem's solution.
     """
-    solve, tol, c, n = problem()
+    solve, tol, c, n = problem(monkeypatch)
     forward, X, res = solve(THETA, P, XHAT, Q)
     reverse, Xr, res_r = solve(-XHAT, Q, -THETA, P)
     assert max(res, res_r) <= tol

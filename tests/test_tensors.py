@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dielscat.foldylax import _kernel_matrix, _kernel_sum
+from dielscat import foldylax
 from dielscat.geometry import (Cluster, DomainShape, generate_cluster,
                                unit_ball, unit_box)
 from dielscat.lse import VolumeGrid
 from dielscat.tensors import (LatticeOperator, cis, direction_grid,
                               dyadic_green, dyadic_green_fd,
                               dyadic_kernel_scalars, dyadic_sum_chunked,
-                              grad_helmholtz_kernel, helmholtz_kernel,
-                              kernel_scalars, refine_direction_grid)
+                              helmholtz_kernel, kernel_scalars,
+                              refine_direction_grid)
 
 
 def random_points(rng, n):
@@ -40,24 +40,6 @@ def test_helmholtz_kernel_phase():
     k = 2.0
     val = helmholtz_kernel(x, y, k)
     assert val == pytest.approx(np.exp(2j) / (4 * np.pi))
-
-
-def test_grad_helmholtz_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    k = 1.3
-    step = 1e-6
-    for _ in range(20):
-        x = rng.uniform(-1, 1, 3)
-        y = rng.uniform(-1, 1, 3)
-        if np.linalg.norm(x - y) < 0.3:
-            continue
-        g = grad_helmholtz_kernel(x, y, k)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = step
-            fd = (helmholtz_kernel(x + e, y, k)
-                  - helmholtz_kernel(x - e, y, k)) / (2 * step)
-            assert abs(g[i] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_dyadic_green_against_fd_oracle():
@@ -264,8 +246,9 @@ def test_lattice_operator_uneven_extents(extent):
 
 
 def test_cluster_lattice_fft_matches_direct_sum():
-    """Foldy-Lax on a ball cluster: the FFT path and its dense gather agree
-    with the direct sum and with the off-lattice dense assembly."""
+    """Foldy-Lax's kernel on a ball cluster: the LatticeOperator's FFT apply
+    and dense gather agree with the DirectSumOperator that serves the same
+    centres off the lattice."""
     cluster = generate_cluster(unit_ball(), 0.3)
     assert cluster.lattice_index() is not None
     # the same centres with a pitch they are not on: the direct paths
@@ -275,11 +258,15 @@ def test_cluster_lattice_fft_matches_direct_sum():
     rng = np.random.default_rng(8)
     F = rng.normal(size=(cluster.count, 3)) + 1j * rng.normal(
         size=(cluster.count, 3))
+    lattice = foldylax._kernel(cluster, k)
+    assert isinstance(lattice, LatticeOperator)
+    off = foldylax._kernel(direct, k)
     want = dyadic_sum_chunked(cluster.centers, cluster.centers, k, F)
-    got = _kernel_sum(cluster, k, F)
+    assert np.array_equal(off.apply(F), want)
+    got = lattice.apply(F)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    dense = _kernel_matrix(cluster, k)
-    ref = _kernel_matrix(direct, k)
+    dense = lattice.dense()
+    ref = off.dense()
     assert np.max(np.abs(dense - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
