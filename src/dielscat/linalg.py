@@ -37,8 +37,9 @@ def gmres(matvec, b, x0=None, psolve=None, *, rtol, restart, maxiter):
     one more matvec per restart cycle.  At most maxiter cycles of restart
     iterations are run.
 
-    Returns (x, info): info is 0 when converged, else maxiter.  A zero b
-    returns the zero vector, and an x0 that already meets the tolerance is
+    Returns (x, info, |b - A x|): info is 0 when converged, else maxiter,
+    and the residual norm is the one of the exit test.  A zero b returns
+    the zero vector and 0.0, and an x0 that already meets the tolerance is
     returned after one matvec.
     """
     b = np.asarray(b).reshape(-1)
@@ -54,7 +55,7 @@ def gmres(matvec, b, x0=None, psolve=None, *, rtol, restart, maxiter):
     bnrm2 = np.linalg.norm(b)
     atol = rtol * bnrm2
     if bnrm2 == 0:
-        return np.zeros(n, dtype), 0
+        return np.zeros(n, dtype), 0, 0.0
     eps = np.finfo(dtype).eps
     dot = np.vdot if np.iscomplexobj(x) else np.dot
     restart = min(restart, n)
@@ -69,8 +70,9 @@ def gmres(matvec, b, x0=None, psolve=None, *, rtol, restart, maxiter):
     for iteration in range(maxiter):
         if iteration == 0:
             r = b - matvec(x) if x.any() else b.copy()
-            if np.linalg.norm(r) < atol:
-                return x, 0
+            rnorm = np.linalg.norm(r)
+            if rnorm < atol:
+                return x, 0, rnorm
         v[0] = psolve(r)
         tmp = np.linalg.norm(v[0])
         v[0] *= 1 / tmp
@@ -128,7 +130,7 @@ def gmres(matvec, b, x0=None, psolve=None, *, rtol, restart, maxiter):
         else:
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return x, 0 if rnorm <= atol else maxiter
+    return x, 0 if rnorm <= atol else maxiter, rnorm
 
 
 def solve_coupled(kernel, c, P, b, *, guaranteed, rtol, restart, maxiter,
@@ -152,16 +154,19 @@ def solve_coupled(kernel, c, P, b, *, guaranteed, rtol, restart, maxiter,
     A GMRES solve that is not converged within its budget, or not finite,
     raises RuntimeError naming its matvec count and relative residual.
 
-    Returns (x, relative residual |x - c K(x P^T) - b| / |b|, path "dense"
-    or "gmres", GMRES matvec count, 0 on the dense path).
+    Returns (x, relative residual |x - c K(x P^T) - b| / |b| (0.0 for a
+    zero b), path "dense" or "gmres", GMRES matvec count, 0 on the dense
+    path).  GMRES reports the residual it tested at exit, so no further
+    apply is spent on it.
     """
     n = b.shape[0]
+    bnorm = np.linalg.norm(b)
 
     def apply(x):
         return x - c * kernel.apply(x @ P.T)
 
-    def relative_residual(x):
-        return float(np.linalg.norm(apply(x) - b) / np.linalg.norm(b))
+    def relative(rnorm):
+        return float(rnorm / bnorm) if bnorm else 0.0
 
     if n <= DENSE_LIMIT and not guaranteed:
         # per-site P: (K Pbig)[:, 3j+b] = sum_a K[:, 3j+a] P_ab
@@ -169,7 +174,7 @@ def solve_coupled(kernel, c, P, b, *, guaranteed, rtol, restart, maxiter,
         A *= -c
         A[np.arange(3 * n), np.arange(3 * n)] += 1.0
         x = np.linalg.solve(A, b.reshape(-1)).reshape(n, 3)
-        return x, relative_residual(x), "dense", 0
+        return x, relative(np.linalg.norm(apply(x) - b)), "dense", 0
     matvecs = 0
 
     def matvec(v):
@@ -177,10 +182,10 @@ def solve_coupled(kernel, c, P, b, *, guaranteed, rtol, restart, maxiter,
         matvecs += 1
         return apply(v.reshape(n, 3)).reshape(-1)
 
-    x, info = gmres(matvec, b.reshape(-1), x0=x0, psolve=psolve, rtol=rtol,
-                    restart=restart, maxiter=maxiter)
+    x, info, rnorm = gmres(matvec, b.reshape(-1), x0=x0, psolve=psolve,
+                           rtol=rtol, restart=restart, maxiter=maxiter)
     x = x.reshape(n, 3)
-    residual = relative_residual(x)
+    residual = relative(rnorm)
     if info != 0 or not np.all(np.isfinite(x)):
         raise RuntimeError("GMRES failed after %d matvecs (budget %d restarts "
                            "of %d), relative residual %.3g"

@@ -12,7 +12,7 @@ from .effective import detuned_xi, plasmonic_frequency, tensor_T_ball
 from .foldylax import FarFieldSamples, IncidentWave, incident_magnetic_many
 from .geometry import parse_sign
 from .linalg import solve_coupled
-from .symmetry import SymmetryBasis
+from .symmetry import REDUCE_CHUNK_BYTES, SymmetryBasis
 from .tensors import (FOUR_PI, LatticeOperator, cis, direction_grid,
                       require_memory)
 
@@ -494,26 +494,35 @@ def magnetization_eigensystem(grid):
     basis is formed.
 
     A grid whose cells are not mapped onto themselves by all 48 raises
-    ValueError naming the grid.  The block eigenvectors, the representative
-    rows (twice) and the orbit bases must fit in physical memory, else
-    ValueError before they are allocated.  The last grid's result is kept,
-    so a resonance study selects its eigenvalue and preconditions every
-    detuning with one decomposition.
+    ValueError naming the grid.  The last grid's result is kept, so a
+    resonance study selects its eigenvalue and preconditions every detuning
+    with one decomposition.
+
+    Memory: the peak is while the largest block, of order m_max, is
+    solved.  Then the other blocks or their eigenvectors (sum m^2 doubles
+    with that block), and eigh's copy of the block, its eigenvector output
+    and the 2 m_max^2 dsyevd workspace (4 m_max^2) are held, with the orbit
+    bases and the Magnetization kernel table.  The representative rows are
+    never held at once: reduce gathers them one chunk of orbits at a time
+    (symmetry.REDUCE_CHUNK_BYTES, about 4 times that with their
+    coefficients), before the first eigh, and each block is freed once its
+    eigenvectors exist.  Ball n=40 (C = 33,552, m_max = 6,402) needs about
+    3.1 GB.  When that exceeds physical memory, ValueError is raised before
+    anything is gathered.
     """
     basis = SymmetryBasis(grid.ijk, "the %s grid (n=%d, C=%d cells)"
                           % (grid.domain.kind, grid.n, grid.count))
     orders = np.array(list(basis.orders.values()))
-    rows = 3 * len(basis.representatives) * 3 * grid.count
-    orbit_bases = sum((3 * t.size) ** 2 for t in basis.types)
-    # eigh factors a copy of each block, with a 2 m^2 dsyevd workspace
-    require_memory(8 * (2 * rows + 2 * int(np.sum(orders ** 2))
-                        + 3 * int(orders.max()) ** 2 + orbit_bases),
+    op = magnetization_operator(grid)
+    doubles = (int(np.sum(orders ** 2)) + 4 * int(orders.max()) ** 2
+               + sum((3 * t.size) ** 2 for t in basis.types)
+               + 6 * int(np.prod(2 * op.extent)))
+    require_memory(8 * doubles + 4 * REDUCE_CHUNK_BYTES,
                    "block eigendecomposition on C=%d cells" % grid.count)
-    blocks = basis.reduce(
-        magnetization_operator(grid).dense(basis.representatives))
+    blocks = basis.reduce(op.dense)
     values, vectors = {}, {}
-    for name, B in blocks.items():
-        vals, vecs = eigh(B)
+    for name in list(blocks):
+        vals, vecs = eigh(blocks.pop(name))
         vals.flags.writeable = False
         vecs.flags.writeable = False
         values[name], vectors[name] = vals, vecs
@@ -587,8 +596,11 @@ def resonance_amplification_scan(grid, lam_target, betas, wave_template,
     GMRES on the FFT operator, preconditioned with the exact inverse of its
     k=0 operator I + s xi t M from magnetization_eigensystem(grid), the
     decomposition select_resonant_eigenvalue already made (see
-    solve_effective_lse); no dense matrix is built per detuning.  A solve
-    that fails gives a row with status "failed: ...".  Returns (rows, slope)
+    solve_effective_lse); no dense matrix is built per detuning.  A
+    detuning whose k the grid does not resolve, k side >= pi (fewer than
+    two cells per wavelength), is not solved: its row has status
+    "failed: ..." naming k and the cell side, as does a solve that fails.
+    Returns (rows, slope)
     where rows hold (beta, xi, k, field norm, far-field sup, incident-ratio,
     residual) and slope fits log field-norm against log |beta|.
     """
@@ -602,6 +614,12 @@ def resonance_amplification_scan(grid, lam_target, betas, wave_template,
         xi = detuned_xi(lam_target, beta)
         ksq, _ = plasmonic_frequency(eta0, lambda_b, lam_target, beta)
         k = float(np.sqrt(ksq))
+        if k * grid.side >= np.pi:
+            rows.append({"beta": beta, "xi": xi, "k": k, "status":
+                         "failed: k = %.6g is not resolved by cells of "
+                         "side %.6g (k side = %.3g >= pi)"
+                         % (k, grid.side, k * grid.side)})
+            continue
         wave = IncidentWave(k, theta, p)
         T = tensor_T_ball(xi, "-")
         try:

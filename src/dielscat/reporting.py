@@ -1,7 +1,10 @@
 # Deterministic file emission: CSV/JSON result tables with complex values
-# split into real and imaginary parts, plus plot-data series files.
+# split into real and imaginary parts, plus plot-data series files.  The
+# JSON is strict: a non-finite float is written as null, never as the
+# NaN or Infinity tokens that JSON does not have.
 
 import json
+import math
 
 import numpy as np
 
@@ -37,10 +40,16 @@ def _flatten_cell(key, value):
     return [(key, str(value))]
 
 
+def _json_float(x):
+    """A float for JSON: None (null) when it is not finite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def _jsonify(value):
     """Convert a value into plain JSON types, splitting complex numbers."""
     if _is_complexlike(value):
-        return {"re": float(value.real), "im": float(value.imag)}
+        return {"re": _json_float(value.real), "im": _json_float(value.imag)}
     if isinstance(value, (np.ndarray, list, tuple)):
         return [_jsonify(v) for v in np.asarray(value).ravel()]
     if isinstance(value, dict):
@@ -50,7 +59,7 @@ def _jsonify(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        return _json_float(value)
     return value
 
 
@@ -59,7 +68,8 @@ def emit(rows, fmt, path, meta=None):
 
     CSV: '#'-prefixed key=value header lines, then a header row over the
     union of flattened row keys (first-appearance order), then data rows.
-    JSON: {"meta": ..., "rows": [...]}.  Output is deterministic: the same
+    JSON: {"meta": ..., "rows": [...]}, a non-finite float as null (as in
+    the CSV header's JSON values).  Output is deterministic: the same
     rows and meta always produce byte-identical files.
     """
     try:
@@ -84,8 +94,8 @@ def _emit_csv(rows, path, meta):
     lines = []
     if meta:
         for key, val in meta.items():
-            lines.append("# %s=%s" % (key, json.dumps(_jsonify(val),
-                                                      sort_keys=True)))
+            lines.append("# %s=%s" % (key, json.dumps(
+                _jsonify(val), sort_keys=True, allow_nan=False)))
     lines.append(",".join(columns))
     for row in flat_rows:
         lines.append(",".join(row.get(c, "") for c in columns))
@@ -97,17 +107,17 @@ def _emit_json(rows, path, meta):
     doc = {"meta": _jsonify(meta or {}),
            "rows": [_jsonify(row) for row in rows]}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def emit_plot_data(series, path):
     """Write labeled (x, y) series as JSON for external plotting tools."""
     doc = [{"label": s["label"],
-            "x": [float(v) for v in s["x"]],
-            "y": [float(v) for v in s["y"]]} for s in series]
+            "x": [_json_float(v) for v in s["x"]],
+            "y": [_json_float(v) for v in s["y"]]} for s in series]
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

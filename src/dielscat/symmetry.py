@@ -7,6 +7,10 @@ import itertools
 
 import numpy as np
 
+# the bytes of operator rows that SymmetryBasis.reduce gathers at a time
+REDUCE_CHUNK_BYTES = 1 << 23
+
+
 @functools.lru_cache(maxsize=1)
 def cube_group():
     """The 48 signed permutation matrices R, shape (48, 3, 3), identity first.
@@ -103,13 +107,16 @@ class _OrbitType:
         self.orbits = orbits
         self.cells = images[orbits][:, first]
         self.size = size
-        # (P_g f)(R_g y) = R_g f(y) on the fields of one orbit
-        dest = _lookup(listed, _codes(np.einsum("gij,pj->gpi", G,
-                                                pts[first])))
-        P = np.zeros((48, size, 3, size, 3))
-        g, p = np.meshgrid(np.arange(48), np.arange(size), indexing="ij")
-        P[g, dest, :, p, :] = G[g]
-        P = P.reshape(48, 3 * size, 3 * size)
+        # (P_g f)(y) = R_g f(R_g^-1 y): P_g X takes row src[g, q] of X to
+        # position q, with component a read from component perm[g, a] and
+        # signed by sign[g, a], where R_g[a, perm[g, a]] = sign[g, a]
+        self._src = _lookup(listed, _codes(np.einsum("gji,pj->gpi", G,
+                                                     pts[first])))
+        self._perm = np.argmax(np.abs(G), axis=2)
+        self._sign = G.sum(axis=2)
+        # the three unit fields at the representative, position 0
+        units = np.zeros((3 * size, 3))
+        units[:3] = np.eye(3)
         columns = []
         self.counts, self.start = {}, {}
         for name, D in irreps().items():
@@ -117,19 +124,26 @@ class _OrbitType:
             d = D.shape[1]
             # P_ij = (d/48) sum_g D(g)_ij P_g; the row-1 copies are spanned
             # by P_1j applied to the three unit fields at the representative
-            proj = ((D.reshape(48, -1).T * (d / 48.0)) @ P.reshape(48, -1)) \
-                .reshape(d, d, 3 * size, 3 * size)
-            gen = proj[0, :, :, :3].transpose(1, 0, 2).reshape(3 * size,
-                                                                3 * d)
-            u, s, _ = np.linalg.svd(gen, full_matrices=False)
+            gen = self._project(D[:, 0, :].T * (d / 48.0), units)
+            u, s, _ = np.linalg.svd(gen.transpose(1, 0, 2).reshape(
+                3 * size, 3 * d), full_matrices=False)
             row1 = u[:, s > 1e-8]
             self.counts[name] = row1.shape[1]
             # partner rows by the transfer operators P_r1, isometries on
             # the row-1 subspace
-            columns += [proj[r, 0] @ row1 for r in range(d)]
+            columns += list(self._project(D[:, :, 0].T * (d / 48.0), row1))
         self.U = np.hstack(columns)
         assert self.U.shape == (3 * size, 3 * size) and np.allclose(
             self.U.T @ self.U, np.eye(3 * size), atol=1e-12)
+
+    def _project(self, weights, X):
+        """sum_g weights[i, g] P_g X for each row i of weights, as
+        (len(weights), 3s, n) from fields X (3s, n) on the orbit."""
+        X = X.reshape(self.size, 3, -1)
+        moved = X[self._src[:, :, None], self._perm[:, None, :]] \
+            * self._sign[:, None, :, None]
+        return np.tensordot(weights, moved, axes=1).reshape(
+            len(weights), 3 * self.size, -1)
 
 
 class SymmetryBasis:
@@ -234,25 +248,36 @@ class SymmetryBasis:
     def reduce(self, rows):
         """The blocks {name: (m, m)} of a symmetric O_h-invariant operator.
 
-        rows (3 R, 3C) are the operator's rows at the R orbit
-        representatives.  With q^(r) the partner rows of the basis
-        functions a and b, block[a, b] = q_a^(1) . A q_b^(1) equals
-        (|o_a|/d) sum_r q_a^(r)(x_a) . (A q_b^(r))(x_a), since the sum over
-        r of the product is constant on the orbit o_a of a's
-        representative x_a; so no full row or basis matrix is formed.
+        rows(cells) returns the operator's (3 r, 3C) rows at r cell
+        indices; it is called for the orbit representatives, as many at a
+        time as REDUCE_CHUNK_BYTES of rows hold.  With q^(r) the partner
+        rows of the basis functions a and b, block[a, b] = q_a^(1) . A
+        q_b^(1) equals (|o_a|/d) sum_r q_a^(r)(x_a) . (A q_b^(r))(x_a),
+        since the sum over r of the product is constant on the orbit o_a of
+        a's representative x_a; so the rows at one chunk of representatives
+        give the block rows of the basis functions on their orbits, and no
+        full row or basis matrix is formed.
         """
-        AQ = self.forward(rows.T)
-        blocks = {}
-        for name, d in self.dims.items():
-            at_rep, orbit, size = self._representative_values(name)
-            AQ_rep = self.block(AQ, name).reshape(-1, d, len(
-                self.representatives), 3)
-            B = np.zeros((self.orders[name],) * 2)
-            for r in range(d):
-                for c in range(3):
-                    B += at_rep[:, r, c, None] * AQ_rep[:, r, orbit, c].T
-            B *= (size / d)[:, None]
-            blocks[name] = (B + B.T) / 2.0
+        step = max(1, REDUCE_CHUNK_BYTES // (9 * 8 * self.count))
+        values = {name: self._representative_values(name)
+                  for name in self.dims}
+        blocks = {name: np.zeros((m, m)) for name, m in self.orders.items()}
+        for lo in range(0, len(self.representatives), step):
+            reps = self.representatives[lo:lo + step]
+            AQ = self.forward(rows(reps).T)
+            for name, d in self.dims.items():
+                at_rep, orbit, size = values[name]
+                sel = np.flatnonzero((orbit >= lo) & (orbit < lo + step))
+                AQ_rep = self.block(AQ, name).reshape(-1, d, reps.size, 3)
+                at, o = at_rep[sel], orbit[sel] - lo
+                part = np.zeros((sel.size, self.orders[name]))
+                for r in range(d):
+                    for c in range(3):
+                        part += at[:, r, c, None] * AQ_rep[:, r, o, c].T
+                blocks[name][sel] = part * (size[sel] / d)[:, None]
+        for B in blocks.values():
+            B += B.T
+            B *= 0.5
         return blocks
 
     def _representative_values(self, name):

@@ -4,6 +4,7 @@
 # that every solver applies them through.
 
 import functools
+import itertools
 import os
 
 import numpy as np
@@ -217,18 +218,6 @@ def assemble_dense(component, count, m, dtype, self_term=0.0, targets=None):
     return A.reshape(m * rows, m * count)
 
 
-def lattice_offsets(extent, pitch):
-    """Displacements pitch * o of every lattice offset o of an extent box.
-
-    The offsets of an n_x x n_y x n_z box of lattice sites run over
-    [-n, n) on each axis; offset o is stored at o mod 2n (FFT order), so
-    the result has shape (2 n_x, 2 n_y, 2 n_z, 3) and a zero-padded FFT
-    convolution with a kernel evaluated on it sums over all site pairs.
-    """
-    axes = [pitch * np.fft.fftfreq(2 * n, 1.0 / (2 * n)) for n in extent]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
 class LatticeOperator:
     """Translation-invariant kernel on a masked cubic lattice plus a self term.
 
@@ -238,12 +227,13 @@ class LatticeOperator:
     the kernel_scalars kinds at wavenumber k.  A 3x3 kernel acts on (C, 3)
     fields; the scalar kind acts on each column of a (C,) or (C, m) field.
 
-    The kernel is evaluated once on the (2n)^3 table of lattice offsets of
-    an n^3 bounding box, offset o stored at o mod 2n.  apply is a
-    zero-padded FFT convolution with the stored FFT of that table (the
-    discrete-dipole method of Goodman, Draine & Flatau, Opt. Lett. 16
-    (1991) 1198); dense() gathers the matrix from the same table.  Both are
-    built on first use.
+    The kernel is evaluated on the (n+1)^3 octant of lattice offsets of an
+    n^3 bounding box and mirrored onto the (2n)^3 table of all offsets,
+    offset o stored at o mod 2n.  apply is a zero-padded FFT convolution
+    with the FFT of that table (the discrete-dipole method of Goodman,
+    Draine & Flatau, Opt. Lett. 16 (1991) 1198), transformed in place and
+    kept alone; dense() gathers the matrix from the table, which only it
+    keeps.  Both are built on first use.
 
     The convolution is pruned (Markel, IEEE Trans. Audio Electroacoust. 19
     (1971) 305): only n^3 of the (2n)^3 padded inputs are non-zero and only
@@ -267,16 +257,56 @@ class LatticeOperator:
         self.m = 1 if kind == "scalar" else 3
         self.dtype = np.result_type(complex if k else float, self_term)
 
+    def _kernel_table(self, dtype=None):
+        """Kernel components at every offset, in FFT order along each axis,
+        as dtype (default: that of the kernel values).
+
+        Evaluated on the (n+1)^3 octant of offsets |o| and mirrored: each
+        component is even in every axis, or odd in the two axes it pairs
+        (xy, xz, yz), and the kernel scalars depend on the squared offsets
+        only, so the mirror reproduces the full evaluation bit for bit.
+        """
+        axes = [np.fft.fftfreq(2 * n, 1.0 / (2 * n)) for n in self.extent]
+        octant = [self.pitch * np.abs(a[:n + 1])
+                  for a, n in zip(axes, self.extent)]
+        d = np.stack(np.meshgrid(*octant, indexing="ij"), axis=-1)
+        iso, rad2 = kernel_scalars(d, self.k, self.kind)
+        values = self.weight * kernel_components(iso, rad2, d)
+        out = np.empty((len(values),) + tuple(2 * self.extent),
+                       dtype=dtype or values.dtype)
+        # offsets 0 .. n-1 sit at their own index, -n .. -1 at 2n + o and
+        # read |o| = n .. 1 reversed; the negative half of an odd axis
+        # changes sign
+        halves = [((slice(n), slice(n)), (slice(n, None), slice(n, 0, -1)))
+                  for n in self.extent]
+        odd = ((), (), (), (0, 1), (0, 2), (1, 2))
+        for c, value in enumerate(values):
+            for part in itertools.product((0, 1), repeat=3):
+                dst, src = zip(*(h[p] for h, p in zip(halves, part)))
+                if sum(part[axis] for axis in odd[c]) % 2:
+                    np.negative(value[src], out=out[c][dst])
+                else:
+                    out[c][dst] = value[src]
+        return out
+
     @functools.cached_property
     def table(self):
-        """Kernel components at every offset, in FFT order along each axis."""
-        d = lattice_offsets(self.extent, self.pitch)
-        iso, rad2 = kernel_scalars(d, self.k, self.kind)
-        return self.weight * kernel_components(iso, rad2, d)
+        """Kernel components at every offset, in FFT order; kept for dense
+        only."""
+        return self._kernel_table()
 
     @functools.cached_property
     def spectrum(self):
-        return np.fft.fftn(self.table, axes=(1, 2, 3))
+        """FFT of the kernel table over the three offset axes.
+
+        The axes are transformed in place on a fresh complex table, the
+        last first as fftn does, so neither a second array of its size nor
+        the table is kept.
+        """
+        spec = self._kernel_table(complex)
+        for axis in (3, 2, 1):
+            np.fft.fft(spec, axis=axis, out=spec)
+        return spec
 
     def apply(self, F):
         """A F by FFT convolution; real if the kernel, self term and F are."""
@@ -291,8 +321,13 @@ class LatticeOperator:
         if self.m == 1:
             spec *= K[0]
         else:
-            spec = np.stack([sum(K[SYM[a][b]] * spec[b] for b in range(3))
-                             for a in range(3)])
+            prod = np.empty_like(spec)
+            term = np.empty_like(spec[0])
+            for a in range(3):
+                np.multiply(K[SYM[a][0]], spec[0], out=prod[a])
+                for b in (1, 2):
+                    prod[a] += np.multiply(K[SYM[a][b]], spec[b], out=term)
+            spec = prod
         for axis, n in enumerate(self.extent, start=1):
             spec = np.fft.ifft(spec, axis=axis)[(slice(None),) * axis
                                                 + (slice(n),)]

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import dielscat
-from dielscat import lse
 from dielscat.cli import ConfigError, main, parse_config, validate_config
 from dielscat.reporting import emit, far_field_rows, format_float
 
@@ -252,27 +251,55 @@ def test_counting_config_with_a_huge_refine_is_checked_at_once():
 
 
 def test_cli_resonance_keeps_the_rows_when_every_detuning_fails(tmp_path):
-    """At eta0 = 1e-3 the scan's k is about 50, where the LSE GMRES fails
-    for every detuning: the rows are written with their failure, the peak
-    fields of the report are null, and the exit code is 1."""
+    """At eta0 = 1e-3 the scan's k is about 50, which cells of side 0.25
+    do not resolve (k side = 12.5 >= pi): every detuning fails at once,
+    naming k and the side, instead of spending the GMRES budget; the rows
+    are written with their failure, the peak fields of the report are
+    null, and the exit code is 1."""
     cfg = write_config(tmp_path, {"eta0": 1e-3, "lambda_b": 0.4,
                                   "betas": [1e-3, -1e-3, 1e-2], "grid_n": 8})
     out = tmp_path / "out"
-    with pytest.MonkeyPatch.context() as mp:
-        # one restart cycle, not eleven, for each failing solve
-        mp.setattr(lse, "LSE_GMRES_MAXITER", 1)
-        assert main(["resonance", "--config", cfg, "--out", str(out),
-                     "--format", "json"]) == 1
+    t0 = time.perf_counter()
+    assert main(["resonance", "--config", cfg, "--out", str(out),
+                 "--format", "json"]) == 1
+    assert time.perf_counter() - t0 < 1.0
     doc = json.loads((out / "resonance_results.json").read_text())
     assert doc["meta"]["peak_beta"] is None
     assert doc["meta"]["peak_back_angle_deg"] is None
     scan = [r for r in doc["rows"] if not r.get("off_resonance")]
     assert [r["beta"] for r in scan] == [1e-3, -1e-3, 1e-2]
     for r in scan:
-        assert r["status"].startswith(
-            "failed: effective-medium GMRES failed after 102 matvecs "
-            "(budget 1 restarts of 100)")
+        assert r["status"] == (
+            "failed: k = %.6g is not resolved by cells of side 0.25 "
+            "(k side = 12.5 >= pi)" % r["k"])
         assert "field_norm" not in r
+
+
+def strict_json(path):
+    """The JSON document at path, refusing the non-standard NaN and
+    Infinity tokens."""
+    def refuse(token):
+        raise ValueError("%s is not JSON" % token)
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_cli_writes_a_nan_slope_as_null(tmp_path):
+    """One ok converge row leaves the fitted slope NaN: the JSON tables and
+    the CSV header write it as null, and every file parses as strict
+    JSON."""
+    cfg = write_config(tmp_path, dict(CONVERGE_DOC, a_list=[0.03]))
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out),
+                 "--format", "json", "--set", "grid_n=6"]) == 0
+    doc = strict_json(out / "converge_results.json")
+    assert [r["status"] for r in doc["rows"]] == ["ok"]
+    assert doc["meta"]["fitted_slope"] is None
+    for name in ("converge_timings.json", "converge_plotdata.json"):
+        strict_json(out / name)
+    assert main(["converge", "--config", cfg, "--out", str(out),
+                 "--set", "grid_n=6"]) == 0
+    lines = (out / "converge_results.csv").read_text().splitlines()
+    assert "# fitted_slope=null" in lines
 
 
 def test_cli_spectrum(tmp_path):

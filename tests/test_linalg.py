@@ -9,7 +9,7 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import gmres as scipy_gmres
 
 import dielscat
-from dielscat import linalg
+from dielscat import linalg, tensors
 from dielscat.effective import (detuned_xi, p0_ball, plasmonic_frequency,
                                 tensor_T_ball)
 from dielscat.foldylax import IncidentWave, assemble_and_solve
@@ -39,8 +39,8 @@ class ScipyOracle:
 
     def __call__(self, matvec, b, x0=None, psolve=None, **kw):
         counts = [0, 0]
-        x, info = NUMPY_GMRES(counted(matvec, counts, 0), b, x0=x0,
-                              psolve=psolve, **kw)
+        x, info, rnorm = NUMPY_GMRES(counted(matvec, counts, 0), b, x0=x0,
+                                     psolve=psolve, **kw)
         n = b.size
         A = LinearOperator((n, n), matvec=counted(matvec, counts, 1),
                            dtype=complex)
@@ -48,7 +48,7 @@ class ScipyOracle:
             LinearOperator((n, n), matvec=psolve, dtype=complex)
         want, want_info = scipy_gmres(A, b, x0=x0, M=M, atol=0.0, **kw)
         self.runs.append((x, info, want, want_info, counts))
-        return x, info
+        return x, info, rnorm
 
     def check(self, rtol=1e-9):
         assert self.runs
@@ -104,18 +104,19 @@ def random_system(n, seed):
 
 def test_gmres_zero_rhs_returns_zero():
     A, b = random_system(8, 0)
-    x, info = linalg.gmres(lambda v: A @ v, 0 * b, x0=b, rtol=1e-10,
-                           restart=4, maxiter=1)
-    assert info == 0 and not x.any()
+    x, info, rnorm = linalg.gmres(lambda v: A @ v, 0 * b, x0=b, rtol=1e-10,
+                                  restart=4, maxiter=1)
+    assert info == 0 and not x.any() and rnorm == 0.0
 
 
 def test_gmres_returns_a_converged_start_after_one_matvec():
     A, b = random_system(8, 1)
     x0 = np.linalg.solve(A, b)
     counts = [0]
-    x, info = linalg.gmres(counted(lambda v: A @ v, counts, 0), b, x0=x0,
-                           rtol=1e-10, restart=4, maxiter=1)
+    x, info, rnorm = linalg.gmres(counted(lambda v: A @ v, counts, 0), b,
+                                  x0=x0, rtol=1e-10, restart=4, maxiter=1)
     assert info == 0 and counts == [1]
+    assert rnorm == np.linalg.norm(b - A @ x0)
     assert np.array_equal(x, x0) and x is not x0
 
 
@@ -124,8 +125,8 @@ def test_gmres_reports_a_spent_budget_like_scipy():
     info is maxiter, and the iterate is scipy's, after the same matvecs."""
     A, b = random_system(40, 2)
     counts = [0, 0]
-    x, info = linalg.gmres(counted(lambda v: A @ v, counts, 0), b,
-                           rtol=1e-12, restart=3, maxiter=2)
+    x, info, rnorm = linalg.gmres(counted(lambda v: A @ v, counts, 0), b,
+                                  rtol=1e-12, restart=3, maxiter=2)
     op = LinearOperator(A.shape, matvec=counted(lambda v: A @ v, counts, 1),
                         dtype=complex)
     want, want_info = scipy_gmres(op, b, rtol=1e-12, atol=0.0, restart=3,
@@ -133,7 +134,7 @@ def test_gmres_reports_a_spent_budget_like_scipy():
     assert info == want_info == 2
     assert counts[0] == counts[1] == 2 * 4
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-    assert np.linalg.norm(b - A @ x) > 1e-12 * np.linalg.norm(b)
+    assert rnorm == np.linalg.norm(b - A @ x) > 1e-12 * np.linalg.norm(b)
 
 
 def test_studies_run_without_importing_scipy(tmp_path):
@@ -166,3 +167,38 @@ def test_studies_run_without_importing_scipy(tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+class CountedKernel:
+    """A LatticeOperator that counts its applies."""
+
+    def __init__(self, op):
+        self.op = op
+        self.applies = 0
+
+    def apply(self, F):
+        self.applies += 1
+        return self.op.apply(F)
+
+
+def test_solve_coupled_reports_the_gmres_exit_residual_without_an_apply():
+    """The residual of a GMRES solve is the one GMRES tested at exit: no
+    apply beyond its matvecs, and the value an apply would give.  A zero
+    right-hand side reports residual 0.0."""
+    grid = VolumeGrid(unit_box(), 4)
+    kernel = CountedKernel(tensors.LatticeOperator(
+        grid.ijk, grid.side, "dyadic", 1.1, grid.weight, 0.2))
+    P = 0.3 * np.eye(3) + 0.05j
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=(grid.count, 3)) + 1j * rng.normal(
+        size=(grid.count, 3))
+    x, res, path, matvecs = linalg.solve_coupled(
+        kernel, 0.8, P, b, guaranteed=True, rtol=1e-10, restart=20,
+        maxiter=2)
+    assert path == "gmres" and kernel.applies == matvecs > 0
+    direct = x - 0.8 * kernel.op.apply(x @ P.T) - b
+    assert res == np.linalg.norm(direct) / np.linalg.norm(b) <= 1e-10
+    x, res, path, matvecs = linalg.solve_coupled(
+        kernel, 0.8, P, 0 * b, guaranteed=True, rtol=1e-10, restart=20,
+        maxiter=2)
+    assert res == 0.0 and not x.any() and matvecs == 0

@@ -448,7 +448,8 @@ def test_preconditioned_lse_raises_on_gmres_failure(ball10, monkeypatch):
         solve_effective_lse(grid, xi, T, k, wave, "-",
                             eigensystem=eigensystem)
     monkeypatch.setattr(linalg, "gmres",
-                        lambda op, b, **kw: (np.full_like(b, np.nan), 0))
+                        lambda op, b, **kw: (np.full_like(b, np.nan), 0,
+                                             np.nan))
     with pytest.raises(RuntimeError, match="GMRES failed"):
         solve_effective_lse(grid, xi, T, k, wave, "-",
                             eigensystem=eigensystem)
@@ -466,10 +467,10 @@ def test_preconditioned_lse_needs_scalar_T(ball10, monkeypatch):
 
 
 def test_eigensystem_memory_check_counts_blocks_rows_and_basis(monkeypatch):
-    """The block eigen-solve keeps its eigenvectors and needs the
-    representative rows and the orbit bases too: a limit that the block
-    eigenvectors alone fit is refused at once, before the rows of a grid
-    of 137,376 cells (about 57 GB of them) are gathered."""
+    """The block eigen-solve keeps its eigenvectors and needs eigh's
+    workspace, one chunk of representative rows and the orbit bases too:
+    a limit that the block eigenvectors alone fit is refused at once,
+    before any row of a grid of 137,376 cells is gathered."""
     grid = VolumeGrid(unit_ball(), 64)
     basis = SymmetryBasis(grid.ijk)
     vectors = sum(m * m for m in basis.orders.values()) * 8
@@ -478,6 +479,31 @@ def test_eigensystem_memory_check_counts_blocks_rows_and_basis(monkeypatch):
     with pytest.raises(ValueError, match="C=%d cells" % grid.count):
         magnetization_eigensystem(grid)
     assert time.perf_counter() - t0 < 1.0
+
+
+class GatherReached(Exception):
+    """Raised in place of the first gather of operator rows."""
+
+
+def test_eigensystem_memory_check_fits_ball_40_in_3_5_gb(monkeypatch):
+    """Ball n=40 (C = 33,552, blocks up to order 6,402): the blocks, the
+    largest eigh's workspace and one chunk of rows fit in 3.5 GB, so the
+    solve passes its memory check and goes on to gather rows; with 1.5 GB
+    it is refused at once, by name."""
+    grid = VolumeGrid(unit_ball(), 40)
+
+    def stop(self, cells=None):
+        raise GatherReached
+
+    monkeypatch.setattr(tensors.LatticeOperator, "dense", stop)
+    monkeypatch.setattr(tensors, "physical_memory", lambda: 3.5e9)
+    with pytest.raises(GatherReached):
+        magnetization_eigensystem(grid)
+    monkeypatch.setattr(tensors, "physical_memory", lambda: 1.5e9)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="C=33552 cells"):
+        magnetization_eigensystem(grid)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def dense_eigensystem(grid):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,8 @@ from dielscat.lse import VolumeGrid
 from dielscat.tensors import (LatticeOperator, cis, direction_grid,
                               dyadic_green, dyadic_green_fd,
                               dyadic_kernel_scalars, dyadic_sum_chunked,
-                              helmholtz_kernel, kernel_scalars,
-                              refine_direction_grid)
+                              helmholtz_kernel, kernel_components,
+                              kernel_scalars, refine_direction_grid)
 
 
 def random_points(rng, n):
@@ -243,6 +245,41 @@ def test_lattice_operator_uneven_extents(extent):
     real = scalar.apply(G.real)
     assert real.dtype == np.float64 and real.shape == G.shape
     assert np.linalg.norm(real - ref.real) <= 1e-12 * np.linalg.norm(ref.real)
+
+
+@pytest.mark.parametrize("extent", [(4, 4, 4)] + UNEVEN_EXTENTS)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [0.0, 1.3])
+def test_mirrored_table_and_in_place_spectrum_are_exact(extent, kind, k):
+    """The kernel evaluated on the octant of offsets and mirrored equals
+    the kernel evaluated at every offset, and the spectrum transformed in
+    place equals fftn of that table, both exactly."""
+    op = LatticeOperator(uneven_lattice(extent, 1), 0.3, kind, k, -0.7)
+    axes = [0.3 * np.fft.fftfreq(2 * n, 1.0 / (2 * n)) for n in extent]
+    d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    iso, rad2 = kernel_scalars(d, k, kind)
+    want = -0.7 * kernel_components(iso, rad2, d)
+    assert op.table.dtype == want.dtype
+    np.testing.assert_array_equal(op.table, want)
+    np.testing.assert_array_equal(op.spectrum,
+                                  np.fft.fftn(want, axes=(1, 2, 3)))
+
+
+@pytest.mark.parametrize("k", [0.0, 1.3])
+def test_spectrum_is_built_in_place_and_kept_alone(k):
+    """Building the spectrum of the box n=12 LSE kernel peaks at no more
+    than 1.5 times its bytes of traced allocations, and the operator
+    keeps no table."""
+    grid = VolumeGrid(unit_box(), 12)
+    op = LatticeOperator(grid.ijk, grid.side, "dyadic", k, grid.weight)
+    tracemalloc.start()
+    try:
+        spectrum = op.spectrum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * spectrum.nbytes
+    assert "table" not in vars(op)
 
 
 def test_cluster_lattice_fft_matches_direct_sum():
