@@ -32,7 +32,7 @@ ALLOWED_KEYS = {
     "effective": {"xi_values", "signs", "k", "delta", "diam_omega",
                   "vol_omega"},
     "converge": {"a_list", "h", "eta0", "c0", "sign", "c_r", "lambda_b",
-                 "theta", "p", "grid_n", "double_directions"},
+                 "theta", "p", "grid_n"},
     "resonance": {"eta0", "lambda_b", "betas", "theta", "p", "grid_n",
                   "xi_off"},
     "counting": {"pitches", "boundary_pitches", "refine"},

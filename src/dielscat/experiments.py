@@ -15,7 +15,7 @@ from .geometry import (boundary_counting_statistic, derive_scales,
                        unit_box)
 from .lse import (VolumeGrid, effective_far_field, select_resonant_eigenvalue,
                   solve_effective_lse)
-from .tensors import direction_grid, refine_direction_grid
+from .tensors import direction_grid
 
 
 # couplings below this are reported as degenerate instead of compared
@@ -52,8 +52,6 @@ def run_convergence(config):
         raise ValueError("a_list must be strictly decreasing")
     p0 = p0_ball()
     dirs = direction_grid()
-    if config.get("double_directions"):
-        dirs = refine_direction_grid(dirs)
     grid = VolumeGrid(unit_box(), config.get("grid_n", 20))
     theta = config.get("theta", (0.0, 0.0, 1.0))
     p = config.get("p", (1.0, 0.0, 0.0))

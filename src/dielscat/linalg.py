@@ -1,5 +1,5 @@
-# Restarted GMRES in numpy, so that the studies run without importing scipy
-# (its import is most of a CLI process's set-up time and memory), and the
+# Restarted GMRES in numpy, so that the package needs numpy alone (SciPy's
+# import would be most of a CLI process's set-up time and memory), and the
 # one solver of the coupled-lattice systems that Foldy-Lax and the LSE share.
 
 import numpy as np
@@ -27,12 +27,12 @@ def gmres(matvec, b, x0=None, psolve=None, *, rtol, restart, maxiter):
     """Solve A x = b by restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat.
     Comput. 7 (1986) 856); matvec(v) returns A v.
 
-    A port of scipy.sparse.linalg.gmres (as in scipy 1.17, with atol = 0,
+    A port of SciPy's sparse.linalg.gmres (as in SciPy 1.17, with atol = 0,
     without callbacks), so it takes the same iterates and the same number
     of matvecs.  psolve(v) applies the inverse of a left preconditioner
     M; the Arnoldi process (modified Gram-Schmidt, Givens rotations)
     minimizes the preconditioned residual |M^-1 (b - A x)|, with the inner
-    tolerance adapted after each restart as in scipy's gh-8400, while the
+    tolerance adapted after each restart as in SciPy's gh-8400, while the
     exit test is on the true residual |b - A x| <= rtol |b|, computed with
     one more matvec per restart cycle.  At most maxiter cycles of restart
     iterations are run.

@@ -33,6 +33,14 @@ gmres = lu_factor = lu_solve = None
 # discrete eigenvalues this close to 0 or 1 are treated as the images of the
 # divergence-free / curl-free subspaces and dropped by the spectrum filter
 SPECTRUM_EDGE_TOL = 0.05
+# the resonant eigenvalue lies at least this far above 1/3
+RESONANT_MIN_ABOVE = 5e-3
+# eigenvalues this close together form one multiplet
+DEGENERACY_TOL = 1e-9
+# the stop (relative change of the Rayleigh quotient) and the apply budget
+# of the Newtonian norm's power iteration
+NEWTONIAN_NORM_TOL = 1e-12
+NEWTONIAN_NORM_MAX_APPLIES = 100
 
 
 class VolumeGrid:
@@ -178,24 +186,32 @@ def discrete_divergence(field, grid):
     return out, valid
 
 
-def newtonian_operator_norm(grid, tol=1e-8):
+def newtonian_operator_norm(grid):
     """Largest eigenvalue of the discrete scalar Newtonian operator.
 
-    The operator is symmetric (uniform weights), so the norm is the top
-    eigenvalue, obtained by Lanczos iteration on the FFT apply.  On a ball
-    the staircase cell selection makes the covered volume fluctuate with the
-    resolution; since the Newtonian norm of a dilated domain scales with the
-    volume ratio to the 2/3 power, the norm is rescaled to the exact domain
-    volume, which removes the leading fluctuation.
+    The operator is symmetric (uniform weights) and entrywise positive, so
+    by Perron-Frobenius its norm is a simple top eigenvalue with a positive
+    eigenvector: power iteration on the FFT apply from the constant vector
+    stops when the Rayleigh quotient settles to NEWTONIAN_NORM_TOL (8
+    applies on ball n = 12 ... 40), or raises RuntimeError at the budget.
+    On a ball the staircase cell selection makes the covered volume
+    fluctuate with the resolution; since the Newtonian norm of a dilated
+    domain scales with the volume ratio to the 2/3 power, the norm is
+    rescaled to the exact domain volume, which removes the leading
+    fluctuation.
     """
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    n = grid.count
-    op = LinearOperator((n, n), matvec=newtonian_operator(grid).apply,
-                        dtype=float)
-    vals = eigsh(op, k=1, which="LA", tol=tol, v0=np.ones(n) / np.sqrt(n),
-                 return_eigenvectors=False)
-    norm = float(vals[0])
+    apply = newtonian_operator(grid).apply
+    x = np.full(grid.count, 1.0 / np.sqrt(grid.count))
+    last = 0.0
+    for applies in range(1, NEWTONIAN_NORM_MAX_APPLIES + 1):
+        y = apply(x)
+        norm = float(x @ y)
+        if abs(norm - last) <= NEWTONIAN_NORM_TOL * norm:
+            break
+        x, last = y / np.linalg.norm(y), norm
+    else:
+        raise RuntimeError("Newtonian norm not converged in %d applies"
+                           % applies)
     if grid.domain.kind == "ball":
         exact_vol = 4.0 * np.pi / 3.0 * grid.domain.radius ** 3
         norm *= (exact_vol / grid.total_weight()) ** (2.0 / 3.0)
@@ -384,8 +400,7 @@ def harmonic_gradient_basis(grid, lmax):
     return np.array(cols).T
 
 
-def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10,
-                           edge_tol=SPECTRUM_EDGE_TOL):
+def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10):
     """Spectrum diagnostics of the discrete k=0 Magnetization operator.
 
     mode="gradient" (default): Ritz values of the symmetric operator, applied
@@ -395,18 +410,21 @@ def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10,
     spectral pollution from the divergence-free and curl-free subspaces,
     whose images smear over (0,1) instead of collapsing onto {0} and {1}.
 
-    mode="full": all eigenvalues of the dense matrix, with values within
-    edge_tol of 0 or 1 dropped.  Affordable only on small grids.
+    mode="full": every eigenvalue of the Magnetization matrix, those
+    within SPECTRUM_EDGE_TOL of 0 or 1 dropped: the block eigenvalues of
+    magnetization_eigensystem(grid), each repeated by its irrep's
+    dimension, with no (3C)^2 matrix (ball n=20: about 1 s and 100 MB).
+    Every VolumeGrid is invariant under the cube group, as that needs.
     """
     if grid.n < 12:
         raise ValueError("spectrum diagnostics need resolution n >= 12")
     if mode == "full":
-        # eigvalsh factors a copy of the matrix: both must fit
-        require_memory(2 * 8 * (3 * grid.count) ** 2,
-                       "dense spectrum on C=%d cells" % grid.count)
-        vals = np.linalg.eigvalsh(magnetization_matrix(grid))
+        system = magnetization_eigensystem(grid)
+        vals = np.sort(np.concatenate([np.tile(v, system.basis.dims[g])
+                                       for g, v in system.values.items()]))
         raw = vals.size
-        vals = vals[(vals > edge_tol) & (vals < 1.0 - edge_tol)]
+        vals = vals[(vals > SPECTRUM_EDGE_TOL)
+                    & (vals < 1.0 - SPECTRUM_EDGE_TOL)]
         tags = None
     elif mode == "gradient":
         V = harmonic_gradient_basis(grid, lmax)
@@ -529,7 +547,7 @@ def magnetization_eigensystem(grid):
     return MagnetizationEigensystem(basis, values, vectors)
 
 
-def select_resonant_eigenvalue(grid, min_above=5e-3, degeneracy_tol=1e-9):
+def select_resonant_eigenvalue(grid):
     """Exact discrete eigenvalue > 1/3 most strongly coupled to constants.
 
     Reads every eigenpair from magnetization_eigensystem (one eigh per
@@ -538,9 +556,10 @@ def select_resonant_eigenvalue(grid, min_above=5e-3, degeneracy_tol=1e-9):
     fields (the leading content of a long-wavelength incident field).
     Those span the vector irrep T1u with e_x in its first partner row, so
     only T1u eigenvectors have weight, 3 times the squared overlap of
-    their first-row function with e_x.  Multiplets are grouped over the
-    whole spectrum counted with multiplicity.  Returns (eigenvalue,
-    multiplet weight, degeneracy).
+    their first-row function with e_x.  Multiplets (within DEGENERACY_TOL)
+    above 1/3 + RESONANT_MIN_ABOVE are grouped over the whole spectrum
+    counted with multiplicity.  Returns (eigenvalue, multiplet weight,
+    degeneracy).
     """
     system = magnetization_eigensystem(grid)
     basis = system.basis
@@ -558,11 +577,11 @@ def select_resonant_eigenvalue(grid, min_above=5e-3, degeneracy_tol=1e-9):
     order = np.argsort(np.concatenate(vals), kind="stable")
     vals = np.concatenate(vals)[order]
     weight = np.concatenate(weight)[order]
-    mask = vals > 1.0 / 3.0 + min_above
+    mask = vals > 1.0 / 3.0 + RESONANT_MIN_ABOVE
     best = None
-    for lam in np.unique(np.round(vals[mask] / degeneracy_tol)):
-        lam_val = lam * degeneracy_tol
-        members = np.abs(vals - lam_val) < degeneracy_tol
+    for lam in np.unique(np.round(vals[mask] / DEGENERACY_TOL)):
+        lam_val = lam * DEGENERACY_TOL
+        members = np.abs(vals - lam_val) < DEGENERACY_TOL
         w = float(weight[members].sum())
         if best is None or w > best[1]:
             best = (float(vals[members][0]), w, int(members.sum()))

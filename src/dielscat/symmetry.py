@@ -190,18 +190,19 @@ class SymmetryBasis:
         self._layout()
 
     def _layout(self):
-        """Index arrays from per-orbit coefficients to the irrep blocks.
+        """Where each orbit type's coefficients sit in the irrep blocks.
 
-        forward computes the coefficients of each orbit type as one product
-        U^T X_t, with the type's fields gathered as an (3s, orbits) array;
-        _order then sorts them by irrep, basis function and partner row.
+        forward computes the coefficients of orbit type t as one product
+        U^T X_t of (3s, orbits) arrays, whose row c o_t + o (U column c on
+        orbit o) is row _slots[t][c o_t + o] of the coefficient array,
+        sorted by irrep, basis function and partner row.
         """
-        order, self.span, stop = [], {}, 0
-        base = np.cumsum([0] + [t.orbits.size * 3 * t.size
-                                for t in self.types])
+        self._slots = [np.empty(3 * t.size * t.orbits.size, dtype=np.int64)
+                       for t in self.types]
+        self.span, stop = {}, 0
         for name, d in self.dims.items():
-            parts = []
-            for t, b in zip(self.types, base):
+            begin = stop
+            for t, slots in zip(self.types, self._slots):
                 n = t.counts[name]
                 # coefficient (orbit o, copy j, row r) is U column
                 # start + r n + j applied to orbit o
@@ -209,35 +210,28 @@ class SymmetryBasis:
                                       np.arange(n), np.arange(d),
                                       indexing="ij")
                 col = t.start[name] + r * n + j
-                parts.append((b + col * t.orbits.size + o).reshape(-1))
-            parts = np.concatenate(parts)
-            self.span[name] = slice(stop, stop + parts.size)
-            stop += parts.size
-            order.append(parts)
-        self._order = np.concatenate(order)
+                slots[(col * t.orbits.size + o).reshape(-1)] = \
+                    stop + np.arange(col.size)
+                stop += col.size
+            self.span[name] = slice(begin, stop)
         self._rows = [(t.cells.T[:, None, :] * 3 + np.arange(3)[:, None])
                       .reshape(3 * t.size, t.orbits.size)
                       for t in self.types]
 
     def forward(self, X):
         """Coefficients (3C, S) of the fields X (3C, S)."""
-        S = X.shape[1]
-        Z = np.concatenate([
-            (t.U.T @ X[rows].reshape(rows.shape[0], -1)).reshape(-1, S)
-            for t, rows in zip(self.types, self._rows)])
-        return Z[self._order]
+        Z = np.empty(X.shape, dtype=np.result_type(X.dtype, float))
+        for t, rows, slots in zip(self.types, self._rows, self._slots):
+            Z[slots] = (t.U.T @ X[rows].reshape(rows.shape[0], -1)) \
+                .reshape(slots.size, -1)
+        return Z
 
     def backward(self, Z):
         """Fields (3C, S) of the coefficients Z (3C, S)."""
-        flat = np.empty_like(Z)
-        flat[self._order] = Z
         X = np.empty_like(Z)
-        stop = 0
-        for t, rows in zip(self.types, self._rows):
-            n = rows.size
-            X[rows] = (t.U @ flat[stop:stop + n].reshape(rows.shape[0], -1)) \
+        for t, rows, slots in zip(self.types, self._rows, self._slots):
+            X[rows] = (t.U @ Z[slots].reshape(rows.shape[0], -1)) \
                 .reshape(rows.shape + Z.shape[1:])
-            stop += n
         return X
 
     def block(self, Z, name):

@@ -376,15 +376,3 @@ def direction_grid():
                 dirs.append(v / np.sqrt(2.0))
     return np.array(dirs)
 
-
-def refine_direction_grid(directions):
-    """Double a direction set by adding normalized pairwise midpoints."""
-    dirs = [np.asarray(v, dtype=float) for v in directions]
-    extra = []
-    n = len(dirs)
-    for i in range(n):
-        v = dirs[i] + dirs[(i + 1) % n]
-        nv = np.linalg.norm(v)
-        if nv > 1e-9:
-            extra.append(v / nv)
-    return np.array(dirs + extra)

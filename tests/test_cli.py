@@ -378,11 +378,14 @@ STUDY_DOCS = {"foldylax": FOLDYLAX_DOC, "lse": FOLDYLAX_DOC,
     ("foldylax", "ordering=bogus", "unknown key 'ordering'"),
     ("foldylax", "ordering=null", "unknown key 'ordering'"),
     ("foldylax", "ordering=p0-last", "unknown key 'ordering'"),
+    ("converge", "double_directions=true",
+     "unknown key 'double_directions'"),
 ])
 def test_cli_rejects_bad_grid_and_wave(tmp_path, capsys, subcommand,
                                        override, match):
     """Refused before any solve: exit 2 with a ConfigError naming the key.
-    The grid, wave and domain keys, and the removed ordering key."""
+    The grid, wave and domain keys, and the removed ordering and
+    double_directions keys."""
     cfg = write_config(tmp_path, STUDY_DOCS[subcommand])
     with pytest.raises(ConfigError, match=match):
         parse_config(cfg, subcommand, [override])
@@ -407,8 +410,8 @@ def test_validate_config_accepts_good_domain_and_ordering(tmp_path,
 
 
 def test_import_cli_does_not_load_scipy():
-    """Set-up time depends on the CLI import leaving scipy unloaded: only
-    newtonian_operator_norm imports it, on first call."""
+    """Set-up time depends on the CLI import leaving scipy unloaded: no
+    module of the package imports it, only the tests do."""
     script = ("import sys\n"
               "import dielscat.cli\n"
               "assert 'scipy' not in sys.modules, sorted(\n"

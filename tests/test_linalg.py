@@ -138,9 +138,9 @@ def test_gmres_reports_a_spent_budget_like_scipy():
 
 
 def test_studies_run_without_importing_scipy(tmp_path):
-    """scipy serves only newtonian_operator_norm: a fresh interpreter runs
-    the counting and resonance studies and the dense LSE (grid_n=8, C =
-    512 cells) through the CLI without importing it."""
+    """scipy is a test dependency only: a fresh interpreter runs the
+    counting and resonance studies and the dense LSE (grid_n=8, C = 512
+    cells) through the CLI without importing it."""
     config = tmp_path / "resonance.json"
     config.write_text(json.dumps({"eta0": 1e9, "lambda_b": 0.4,
                                   "betas": [1e-3, 1e-2]}))

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from scipy.linalg import eigh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
+import dielscat
 from dielscat import linalg, lse, tensors
 from dielscat.cli import main
 from dielscat.effective import (detuned_xi, plasmonic_frequency,
@@ -19,8 +24,9 @@ from dielscat.lse import (DyadicVolumeOperator, VolumeGrid, discrete_curl,
                           lse_self_scalar, magnetization_apply,
                           magnetization_eigensystem, magnetization_matrix,
                           magnetization_spectrum, newtonian_apply,
-                          newtonian_operator_norm, nnprime_inner_product,
-                          nprime_apply, resonance_amplification_scan,
+                          newtonian_operator, newtonian_operator_norm,
+                          nnprime_inner_product, nprime_apply,
+                          resonance_amplification_scan,
                           select_resonant_eigenvalue, solve_effective_lse,
                           weighted_norm)
 from dielscat.tensors import (direction_grid, dyadic_green,
@@ -132,6 +138,25 @@ def test_newtonian_norm_ball():
     grid = VolumeGrid(unit_ball(), 12)
     norm = newtonian_operator_norm(grid)
     assert norm == pytest.approx(4.0 / np.pi ** 2, rel=0.10)
+
+
+@pytest.mark.parametrize("domain, n", [(unit_ball(), 12), (unit_box(), 16)])
+def test_newtonian_norm_matches_lanczos(domain, n):
+    """The power iteration's top eigenvalue against scipy's Lanczos eigsh
+    on the same FFT apply, with the same volume rescaling on the ball."""
+    grid = VolumeGrid(domain, n)
+    op = LinearOperator((grid.count, grid.count), dtype=float,
+                        matvec=newtonian_operator(grid).apply)
+    want = float(eigsh(op, k=1, which="LA", return_eigenvectors=False)[0])
+    if domain.kind == "ball":
+        want *= (4.0 * np.pi / 3.0 / grid.total_weight()) ** (2.0 / 3.0)
+    assert newtonian_operator_norm(grid) == pytest.approx(want, rel=1e-10)
+
+
+def test_newtonian_norm_names_a_spent_budget(monkeypatch):
+    monkeypatch.setattr(lse, "NEWTONIAN_NORM_MAX_APPLIES", 1)
+    with pytest.raises(RuntimeError, match="in 1 applies"):
+        newtonian_operator_norm(VolumeGrid(unit_ball(), 12))
 
 
 def test_dyadic_volume_operator_against_chunked_sum():
@@ -281,11 +306,67 @@ def test_dense_memory_check_refuses_before_allocating():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_cli_reports_oversized_dense_spectrum(tmp_path):
+def test_cli_reports_oversized_dense_spectrum(tmp_path, capsys):
+    """The full spectrum at ball n=64 is refused by the block
+    eigendecomposition's memory check, at once and by name."""
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"grid_n": 64, "mode": "full"}))
+    t0 = time.perf_counter()
     assert main(["spectrum", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - t0 < 2.0
+    assert "block eigendecomposition on C=137376" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain", [unit_ball(), unit_box()])
+def test_full_spectrum_matches_dense_eigvalsh(domain):
+    """mode="full" reads the block eigensystem; the dense oracle is every
+    eigenvalue of the (3C)^2 Magnetization matrix, under the same filter."""
+    grid = VolumeGrid(domain, 12)
+    want = np.linalg.eigvalsh(magnetization_matrix(grid))
+    tol = lse.SPECTRUM_EDGE_TOL
+    want = want[(want > tol) & (want < 1.0 - tol)]
+    report = magnetization_spectrum(grid, mode="full")
+    assert report.raw_count == 3 * grid.count
+    assert report.eigenvalues.size == want.size
+    assert np.max(np.abs(report.eigenvalues - want)) <= 1e-12
+
+
+def test_cli_full_spectrum_at_the_default_grid(tmp_path):
+    """spectrum in full mode at the default grid_n=20 (ball, C = 4,224):
+    every one of the 3C eigenvalues, in seconds."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"mode": "full"}))
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out),
+                 "--format", "json"]) == 0
+    assert time.perf_counter() - t0 < 10.0
+    doc = json.loads((out / "spectrum_results.json").read_text())
+    assert doc["meta"]["raw_count"] == 12672
+    assert doc["meta"]["mode"] == "full"
+
+
+def test_spectra_and_newtonian_norm_run_without_importing_scipy(tmp_path):
+    """A fresh interpreter computes the Newtonian norm and the full
+    spectrum without loading scipy."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"mode": "full", "grid_n": 12}))
+    script = ("import sys\n"
+              "from dielscat import cli, lse\n"
+              "from dielscat.geometry import unit_ball\n"
+              "lse.newtonian_operator_norm(lse.VolumeGrid(unit_ball(), 12))\n"
+              "assert cli.main(['spectrum', '--config', sys.argv[1],\n"
+              "                 '--out', sys.argv[2]]) == 0\n"
+              "assert 'scipy' not in sys.modules, sorted(\n"
+              "    m for m in sys.modules if m.startswith('scipy'))[:5]\n")
+    src = os.path.dirname(os.path.dirname(dielscat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg),
+                           str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _pointwise_volume_matrix(grid, block, self_term):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dielscat import symmetry
 from dielscat.geometry import DomainShape, unit_ball, unit_box
@@ -89,6 +90,33 @@ def test_block_eigensystem_rejects_a_non_invariant_grid():
         SymmetryBasis(grid.ijk)
     with pytest.raises(ValueError, match=r"box grid \(n=4, C=128 cells\)"):
         magnetization_eigensystem(grid)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["ball", "box"]),
+       size=st.floats(1e-3, 1e3),
+       center=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+       n=st.integers(12, 40))
+def test_every_volume_grid_is_cube_invariant(kind, size, center, n):
+    """Every VolumeGrid is mapped onto itself by the 48 signed axis
+    permutations, so the block eigensystem never needs a dense fallback.
+
+    A box grid is a full n^3 cube.  A ball grid keeps the cell of index i
+    iff its centre, at (2 i + 1 - n) r / n from the ball's, lies inside,
+    i.e. iff the integer sum (2 i + 1 - n)^2 over the three axes is below
+    n^2.  For even n each term is odd, so 1 mod 8, and the sum is 3 mod 8,
+    while n^2 is 0 or 4 mod 8; for odd n each term is even and so is the
+    sum, while n^2 is odd.  The sum never equals n^2: every cell is at
+    least 1/n^2 of r^2 away from the sphere, far beyond rounding, and the
+    rule, which the 48 maps keep, decides for any radius and centre.
+    """
+    extents = size if kind == "ball" else [size] * 3
+    grid = VolumeGrid(DomainShape(kind, extents, center), n)
+    ijk = np.stack(np.unravel_index(np.arange(n ** 3), (n, n, n)), axis=1)
+    if kind == "ball":
+        ijk = ijk[np.sum((2 * ijk + 1 - n) ** 2, axis=1) < n * n]
+    assert np.array_equal(grid.ijk, ijk)
+    SymmetryBasis(grid.ijk)
 
 
 @pytest.mark.parametrize("domain, n", [(unit_ball(), 10), (unit_ball(), 11),

@@ -12,7 +12,7 @@ from dielscat.tensors import (LatticeOperator, cis, direction_grid,
                               dyadic_green, dyadic_green_fd,
                               dyadic_kernel_scalars, dyadic_sum_chunked,
                               helmholtz_kernel, kernel_components,
-                              kernel_scalars, refine_direction_grid)
+                              kernel_scalars)
 
 
 def random_points(rng, n):
@@ -119,14 +119,6 @@ def test_direction_grid_structure():
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
     # all distinct
     assert len({tuple(np.round(d, 12)) for d in dirs}) == 26
-
-
-def test_refine_direction_grid_adds_midpoints():
-    dirs = direction_grid()
-    fine = refine_direction_grid(dirs)
-    assert dirs.shape[0] < fine.shape[0] <= 2 * dirs.shape[0]
-    assert np.allclose(np.linalg.norm(fine, axis=1), 1.0)
-    assert np.allclose(fine[:dirs.shape[0]], dirs)
 
 
 KINDS = ("dyadic", "hessian", "projected", "scalar")
