@@ -10,9 +10,9 @@ from .effective import (classify_regime, coercivity_window, coupling_xi,
                         effective_mu, p0_ball, tensor_T)
 from .foldylax import (IncidentWave, assemble_and_solve, cluster_far_field,
                        invertibility_margin)
-from .geometry import (boundary_counting_statistic, derive_scales,
-                       generate_cluster, max_counting_sum, unit_ball,
-                       unit_box)
+from .geometry import (boundary_counting_statistic, counting_lattice,
+                       derive_scales, generate_cluster, max_counting_sum,
+                       unit_ball, unit_box)
 from .lse import (VolumeGrid, effective_far_field, select_resonant_eigenvalue,
                   solve_effective_lse)
 from .tensors import direction_grid
@@ -203,12 +203,18 @@ def run_counting(config):
     kappa_pitches = config.get("pitches", COUNTING_PITCHES)
     rows = []
     slopes = {}
-    clusters = [generate_cluster(unit_box(), d) for d in kappa_pitches]
-    for kappa in (1, 3, 4):
-        sums = [max_counting_sum(cluster, kappa) for cluster in clusters]
-        slopes["kappa_%d" % kappa] = _fit_slope(kappa_pitches, sums)
+    kappas = (1, 3, 4)
+    sums = {kappa: [] for kappa in kappas}
+    # one cluster and its occupancy transform at a time, for every kappa
+    for d in kappa_pitches:
+        cluster = generate_cluster(unit_box(), d)
+        lattice = counting_lattice(cluster)
+        for kappa in kappas:
+            sums[kappa].append(max_counting_sum(cluster, kappa, lattice))
+    for kappa in kappas:
+        slopes["kappa_%d" % kappa] = _fit_slope(kappa_pitches, sums[kappa])
         rows.extend({"quantity": "counting_sum", "kappa": kappa, "d": d,
-                     "value": v} for d, v in zip(kappa_pitches, sums))
+                     "value": v} for d, v in zip(kappa_pitches, sums[kappa]))
     boundary_pitches = config.get("boundary_pitches", BOUNDARY_PITCHES)
     stats = []
     for d in boundary_pitches:

@@ -219,31 +219,48 @@ def counting_sum(cluster, exponent, m):
     return float(np.sum(r ** (-float(exponent))))
 
 
-def max_counting_sum(cluster, exponent):
+def counting_lattice(cluster):
+    """The part of max_counting_sum that does not depend on the exponent.
+
+    Returns the lattice indices ijk (Cluster.lattice_index), the squared
+    offsets r^2 on the (2n)^3 table of lattice offsets (1 at the origin)
+    and the zero-padded rfftn of the site occupancy to that table's shape;
+    None off the lattice.
+    """
+    ijk = cluster.lattice_index()
+    if ijk is None:
+        return None
+    extent = ijk.max(axis=0) + 1
+    sq = [(cluster.d * np.fft.fftfreq(2 * k, 1.0 / (2 * k))) ** 2
+          for k in extent]
+    r2 = sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]
+    r2[0, 0, 0] = 1.0
+    occupancy = np.zeros(tuple(extent))
+    occupancy[tuple(ijk.T)] = 1.0
+    return ijk, r2, np.fft.rfftn(occupancy, s=r2.shape, axes=(0, 1, 2))
+
+
+def max_counting_sum(cluster, exponent, lattice=None):
     """Worst-case counting sum max_m sum_{j != m} |z_j - z_m|^{-exponent}.
 
     On a lattice (Cluster.lattice_index) every site's sum is read from one
     zero-padded rfftn correlation of the site occupancy with |o|^{-exponent}
     on the (2n)^3 table of lattice offsets: O(n^3 log n) for an n^3 bounding
     box.  Off the lattice it is the maximum of counting_sum over the sites.
+    lattice, counting_lattice(cluster), shares the occupancy transform
+    between the exponents of one cluster; by default it is computed here.
     """
-    ijk = cluster.lattice_index()
-    if ijk is None:
+    if lattice is None:
+        lattice = counting_lattice(cluster)
+    if lattice is None:
         return max(counting_sum(cluster, exponent, m)
                    for m in range(cluster.count))
-    extent = ijk.max(axis=0) + 1
-    sq = [(cluster.d * np.fft.fftfreq(2 * k, 1.0 / (2 * k))) ** 2
-          for k in extent]
-    r2 = sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]
-    r2[0, 0, 0] = 1.0
+    ijk, r2, occupancy = lattice
     table = r2 ** (-0.5 * float(exponent))
     table[0, 0, 0] = 0.0
-    occupancy = np.zeros(tuple(extent))
-    occupancy[tuple(ijk.T)] = 1.0
-    # the table is even, so the correlation is a convolution; rfftn pads
-    # the occupancy with zeros to the table's shape
-    sums = np.fft.irfftn(np.fft.rfftn(occupancy, s=table.shape, axes=(0, 1, 2))
-                         * np.fft.rfftn(table), s=table.shape, axes=(0, 1, 2))
+    # the table is even, so the correlation is a convolution
+    sums = np.fft.irfftn(occupancy * np.fft.rfftn(table), s=table.shape,
+                         axes=(0, 1, 2))
     return float(np.max(sums[tuple(ijk.T)]))
 
 

@@ -509,7 +509,9 @@ def magnetization_eigensystem(grid):
     Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172).  The
     decomposition is exact: the union of the block spectra, each eigenvalue
     repeated d times, is the spectrum of M; no 3C x 3C matrix, projector or
-    basis is formed.
+    basis is formed: the basis is built orbit type by orbit type from
+    projector matrices of order 3s on one orbit of s cells (at most
+    3 (3s)^2 doubles at a time, freed before the rows are gathered).
 
     A grid whose cells are not mapped onto themselves by all 48 raises
     ValueError naming the grid.  The last grid's result is kept, so a
@@ -577,17 +579,21 @@ def select_resonant_eigenvalue(grid):
     order = np.argsort(np.concatenate(vals), kind="stable")
     vals = np.concatenate(vals)[order]
     weight = np.concatenate(weight)[order]
-    mask = vals > 1.0 / 3.0 + RESONANT_MIN_ABOVE
-    best = None
-    for lam in np.unique(np.round(vals[mask] / DEGENERACY_TOL)):
-        lam_val = lam * DEGENERACY_TOL
-        members = np.abs(vals - lam_val) < DEGENERACY_TOL
-        w = float(weight[members].sum())
-        if best is None or w > best[1]:
-            best = (float(vals[members][0]), w, int(members.sum()))
-    if best is None:
+    keys = np.round(vals[vals > 1.0 / 3.0 + RESONANT_MIN_ABOVE]
+                    / DEGENERACY_TOL)
+    if keys.size == 0:
         raise RuntimeError("no discrete eigenvalue above 1/3 found")
-    return best
+    # one multiplet per distinct key k: the eigenvalues within
+    # DEGENERACY_TOL of k DEGENERACY_TOL, a run [lo, hi) of the sorted
+    # values; the keys are sorted too, so each distinct one starts a run
+    centre = keys[np.insert(keys[1:] != keys[:-1], 0, True)] * DEGENERACY_TOL
+    lo = np.searchsorted(vals, centre - DEGENERACY_TOL, "right")
+    hi = np.searchsorted(vals, centre + DEGENERACY_TOL, "left")
+    # the sum over each run, with a zero past the end for hi = vals.size
+    w = np.add.reduceat(np.append(weight, 0.0),
+                        np.stack([lo, hi], axis=1).reshape(-1))[::2]
+    best = int(np.argmax(w))
+    return float(vals[lo[best]]), float(w[best]), int(hi[best] - lo[best])
 
 
 def weighted_norm(field, grid):

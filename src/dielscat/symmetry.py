@@ -58,6 +58,17 @@ def _codes(points):
     return (p[..., 0] << 42) | (p[..., 1] << 21) | p[..., 2]
 
 
+def _first_indices(codes):
+    """Index of the first occurrence of each distinct code, by ascending
+    code: the indices np.unique(codes, return_index=True) returns, from one
+    stable argsort (np.unique would load numpy.ma)."""
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return order[first]
+
+
 def _lookup(keys, queries):
     """Index into keys of each query; -1 where a query is not a key."""
     order = np.argsort(keys)
@@ -95,55 +106,60 @@ class _OrbitType:
     basis of the fields on one orbit, grouped by irrep, then partner row r,
     then copy j; counts[name] is the number of copies of that irrep and
     start[name] the column where its group begins.
+
+    The basis comes from the projectors P_1j = (d/48) sum_g D(g)_1j P_g,
+    each built as one (3s, 3s) matrix: P_g is a signed permutation of the
+    3s field components, so the sum is a bincount of the 48 s 3 signed
+    weights on the entries they land on, and at most d (3s)^2 doubles are
+    held per irrep (orbits of 48 cells: 0.5 MB).
     """
 
     def __init__(self, x, orbits, images):
         G = cube_group()
         pts = G @ x
-        _, first = np.unique(_codes(pts), return_index=True)
-        first = np.sort(first)
+        first = np.sort(_first_indices(_codes(pts)))
         size = first.size
         listed = _codes(pts[first])
         self.orbits = orbits
         self.cells = images[orbits][:, first]
         self.size = size
-        # (P_g f)(y) = R_g f(R_g^-1 y): P_g X takes row src[g, q] of X to
-        # position q, with component a read from component perm[g, a] and
-        # signed by sign[g, a], where R_g[a, perm[g, a]] = sign[g, a]
-        self._src = _lookup(listed, _codes(np.einsum("gji,pj->gpi", G,
-                                                     pts[first])))
-        self._perm = np.argmax(np.abs(G), axis=2)
-        self._sign = G.sum(axis=2)
-        # the three unit fields at the representative, position 0
-        units = np.zeros((3 * size, 3))
-        units[:3] = np.eye(3)
+        # (P_g f)(y) = R_g f(R_g^-1 y): P_g takes component perm[g, a] at
+        # position src[g, q] to component a at position q, signed by
+        # sign[g, a], where R_g[a, perm[g, a]] = sign[g, a]; flat[g, q, a]
+        # is the index of that entry in a (3s, 3s) matrix
+        src = _lookup(listed, _codes(np.einsum("gji,pj->gpi", G, pts[first])))
+        perm = np.argmax(np.abs(G), axis=2)
+        sign = G.sum(axis=2)
+        n = 3 * size
+        flat = (np.arange(n).reshape(size, 3) * n + 3 * src[:, :, None]
+                + perm[:, None, :])
+        # the same entries in each of three stacked matrices; the first d
+        # thirds index d of them
+        stacked = (np.arange(3)[:, None, None, None] * n * n
+                   + flat).reshape(-1)
+        signs = np.broadcast_to(sign[:, None, :], flat.shape)
         columns = []
         self.counts, self.start = {}, {}
         for name, D in irreps().items():
             self.start[name] = sum(c.shape[1] for c in columns)
             d = D.shape[1]
-            # P_ij = (d/48) sum_g D(g)_ij P_g; the row-1 copies are spanned
-            # by P_1j applied to the three unit fields at the representative
-            gen = self._project(D[:, 0, :].T * (d / 48.0), units)
-            u, s, _ = np.linalg.svd(gen.transpose(1, 0, 2).reshape(
-                3 * size, 3 * d), full_matrices=False)
+            # P[j] = P_1j, one bincount over the d (3s)^2 entries
+            weights = (D[:, 0, :].T * (d / 48.0))[:, :, None, None] * signs
+            P = np.bincount(stacked[:weights.size], weights.reshape(-1),
+                            minlength=d * n * n).reshape(d, n, n)
+            # the row-1 copies are spanned by P_1j applied to the three
+            # unit fields at the representative (position 0): the first
+            # three columns of each P_1j
+            u, s, _ = np.linalg.svd(P[:, :, :3].transpose(1, 0, 2).reshape(
+                n, 3 * d), full_matrices=False)
             row1 = u[:, s > 1e-8]
             self.counts[name] = row1.shape[1]
-            # partner rows by the transfer operators P_r1, isometries on
-            # the row-1 subspace
-            columns += list(self._project(D[:, :, 0].T * (d / 48.0), row1))
+            # partner rows by the transfer operators P_r1 = P_1r^T,
+            # isometries on the row-1 subspace
+            columns += list(P.transpose(0, 2, 1) @ row1)
         self.U = np.hstack(columns)
         assert self.U.shape == (3 * size, 3 * size) and np.allclose(
             self.U.T @ self.U, np.eye(3 * size), atol=1e-12)
-
-    def _project(self, weights, X):
-        """sum_g weights[i, g] P_g X for each row i of weights, as
-        (len(weights), 3s, n) from fields X (3s, n) on the orbit."""
-        X = X.reshape(self.size, 3, -1)
-        moved = X[self._src[:, :, None], self._perm[:, None, :]] \
-            * self._sign[:, None, :, None]
-        return np.tensordot(weights, moved, axes=1).reshape(
-            len(weights), 3 * self.size, -1)
 
 
 class SymmetryBasis:
@@ -169,8 +185,7 @@ class SymmetryBasis:
         self.count = u.shape[0]
         # one representative per orbit: |coordinates| in descending order
         reps = -np.sort(-np.abs(u), axis=1)
-        _, first = np.unique(_codes(reps), return_index=True)
-        reps = reps[first]
+        reps = reps[_first_indices(_codes(reps))]
         images = cell_images(ijk, reps)
         if np.any(images < 0):
             raise ValueError("%s is not invariant under the 48 signed axis "
@@ -182,7 +197,8 @@ class SymmetryBasis:
                 * 2 + (reps[:, 2] == 0))
         self.types = [_OrbitType(reps[orbits[0]], orbits, images)
                       for orbits in (np.flatnonzero(kind == key)
-                                     for key in np.unique(kind))]
+                                     for key in np.flatnonzero(
+                                         np.bincount(kind)))]
         dims = {name: D.shape[1] for name, D in irreps().items()}
         self.orders = {name: sum(t.counts[name] * t.orbits.size
                                  for t in self.types) for name in dims}
@@ -250,7 +266,9 @@ class SymmetryBasis:
         since the sum over r of the product is constant on the orbit o_a of
         a's representative x_a; so the rows at one chunk of representatives
         give the block rows of the basis functions on their orbits, and no
-        full row or basis matrix is formed.
+        full row or basis matrix is formed.  The values q^(r)(x_a) are read
+        off the first three rows of each orbit type's U, the basis that
+        _OrbitType builds from projector matrices.
         """
         step = max(1, REDUCE_CHUNK_BYTES // (9 * 8 * self.count))
         values = {name: self._representative_values(name)

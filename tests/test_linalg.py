@@ -138,9 +138,10 @@ def test_gmres_reports_a_spent_budget_like_scipy():
 
 
 def test_studies_run_without_importing_scipy(tmp_path):
-    """scipy is a test dependency only: a fresh interpreter runs the
-    counting and resonance studies and the dense LSE (grid_n=8, C = 512
-    cells) through the CLI without importing it."""
+    """scipy is a test dependency only, and no study calls np.unique, which
+    loads numpy.ma: a fresh interpreter runs the counting, converge,
+    resonance, lse and spectrum studies through the CLI on small grids
+    (grid_n 6 to 12) with neither module loaded."""
     config = tmp_path / "resonance.json"
     config.write_text(json.dumps({"eta0": 1e9, "lambda_b": 0.4,
                                   "betas": [1e-3, 1e-2]}))
@@ -148,18 +149,31 @@ def test_studies_run_without_importing_scipy(tmp_path):
     lse_config.write_text(json.dumps(
         {"a": 0.05, "h": 0.9, "eta0": 1.0, "c0": 1.0, "sign": "+",
          "c_r": 1.0, "lambda_b": 0.4, "theta": [0, 0, 1], "p": [1, 0, 0]}))
-    empty = tmp_path / "counting.json"
+    converge_config = tmp_path / "converge.json"
+    converge_config.write_text(json.dumps(
+        {"a_list": [0.05, 0.03], "h": 0.9, "eta0": 1.0, "c0": 1.0,
+         "sign": "+", "c_r": 2.0, "lambda_b": 0.4}))
+    empty = tmp_path / "empty.json"
     empty.write_text("{}")
     runs = [["counting", "--config", str(empty), "--out", str(tmp_path)],
+            ["converge", "--config", str(converge_config), "--out",
+             str(tmp_path), "--set", "grid_n=6"],
             ["resonance", "--config", str(config), "--out", str(tmp_path),
              "--set", "grid_n=8"],
             ["lse", "--config", str(lse_config), "--out", str(tmp_path),
-             "--set", "grid_n=8"]]
+             "--set", "grid_n=8"],
+            ["spectrum", "--config", str(empty), "--out", str(tmp_path),
+             "--set", "grid_n=12", "--set", "lmax=4"],
+            ["spectrum", "--config", str(empty), "--out", str(tmp_path),
+             "--set", "grid_n=12", "--set", "mode=full"]]
     script = ("import json, sys\n"
               "from dielscat import cli\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    assert cli.main(argv) == 0, argv\n"
-              "assert 'scipy' not in sys.modules\n")
+              "    loaded = sorted(m for m in sys.modules\n"
+              "                    if m.split('.')[0] == 'scipy'\n"
+              "                    or m.split('.')[:2] == ['numpy', 'ma'])\n"
+              "    assert not loaded, (argv[0], loaded[:5])\n")
     src = os.path.dirname(os.path.dirname(dielscat.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

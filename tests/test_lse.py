@@ -18,7 +18,8 @@ from dielscat.effective import (detuned_xi, plasmonic_frequency,
 from dielscat.foldylax import IncidentWave
 from dielscat.geometry import unit_ball, unit_box
 from dielscat.symmetry import SymmetryBasis
-from dielscat.lse import (DyadicVolumeOperator, VolumeGrid, discrete_curl,
+from dielscat.lse import (DEGENERACY_TOL, RESONANT_MIN_ABOVE,
+                          DyadicVolumeOperator, VolumeGrid, discrete_curl,
                           discrete_divergence, effective_far_field,
                           harmonic_polynomial_coefficients,
                           lse_self_scalar, magnetization_apply,
@@ -433,6 +434,41 @@ def mrrr_resonant_eigenvalue(grid, min_above=5e-3, degeneracy_tol=1e-9):
         if best is None or w > best[1]:
             best = (float(vals[members][0]), w, int(members.sum()))
     return best
+
+
+def looped_resonant_eigenvalue(grid):
+    """The resonant-eigenvalue selection as one pass over every eigenvalue
+    per distinct rounded value above the threshold."""
+    system = magnetization_eigensystem(grid)
+    basis = system.basis
+    const_x = np.zeros((3 * grid.count, 1))
+    const_x[0::3] = 1.0 / np.sqrt(grid.count)
+    overlap = system.vectors["T1u"].T @ basis.block(
+        basis.forward(const_x), "T1u")[:, 0, 0]
+    vals = np.concatenate([np.tile(lam, basis.dims[name])
+                           for name, lam in system.values.items()])
+    weight = np.concatenate([
+        np.tile(overlap ** 2 if name == "T1u" else 0.0 * lam,
+                basis.dims[name]) for name, lam in system.values.items()])
+    order = np.argsort(vals, kind="stable")
+    vals, weight = vals[order], weight[order]
+    best = None
+    for lam in np.unique(np.round(vals[vals > 1.0 / 3.0 + RESONANT_MIN_ABOVE]
+                                  / DEGENERACY_TOL)):
+        members = np.abs(vals - lam * DEGENERACY_TOL) < DEGENERACY_TOL
+        w = float(weight[members].sum())
+        if best is None or w > best[1]:
+            best = (float(vals[members][0]), w, int(members.sum()))
+    return best
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
+def test_multiplets_grouped_in_one_pass_match_the_loop(n):
+    grid = VolumeGrid(unit_ball(), n)
+    lam, weight, degeneracy = select_resonant_eigenvalue(grid)
+    want = looped_resonant_eigenvalue(grid)
+    assert (lam, degeneracy) == (want[0], want[2])
+    assert abs(weight - want[1]) <= 1e-15
 
 
 @pytest.mark.parametrize("domain, n", [(unit_ball(), 10), (unit_box(), 8)])

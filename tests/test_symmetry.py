@@ -144,10 +144,67 @@ def test_symmetry_basis_is_orthonormal_and_complete(domain, n):
                                               rel=1e-13)
 
 
+@settings(max_examples=100)
+@given(codes=st.lists(st.integers(-6, 6) | st.integers(-(1 << 62), 1 << 62),
+                      max_size=40))
+def test_first_indices_match_np_unique(codes):
+    """The first occurrence of each distinct code, by ascending code: the
+    indices of np.unique(return_index=True), ties and negatives included."""
+    codes = np.array(codes, dtype=np.int64)
+    want = np.unique(codes, return_index=True)[1]
+    assert np.array_equal(symmetry._first_indices(codes), want)
+
+
+def gathered_orbit_basis(t, u):
+    """U, counts and start of orbit type t from gathers, the reference for
+    the projector matrices: each sum_g w_g P_g X by 48 gathers of the
+    fields X on one orbit (u: the cells' doubled coordinates)."""
+    G = cube_group()
+    pts = u[t.cells[0]]
+    size = len(pts)
+    src = symmetry._lookup(symmetry._codes(pts), symmetry._codes(
+        np.einsum("gji,pj->gpi", G, pts)))
+    perm, sign = np.argmax(np.abs(G), axis=2), G.sum(axis=2)
+
+    def project(weights, X):
+        X = X.reshape(size, 3, -1)
+        moved = X[src[:, :, None], perm[:, None, :]] \
+            * sign[:, None, :, None]
+        return np.tensordot(weights, moved, axes=1).reshape(
+            len(weights), 3 * size, -1)
+
+    units = np.zeros((3 * size, 3))
+    units[:3] = np.eye(3)
+    columns, counts, start = [], {}, {}
+    for name, D in irreps().items():
+        start[name] = sum(c.shape[1] for c in columns)
+        d = D.shape[1]
+        gen = project(D[:, 0, :].T * (d / 48.0), units)
+        q, s, _ = np.linalg.svd(gen.transpose(1, 0, 2).reshape(
+            3 * size, 3 * d), full_matrices=False)
+        row1 = q[:, s > 1e-8]
+        counts[name] = row1.shape[1]
+        columns += list(project(D[:, :, 0].T * (d / 48.0), row1))
+    return np.hstack(columns), counts, start
+
+
+@pytest.mark.parametrize("domain, n", [(unit_ball(), 10), (unit_ball(), 11),
+                                       (unit_box(), 5), (unit_box(), 7)])
+def test_projector_matrices_give_the_gathered_orbit_bases(domain, n):
+    grid = VolumeGrid(domain, n)
+    basis = SymmetryBasis(grid.ijk)
+    u = symmetry._doubled_coordinates(grid.ijk)
+    for t in basis.types:
+        U, counts, start = gathered_orbit_basis(t, u)
+        assert t.counts == counts and t.start == start
+        assert np.max(np.abs(t.U - U)) <= 1e-14
+
+
 def test_symmetry_basis_builds_in_bounded_memory():
-    """The orbit bases are built by gathers of the fields on one orbit:
-    ball n=10 (C = 552, orbits of up to 48 cells) peaks at 3 MB of traced
-    allocations, where a dense (48, 3s, 3s) orbit action alone is 8 MB."""
+    """Each orbit basis is built from projector matrices, at most d (3s)^2
+    doubles per irrep: ball n=10 (C = 552, orbits of up to 48 cells) peaks
+    at 3 MB of traced allocations, where a dense (48, 3s, 3s) orbit action
+    alone is 8 MB."""
     grid = VolumeGrid(unit_ball(), 10)
     tracemalloc.start()
     try:
