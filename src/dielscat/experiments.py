@@ -6,13 +6,14 @@ import time
 
 import numpy as np
 
+from .config import scales, with_defaults
 from .effective import (classify_regime, coercivity_window, coupling_xi,
                         effective_mu, p0_ball, tensor_T)
 from .foldylax import (IncidentWave, assemble_and_solve, cluster_far_field,
                        invertibility_margin)
 from .geometry import (boundary_counting_statistic, counting_lattice,
-                       derive_scales, generate_cluster, max_counting_sum,
-                       unit_ball, unit_box)
+                       generate_cluster, max_counting_sum, unit_ball,
+                       unit_box)
 from .lse import (VolumeGrid, effective_far_field, select_resonant_eigenvalue,
                   solve_effective_lse)
 from .tensors import direction_grid
@@ -20,12 +21,8 @@ from .tensors import direction_grid
 
 # couplings below this are reported as degenerate instead of compared
 DEGENERATE_XI = 1e-8
-
-# default pitches of run_counting: exactly tiling ones for the interior
-# sums, ones leaving a half-pitch layer for the boundary statistic
-COUNTING_PITCHES = [1.0 / j for j in range(4, 13)]
-BOUNDARY_PITCHES = [1.0 / (j + 0.5) for j in range(6, 15)]
-COUNTING_REFINE = 4
+DEGENERATE_ROW = {"status": "degenerate-zero-field", "sup_error": 0.0,
+                  "rel_error": 0.0}
 
 
 def _fit_slope(xs, ys, tail=None):
@@ -35,6 +32,33 @@ def _fit_slope(xs, ys, tail=None):
     if tail is not None:
         lx, ly = lx[-tail:], ly[-tail:]
     return float(np.polyfit(lx, ly, 1)[0])
+
+
+def polarization_angle_deg(v, p):
+    """Angle in degrees between the complex vector v and the real unit
+    vector p's line: atan2(|v - (p.v) p|, |p.v|), which is exact near 0,
+    where arccos of the cosine loses half the digits."""
+    along = p @ v
+    return float(np.degrees(np.arctan2(np.linalg.norm(v - along * p),
+                                       abs(along))))
+
+
+def _compare(cluster, sc, p0, wave, grid, xi, dirs):
+    """Row fields comparing the cluster's far field with the effective
+    medium's at one particle scale."""
+    sol = assemble_and_solve(cluster, sc, p0, wave)
+    far = cluster_far_field(sol, cluster, sc, dirs)
+    T = tensor_T(xi, p0, sc.sign)
+    H, lse_res = solve_effective_lse(grid, xi, T, sc.k, wave, sc.sign)
+    eff = effective_far_field(H, grid, xi, T, sc.k, sc.sign, dirs)
+    residuals = {"fl_residual": sol.residual, "lse_residual": lse_res}
+    scale = max(eff.sup_norm(), far.sup_norm())
+    if scale < 1e-14:
+        return dict(DEGENERATE_ROW, **residuals)
+    diff = np.linalg.norm(far.values - eff.values, axis=1)
+    return dict(status="ok", sup_error=float(np.max(diff)),
+                l2_error=np.sqrt(np.mean(diff ** 2)),
+                rel_error=float(np.max(diff)) / scale, **residuals)
 
 
 def run_convergence(config):
@@ -47,60 +71,32 @@ def run_convergence(config):
     log).  Wall times are reported separately so the result table itself is
     reproducible byte for byte.
     """
+    config = with_defaults("converge", config)
     a_list = list(config["a_list"])
     if any(a1 <= a2 for a1, a2 in zip(a_list, a_list[1:])):
         raise ValueError("a_list must be strictly decreasing")
     p0 = p0_ball()
     dirs = direction_grid()
-    grid = VolumeGrid(unit_box(), config.get("grid_n", 20))
-    theta = config.get("theta", (0.0, 0.0, 1.0))
-    p = config.get("p", (1.0, 0.0, 0.0))
+    grid = VolumeGrid(unit_box(), config["grid_n"])
     rows = []
     timings = []
     for a in a_list:
         t0 = time.perf_counter()
         row = {"a": a}
         try:
-            scales = derive_scales(a, config["h"], config["eta0"],
-                                   config["c0"], config["sign"],
-                                   config["c_r"], config["lambda_b"])
-            cluster = generate_cluster(unit_box(), scales.d)
-            wave = IncidentWave(scales.k, theta, p)
-            xi = coupling_xi(scales.eta0, scales.k, scales.c0, scales.c_r)
-            margin = invertibility_margin(scales, p0)
-            row.update({"d": scales.d, "count": cluster.count, "k": scales.k,
+            sc = scales(config, a)
+            cluster = generate_cluster(unit_box(), sc.d)
+            wave = IncidentWave(sc.k, config["theta"], config["p"])
+            xi = coupling_xi(sc.eta0, sc.k, sc.c0, sc.c_r)
+            margin = invertibility_margin(sc, p0)
+            row.update({"d": sc.d, "count": cluster.count, "k": sc.k,
                         "xi": xi, "margin": margin})
-            if xi < DEGENERATE_XI:
-                # vanishing coupling: both far fields tend to zero and the
-                # relative comparison is meaningless
-                row.update({"status": "degenerate-zero-field",
-                            "sup_error": 0.0, "rel_error": 0.0})
-                rows.append(row)
-                timings.append({"a": a,
-                                "wall_time": time.perf_counter() - t0})
-                continue
-            sol = assemble_and_solve(cluster, scales, p0, wave)
-            far = cluster_far_field(sol, cluster, scales, dirs)
-            T = tensor_T(xi, p0, scales.sign)
-            H, lse_res = solve_effective_lse(grid, xi, T, scales.k, wave,
-                                             scales.sign)
-            eff = effective_far_field(H, grid, xi, T, scales.k, scales.sign,
-                                      dirs)
-            scale = max(eff.sup_norm(), far.sup_norm())
-            if scale < 1e-14:
-                row.update({"status": "degenerate-zero-field",
-                            "sup_error": 0.0, "rel_error": 0.0,
-                            "fl_residual": sol.residual,
-                            "lse_residual": lse_res})
+            # vanishing coupling: both far fields tend to zero and the
+            # relative comparison is meaningless
+            if xi >= DEGENERATE_XI:
+                row.update(_compare(cluster, sc, p0, wave, grid, xi, dirs))
             else:
-                diff = np.linalg.norm(far.values - eff.values, axis=1)
-                l2 = np.sqrt(np.mean(diff ** 2))
-                row.update({"status": "ok",
-                            "sup_error": float(np.max(diff)),
-                            "l2_error": l2,
-                            "rel_error": float(np.max(diff)) / scale,
-                            "fl_residual": sol.residual,
-                            "lse_residual": lse_res})
+                row.update(DEGENERATE_ROW)
         except (RuntimeError, ValueError) as exc:
             row.update({"status": "failed: %s" % exc})
         rows.append(row)
@@ -114,16 +110,13 @@ def run_convergence(config):
 
 def run_regime_map(config):
     """Permeability sign map over a grid of couplings and both branches."""
-    xi_values = config["xi_values"]
-    k = config.get("k", 0.0)
-    delta = config.get("delta", 1)
-    diam = config.get("diam_omega", 2.0)
-    vol = config.get("vol_omega", 4.0 * np.pi / 3.0)
-    lo, hi, _ = coercivity_window(k, diam, vol, delta)
+    config = with_defaults("effective", config)
+    lo, hi, _ = coercivity_window(config["k"], config["diam_omega"],
+                                  config["vol_omega"], config["delta"])
     p0 = p0_ball()
     rows = []
-    for sign in config.get("signs", ("+", "-")):
-        for xi in xi_values:
+    for sign in config["signs"]:
+        for xi in config["xi_values"]:
             label = classify_regime(xi, sign)
             if label == "degenerate":
                 mu_diag = float("nan")
@@ -146,33 +139,28 @@ def run_resonance(config):
     the peak fields of the report are None.
     """
     from .lse import resonance_amplification_scan
-    grid = VolumeGrid(unit_ball(), config.get("grid_n", 14))
+    config = with_defaults("resonance", config)
+    grid = VolumeGrid(unit_ball(), config["grid_n"])
     lam, coupling_weight, degeneracy = select_resonant_eigenvalue(grid)
     betas = list(config["betas"])
-    theta = np.asarray(config.get("theta", (0.0, 0.0, 1.0)), dtype=float)
-    p = np.asarray(config.get("p", (1.0, 0.0, 0.0)), dtype=float)
+    wave = {key: np.asarray(config[key], dtype=float)
+            for key in ("theta", "p")}
     scales_template = {"eta0": config["eta0"],
                        "lambda_b": config["lambda_b"]}
-    rows, slope = resonance_amplification_scan(
-        grid, lam, betas, {"theta": theta, "p": p}, scales_template)
+    rows, slope = resonance_amplification_scan(grid, lam, betas, wave,
+                                               scales_template)
+    for r in rows:
+        if r["status"] == "ok":
+            r["back_angle_deg"] = polarization_angle_deg(
+                r.pop("back_scatter"), wave["p"])
     # back-scatter polarization angle at the strongest amplification; none
     # when every detuning failed
     peak = max((r for r in rows if r["status"] == "ok"),
                key=lambda r: r["field_norm"], default=None)
-    angles = {}
-    for r in rows:
-        if r["status"] != "ok":
-            continue
-        bs = r.pop("back_scatter")
-        mag = np.linalg.norm(bs)
-        cosang = abs(np.vdot(bs, p.astype(complex))) / mag if mag > 0 else 0.0
-        r["back_angle_deg"] = float(np.degrees(np.arccos(min(1.0, cosang))))
-        angles[r["beta"]] = r["back_angle_deg"]
     # off-resonance reference row at a small, globally non-resonant coupling
-    xi_off = config.get("xi_off", 2.0)
-    beta_off = 4.0 * xi_off / np.pi ** 3 - 1.0 / (3.0 * lam - 1.0)
-    off_rows, _ = resonance_amplification_scan(
-        grid, lam, [beta_off], {"theta": theta, "p": p}, scales_template)
+    beta_off = 4.0 * config["xi_off"] / np.pi ** 3 - 1.0 / (3.0 * lam - 1.0)
+    off_rows, _ = resonance_amplification_scan(grid, lam, [beta_off], wave,
+                                               scales_template)
     for r in off_rows:
         r.pop("back_scatter", None)
         r["off_resonance"] = True
@@ -181,7 +169,7 @@ def run_resonance(config):
               "degeneracy": degeneracy, "slope": slope,
               "peak_beta": None if peak is None else peak["beta"],
               "peak_back_angle_deg":
-                  None if peak is None else angles[peak["beta"]]}
+                  None if peak is None else peak["back_angle_deg"]}
     return rows, report
 
 
@@ -200,7 +188,8 @@ def run_counting(config):
     d ln(1/d) relative correction, which pulls its fitted slope below -2 at
     the default pitches.
     """
-    kappa_pitches = config.get("pitches", COUNTING_PITCHES)
+    config = with_defaults("counting", config)
+    kappa_pitches = config["pitches"]
     rows = []
     slopes = {}
     kappas = (1, 3, 4)
@@ -215,12 +204,12 @@ def run_counting(config):
         slopes["kappa_%d" % kappa] = _fit_slope(kappa_pitches, sums[kappa])
         rows.extend({"quantity": "counting_sum", "kappa": kappa, "d": d,
                      "value": v} for d, v in zip(kappa_pitches, sums[kappa]))
-    boundary_pitches = config.get("boundary_pitches", BOUNDARY_PITCHES)
+    boundary_pitches = config["boundary_pitches"]
     stats = []
     for d in boundary_pitches:
         cluster = generate_cluster(unit_box(), d)
         stats.append(boundary_counting_statistic(
-            cluster, refine=config.get("refine", COUNTING_REFINE)))
+            cluster, refine=config["refine"]))
     slopes["boundary"] = _fit_slope(boundary_pitches, stats)
     rows.extend({"quantity": "boundary_statistic", "kappa": 3, "d": d,
                  "value": v} for d, v in zip(boundary_pitches, stats))

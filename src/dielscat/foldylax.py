@@ -97,6 +97,17 @@ class FarFieldSamples:
         return float(np.max(dots) / scale)
 
 
+def source_far_field(directions, k, points, sources, pref, weight=None):
+    """pref xhat x sum_j w e^{-ik xhat.z_j} sources_j at each direction xhat:
+    the far field of the (n, 3) sources at the points z_j, each weighted by
+    the number w if one is given."""
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    phases = cis(-k * (dirs @ points.T))
+    if weight is not None:
+        phases = weight * phases
+    return FarFieldSamples(dirs, pref * np.cross(dirs, phases @ sources))
+
+
 def invertibility_margin(scales, p0):
     """k^2 |eta| a^5 |P0| / (d^3 |1 - k^2 eta a^2 lambda_b|).
 
@@ -253,10 +264,7 @@ def cluster_far_field(solution, cluster, scales, directions):
     """E_inf(xhat) = -(i k^3 eta / 4 pi) sum_m e^{-ik xhat.z_m} xhat x Q_m."""
     if solution.variant != "Q-form":
         raise ValueError("far field expects the Q-form solution")
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     k = scales.k
-    pref = -1j * k ** 3 * scales.eta / (4.0 * np.pi)
-    phases = cis(-k * (dirs @ cluster.centers.T))
-    moments = phases @ solution.vectors
-    values = pref * np.cross(dirs, moments)
-    return FarFieldSamples(dirs, values)
+    return source_far_field(directions, k, cluster.centers,
+                             solution.vectors,
+                             -1j * k ** 3 * scales.eta / (4.0 * np.pi))

@@ -46,16 +46,15 @@ class DomainShape:
 
     def to_dict(self):
         if self.kind == "box":
-            return {"kind": "box", "extents": list(self.extents),
-                    "center": list(self.center)}
+            return {"kind": "box", "extents": self.extents.tolist(),
+                    "center": self.center.tolist()}
         return {"kind": "ball", "radius": self.radius,
-                "center": list(self.center)}
+                "center": self.center.tolist()}
 
     @staticmethod
     def from_dict(doc):
-        if doc["kind"] == "box":
-            return DomainShape("box", doc["extents"], doc.get("center", (0, 0, 0)))
-        return DomainShape("ball", doc["radius"], doc.get("center", (0, 0, 0)))
+        size = doc["extents"] if doc["kind"] == "box" else doc["radius"]
+        return DomainShape(doc["kind"], size, doc.get("center", (0, 0, 0)))
 
 
 def unit_box():

@@ -9,11 +9,12 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .effective import detuned_xi, plasmonic_frequency, tensor_T_ball
-from .foldylax import FarFieldSamples, IncidentWave, incident_magnetic_many
+from .foldylax import (IncidentWave, incident_magnetic_many,
+                       source_far_field)
 from .geometry import parse_sign
 from .linalg import solve_coupled
 from .symmetry import REDUCE_CHUNK_BYTES, SymmetryBasis
-from .tensors import (FOUR_PI, LatticeOperator, cis, direction_grid,
+from .tensors import (FOUR_PI, LatticeOperator, direction_grid,
                       require_memory)
 
 LSE_GMRES_TOL = 1e-8
@@ -301,13 +302,9 @@ def effective_far_field(H, grid, xi, T, k, sign, directions):
     two far fields indeed converge to each other with this choice.
     """
     s = parse_sign(sign)
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     TH = np.asarray(H, dtype=complex) @ np.asarray(T, dtype=complex).T
-    phases = cis(-k * (dirs @ grid.centers.T))
-    moments = grid.weight * phases @ TH
-    pref = -s * 1j * k * xi / FOUR_PI
-    values = pref * np.cross(dirs, moments)
-    return FarFieldSamples(dirs, values)
+    return source_far_field(directions, k, grid.centers, TH,
+                            -s * 1j * k * xi / FOUR_PI, grid.weight)
 
 
 def magnetization_matrix(grid):
@@ -318,22 +315,15 @@ def magnetization_matrix(grid):
 class SpectrumReport:
     """Filtered, sorted discrete Magnetization spectrum."""
 
-    def __init__(self, eigenvalues, resolution, mode, raw_count, tags=None):
+    def __init__(self, eigenvalues, resolution, mode, raw_count):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.resolution = resolution
         self.mode = mode
         self.raw_count = raw_count
-        self.tags = tags
 
     def nearest(self, target):
         return float(self.eigenvalues[
             np.argmin(np.abs(self.eigenvalues - target))])
-
-    def to_dict(self):
-        return {"resolution": self.resolution, "mode": self.mode,
-                "raw_count": self.raw_count,
-                "eigenvalues": self.eigenvalues.tolist(),
-                "tags": self.tags}
 
 
 def _monomial_exponents(degree):
@@ -425,7 +415,6 @@ def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10):
         raw = vals.size
         vals = vals[(vals > SPECTRUM_EDGE_TOL)
                     & (vals < 1.0 - SPECTRUM_EDGE_TOL)]
-        tags = None
     elif mode == "gradient":
         V = harmonic_gradient_basis(grid, lmax)
         op = magnetization_operator(grid)
@@ -439,12 +428,11 @@ def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10):
         W = U[:, keep] / np.sqrt(s[keep])
         vals = np.linalg.eigvalsh(W.T @ A @ W)
         raw = vals.size
-        tags = ["gradient"] * raw
     else:
         raise ValueError("unknown spectrum mode %r" % mode)
     if count is not None:
         vals = vals[:count]
-    return SpectrumReport(np.sort(vals), grid.n, mode, raw, tags)
+    return SpectrumReport(np.sort(vals), grid.n, mode, raw)
 
 
 class MagnetizationEigensystem:

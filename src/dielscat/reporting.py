@@ -112,10 +112,9 @@ def _emit_json(rows, path, meta):
 
 
 def emit_plot_data(series, path):
-    """Write labeled (x, y) series as JSON for external plotting tools."""
-    doc = [{"label": s["label"],
-            "x": [_json_float(v) for v in s["x"]],
-            "y": [_json_float(v) for v in s["y"]]} for s in series]
+    """Write (label, x, y) series as JSON for external plotting tools."""
+    doc = [{"label": label, "x": [_json_float(v) for v in x],
+            "y": [_json_float(v) for v in y]} for label, x, y in series]
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -123,10 +122,6 @@ def emit_plot_data(series, path):
 
 def far_field_rows(samples):
     """Rows of (direction, complex far-field value) from FarFieldSamples."""
-    rows = []
-    for d, v in zip(samples.directions, samples.values):
-        rows.append({"dir_x": float(d[0]), "dir_y": float(d[1]),
-                     "dir_z": float(d[2]),
-                     "E_x": complex(v[0]), "E_y": complex(v[1]),
-                     "E_z": complex(v[2])})
-    return rows
+    return [{"dir_x": float(d[0]), "dir_y": float(d[1]), "dir_z": float(d[2]),
+             "E_x": complex(v[0]), "E_y": complex(v[1]), "E_z": complex(v[2])}
+            for d, v in zip(samples.directions, samples.values)]

@@ -213,23 +213,25 @@ class SymmetryBasis:
         orbit o) is row _slots[t][c o_t + o] of the coefficient array,
         sorted by irrep, basis function and partner row.
         """
-        self._slots = [np.empty(3 * t.size * t.orbits.size, dtype=np.int64)
-                       for t in self.types]
-        self.span, stop = {}, 0
-        for name, d in self.dims.items():
-            begin = stop
-            for t, slots in zip(self.types, self._slots):
-                n = t.counts[name]
-                # coefficient (orbit o, copy j, row r) is U column
-                # start + r n + j applied to orbit o
-                o, j, r = np.meshgrid(np.arange(t.orbits.size),
-                                      np.arange(n), np.arange(d),
-                                      indexing="ij")
-                col = t.start[name] + r * n + j
-                slots[(col * t.orbits.size + o).reshape(-1)] = \
-                    stop + np.arange(col.size)
-                stop += col.size
-            self.span[name] = slice(begin, stop)
+        names = list(self.dims)
+        d = np.array([self.dims[name] for name in names])
+        sizes = d * np.array([self.orders[name] for name in names])
+        begin = np.cumsum(sizes) - sizes
+        self.span = {name: slice(int(b), int(b + s))
+                     for name, b, s in zip(names, begin, sizes)}
+        self._slots = []
+        for t in self.types:
+            n = np.array([t.counts[name] for name in names])
+            first = np.array([t.start[name] for name in names])
+            # coefficient (orbit o, copy j, row r) of irrep g is U column
+            # first[g] + r n[g] + j applied to orbit o; the irrep's rows
+            # of earlier orbit types come before it
+            i = np.arange(3 * t.size * t.orbits.size)
+            col, o = np.divmod(i, t.orbits.size)
+            g = np.repeat(np.arange(len(names)), n * d)[col]
+            r, j = np.divmod(col - first[g], n[g])
+            self._slots.append(begin[g] + o * (n * d)[g] + j * d[g] + r)
+            begin = begin + n * d * t.orbits.size
         self._rows = [(t.cells.T[:, None, :] * 3 + np.arange(3)[:, None])
                       .reshape(3 * t.size, t.orbits.size)
                       for t in self.types]

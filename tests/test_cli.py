@@ -9,6 +9,7 @@ import pytest
 
 import dielscat
 from dielscat.cli import ConfigError, main, parse_config, validate_config
+from dielscat.config import SCHEMA
 from dielscat.reporting import emit, far_field_rows, format_float
 
 
@@ -325,8 +326,9 @@ def test_cli_missing_config_file(tmp_path):
 CONVERGE_DOC = {"a_list": [0.03, 0.02], "h": 0.9, "eta0": 1.0, "c0": 1.0,
                 "sign": "+", "c_r": 2.0, "lambda_b": 0.4}
 STUDY_DOCS = {"foldylax": FOLDYLAX_DOC, "lse": FOLDYLAX_DOC,
+              "effective": {"xi_values": [1.0, 10.0]},
               "converge": CONVERGE_DOC,
-              "resonance": RESONANCE_DOC, "spectrum": {}}
+              "resonance": RESONANCE_DOC, "counting": {}, "spectrum": {}}
 
 
 @pytest.mark.parametrize("subcommand, override, match", [
@@ -427,3 +429,39 @@ def test_import_cli_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# values of a wrong JSON type for the key, for each key; a string is the
+# wrong type only where the key does not take one
+STRING_KEYS = ("sign", "mode")
+
+
+@pytest.mark.parametrize("subcommand, key", [
+    (sub, key) for sub in SCHEMA for key in SCHEMA[sub]])
+@pytest.mark.parametrize("value", ['"x"', '[0.5,"x"]', '{"x":1}'])
+def test_cli_rejects_a_wrongly_typed_value_of_every_key(
+        tmp_path, capsys, subcommand, key, value):
+    """Every key of every subcommand is checked before the run: a value of
+    the wrong type is a ConfigError naming the key, and exit code 2."""
+    if key in STRING_KEYS and value == '"x"':
+        value = "5"
+    override = "%s=%s" % (key, value)
+    cfg = write_config(tmp_path, STUDY_DOCS[subcommand])
+    with pytest.raises(ConfigError, match=r"^(an entry of )?%s\b" % key):
+        parse_config(cfg, subcommand, [override])
+    out = str(tmp_path / "out")
+    assert main([subcommand, "--config", cfg, "--out", out,
+                 "--set", override]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", sorted(SCHEMA))
+def test_validate_config_fills_every_default(subcommand):
+    """The validated config holds every key of the subcommand, the absent
+    ones at their defaults, as plain JSON values."""
+    config = validate_config(dict(STUDY_DOCS[subcommand]), subcommand)
+    assert set(config) == set(SCHEMA[subcommand])
+    for key, (default, _) in SCHEMA[subcommand].items():
+        if key not in STUDY_DOCS[subcommand]:
+            assert config[key] == default
+    assert json.loads(json.dumps(config)) == config

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dielscat.experiments import (_fit_slope, run_convergence, run_counting,
+from dielscat.experiments import (_fit_slope, polarization_angle_deg,
+                                  run_convergence, run_counting,
                                   run_regime_map)
 
 PI3 = np.pi ** 3
@@ -84,3 +85,29 @@ def test_run_counting_slopes():
     assert slopes["kappa_3"] < -3.0  # log-corrected d^-3
     assert slopes["boundary"] < 0.0
     assert all(r["value"] > 0 for r in rows)
+
+
+def test_polarization_angle_of_a_parallel_field_is_zero():
+    """A field along p whose cosine to p, |v* . p| / |v|, rounds to one ulp
+    below 1, where the arccos form gives 8.5e-7 degrees."""
+    p = np.array([1.0, 0.0, 0.0])
+    v = (1.816475940881144 - 0.049800969059643194j) * p
+    cos = abs(np.vdot(v, p.astype(complex))) / np.linalg.norm(v)
+    assert cos == np.nextafter(1.0, 0.0)
+    assert np.degrees(np.arccos(cos)) > 8e-7
+    assert polarization_angle_deg(v, p) == 0.0
+
+
+def test_polarization_angle_matches_arccos_away_from_zero():
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(200):
+        p = rng.normal(size=3)
+        p /= np.linalg.norm(p)
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        cos = abs(np.vdot(v, p.astype(complex))) / np.linalg.norm(v)
+        reference = np.degrees(np.arccos(cos))
+        if reference > 1.0:
+            checked += 1
+            assert abs(polarization_angle_deg(v, p) - reference) <= 1e-12
+    assert checked > 150

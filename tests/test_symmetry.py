@@ -237,3 +237,37 @@ def test_reduce_in_chunks_matches_one_chunk(monkeypatch):
     for name, B in whole.items():
         assert np.array_equal(B, B.T)
         assert np.max(np.abs(chunked[name] - B)) <= 1e-14 * np.max(np.abs(B))
+
+
+def meshgrid_layout(basis):
+    """The slot arrays and spans as built by one meshgrid per (irrep,
+    orbit type), the reference for SymmetryBasis._layout."""
+    slots = [np.empty(3 * t.size * t.orbits.size, dtype=np.int64)
+             for t in basis.types]
+    span, stop = {}, 0
+    for name, d in basis.dims.items():
+        begin = stop
+        for t, s in zip(basis.types, slots):
+            n = t.counts[name]
+            o, j, r = np.meshgrid(np.arange(t.orbits.size), np.arange(n),
+                                  np.arange(d), indexing="ij")
+            col = t.start[name] + r * n + j
+            s[(col * t.orbits.size + o).reshape(-1)] = \
+                stop + np.arange(col.size)
+            stop += col.size
+        span[name] = slice(begin, stop)
+    return slots, span
+
+
+@pytest.mark.parametrize("shape, n", [("ball", 10), ("ball", 11),
+                                      ("box", 7)])
+def test_layout_matches_the_meshgrid_layout(shape, n):
+    domain = unit_ball() if shape == "ball" else unit_box()
+    basis = SymmetryBasis(VolumeGrid(domain, n).ijk)
+    slots, span = meshgrid_layout(basis)
+    assert basis.span == span
+    assert all(type(s.start) is int and type(s.stop) is int
+               for s in basis.span.values())
+    assert len(basis._slots) == len(slots)
+    for new, old in zip(basis._slots, slots):
+        assert new.dtype == old.dtype and np.array_equal(new, old)
