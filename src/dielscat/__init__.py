@@ -8,20 +8,22 @@
 # into the process.
 import numpy.fft  # noqa: F401
 
-from .tensors import dyadic_green, dyadic_green_fd, helmholtz_kernel
 from .geometry import (Cluster, DomainShape, ScaleSet,
-                       boundary_counting_statistic, counting_sum,
-                       derive_scales, generate_cluster, unit_ball, unit_box)
+                       boundary_counting_statistic, derive_scales,
+                       generate_cluster, max_counting_sum, unit_ball,
+                       unit_box)
 from .foldylax import (FarFieldSamples, FoldyLaxSolution, IncidentWave,
                        assemble_and_solve, cluster_far_field,
-                       incident_magnetic, invertibility_margin)
-from .effective import (amplification_f, ball_resonance_k4, classify_regime,
-                        coercivity_window, correction_g, coupling_xi,
-                        detuned_xi, dispersion_xi, effective_mu,
+                       invertibility_margin)
+from .effective import (amplification_f, ball_moment_vectors,
+                        ball_resonance_k4, classify_regime, coercivity_window,
+                        correction_g, coupling_xi, detuned_xi, dispersion_xi,
+                        effective_eps, effective_mu, effective_mu_ball,
                         frequency_function_c, p0_ball, p0_from_moments,
-                        plasmonic_frequency, tensor_T)
+                        plasmonic_frequency, spectral_gap_delta, tensor_T)
 from .lse import (SpectrumReport, VolumeGrid, effective_far_field,
                   magnetization_apply, magnetization_spectrum, newtonian_apply,
+                  newtonian_operator_norm, nnprime_inner_product,
                   nprime_apply, resonance_amplification_scan,
                   solve_effective_lse)
 

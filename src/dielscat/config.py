@@ -8,8 +8,8 @@ import math
 import numpy as np
 
 from .foldylax import IncidentWave
-from .geometry import boundary_grid_counts, derive_scales, unit_ball, \
-    unit_box
+from .geometry import DomainShape, boundary_grid_counts, check_pitch, \
+    derive_scales, unit_ball, unit_box
 
 REQUIRED = "required"
 
@@ -188,6 +188,22 @@ def _wave(config):
     IncidentWave(1.0, config["theta"], config["p"])
 
 
+def _domain_check(check):
+    """A cross check of the domain key; its ValueError names the key."""
+    def run(config):
+        try:
+            check(DomainShape.from_dict(config["domain"]), config)
+        except ValueError as exc:
+            raise ValueError("domain: %s" % exc) from None
+    return run
+
+
+# the cluster of the config's pitch has at least one particle, and the
+# voxel grid has cubic cells
+_cluster_fits = _domain_check(lambda dom, c: check_pitch(dom, scales(c).d))
+_cubic_cells = _domain_check(lambda dom, c: dom.cell_side(c["grid_n"]))
+
+
 def _complement(config):
     for d in config["boundary_pitches"]:
         _, n, c = boundary_grid_counts(unit_box(), d, config["refine"])
@@ -199,9 +215,11 @@ def _complement(config):
 
 
 # checks of several keys, run once every key has passed its own
-_CROSS = {"foldylax": (scales, _wave), "lse": (scales, _wave),
+_CROSS = {"foldylax": (scales, _wave, _cluster_fits),
+          "lse": (scales, _wave, _cubic_cells),
           "converge": (lambda c: [scales(c, a) for a in c["a_list"]], _wave),
-          "resonance": (_wave,), "counting": (_complement,)}
+          "resonance": (_wave,), "counting": (_complement,),
+          "spectrum": (_cubic_cells,)}
 
 
 def with_defaults(subcommand, config):

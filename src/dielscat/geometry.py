@@ -2,8 +2,6 @@
 # relations tying particle size, contrast, dilution and wavenumber together,
 # and the counting-sum diagnostics used by the regression studies.
 
-import json
-
 import numpy as np
 
 from .tensors import require_memory
@@ -31,10 +29,16 @@ class DomainShape:
                 raise ValueError("ball radius must be positive")
             self.extents = None
 
-    def min_extent(self):
-        if self.kind == "box":
-            return float(np.min(self.extents))
-        return 2.0 * self.radius
+    def cell_side(self, n):
+        """Side of the cells of an n^3 voxel grid over the domain's bounding
+        box, which must be cubic (ValueError for a box whose sides differ)."""
+        if self.kind == "ball":
+            return 2.0 * self.radius / n
+        sides = self.extents / n
+        if np.ptp(sides) > 1e-12 * np.max(sides):
+            raise ValueError("box grid needs cubic cells, not extents %s"
+                             % self.extents.tolist())
+        return float(sides[0])
 
     def contains(self, pts):
         """Boolean mask of points inside the domain."""
@@ -88,15 +92,6 @@ class ScaleSet:
         self.d = d
         self.k = k
 
-    def check(self, rtol=1e-12):
-        """Verify the defining scaling identities."""
-        assert abs(self.eta - self.eta0 * self.a ** -2) <= rtol * self.eta
-        assert abs(self.d ** 3 - self.c_r ** 3 * self.a ** (3 - self.h)) \
-            <= rtol * self.d ** 3
-        ksq = (1.0 - self.sign * self.c0 * self.a ** self.h) \
-            / (self.eta0 * self.lambda_b)
-        assert abs(self.k ** 2 - ksq) <= rtol * abs(ksq)
-
     def to_dict(self):
         return {"a": self.a, "h": self.h, "eta0": self.eta0, "c0": self.c0,
                 "sign": "+" if self.sign > 0 else "-", "c_r": self.c_r,
@@ -137,98 +132,74 @@ def derive_scales(a, h, eta0, c0, sign, c_r, lambda_b):
 
 
 class Cluster:
-    """Periodic cluster: cube centers z_m, pitch d, and the domain."""
+    """Periodic cluster: the cubes of pitch d at the distinct integer lattice
+    indices ijk (N, 3), which may be negative, of the lattice anchored at
+    origin, inside the domain.  Cube ijk has its centre at origin +
+    d (ijk + 1/2)."""
 
-    def __init__(self, centers, d, domain):
-        self.centers = np.asarray(centers, dtype=float)
+    def __init__(self, ijk, d, origin, domain):
+        ijk = np.asarray(ijk)
+        if ijk.ndim != 2 or ijk.shape[1] != 3 or not ijk.size \
+                or not np.issubdtype(ijk.dtype, np.integer):
+            raise ValueError("cluster indices must be a nonempty (N, 3) "
+                             "integer array")
+        self.ijk = ijk.astype(np.int64, copy=False)
         self.d = float(d)
+        self.origin = np.asarray(origin, dtype=float)
         self.domain = domain
-        self.count = self.centers.shape[0]
+        self.count = ijk.shape[0]
+        self.centers = self.origin + self.d * (self.ijk + 0.5)
 
-    def lattice_index(self):
-        """Integer indices of the centers on the pitch-d cubic lattice.
 
-        The lattice runs through the centers' minimum corner.  Returns None
-        when a center is off it, two centers share a site, or the lattice's
-        (2n)^3 offset table holds more entries than 8 N^2 (a sparse set,
-        for which the direct pairwise sum is cheaper than an FFT).
-        """
-        rel = (self.centers - self.centers.min(axis=0)) / self.d
-        ijk = np.rint(rel).astype(np.int64)
-        if np.max(np.abs(rel - ijk)) > 1e-9:
-            return None
-        extent = ijk.max(axis=0) + 1
-        if np.prod(2.0 * extent) > 8.0 * self.count ** 2:
-            return None
-        # two centres share a site iff fewer sites than centres are occupied;
-        # the grid has at most 1/8 of the offset table's entries
-        occupied = np.zeros(tuple(extent), dtype=bool)
-        occupied[tuple(ijk.T)] = True
-        if np.count_nonzero(occupied) < self.count:
-            return None
-        return ijk
-
-    def to_json(self):
-        return json.dumps({"domain": self.domain.to_dict(), "d": self.d,
-                           "centers": self.centers.tolist()})
-
-    @staticmethod
-    def from_json(text):
-        doc = json.loads(text)
-        return Cluster(doc["centers"], doc["d"],
-                       DomainShape.from_dict(doc["domain"]))
+def check_pitch(domain, d):
+    """Raise ValueError unless a whole side-d lattice cube fits in the
+    domain: d > 0 and at most the box's shortest side, or for the ball,
+    whose cubes nearest its centre reach sqrt(3) d from it, at most
+    radius / sqrt(3)."""
+    if d <= 0:
+        raise ValueError("pitch d must be positive")
+    if domain.kind == "box":
+        if d > np.min(domain.extents):
+            raise ValueError("pitch d = %.6g exceeds the box's shortest side "
+                             "%.6g" % (d, np.min(domain.extents)))
+    elif np.sqrt(3.0) * d > domain.radius + 1e-12:
+        raise ValueError("no particle cube of pitch d = %.6g fits inside the "
+                         "ball of radius %.6g" % (d, domain.radius))
 
 
 def generate_cluster(domain, d):
-    """Centers of all side-d lattice cubes whose closure lies inside the domain.
+    """All side-d lattice cubes whose closure lies inside the domain.
 
     The lattice is anchored at the box's minimum corner, or at the ball's
     center; partial cubes at the boundary are discarded.
     """
-    if d <= 0:
-        raise ValueError("pitch d must be positive")
-    if d > domain.min_extent():
-        raise ValueError("pitch d exceeds the domain extent")
+    check_pitch(domain, d)
     if domain.kind == "box":
         counts = np.floor(domain.extents / d + 1e-12).astype(int)
-        corner = domain.center - domain.extents / 2.0
-        axes = [corner[i] + d * (np.arange(counts[i]) + 0.5) for i in range(3)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        centers = np.stack([g.ravel() for g in grid], axis=1)
-    else:
-        half = int(np.ceil(domain.radius / d)) + 1
-        idx = np.arange(-half, half + 1)
-        grid = np.meshgrid(idx, idx, idx, indexing="ij")
-        centers = domain.center + d * (np.stack(
-            [g.ravel() for g in grid], axis=1) + 0.5)
-        # keep a cube iff its farthest vertex is still inside the ball
-        rel = centers - domain.center
-        vertex_r = np.linalg.norm(np.abs(rel) + d / 2.0, axis=1)
-        centers = centers[vertex_r <= domain.radius + 1e-12]
-    if centers.shape[0] == 0:
-        raise ValueError("no particle cube fits inside the domain")
-    return Cluster(centers, d, domain)
-
-
-def counting_sum(cluster, exponent, m):
-    """sum_{j != m} |z_j - z_m|^{-exponent}."""
-    diffs = cluster.centers - cluster.centers[m]
-    r = np.linalg.norm(diffs, axis=1)
-    r = r[r > 0]
-    return float(np.sum(r ** (-float(exponent))))
+        origin = domain.center - domain.extents / 2.0
+        ijk = np.stack(np.unravel_index(np.arange(np.prod(counts)),
+                                        tuple(counts)), axis=1)
+        return Cluster(ijk, d, origin, domain)
+    half = int(np.ceil(domain.radius / d)) + 1
+    ijk = np.stack(np.unravel_index(np.arange((2 * half + 1) ** 3),
+                                    (2 * half + 1,) * 3), axis=1) - half
+    # keep a cube iff its farthest vertex is still inside the ball, measured
+    # from the centre as the cluster computes it, rounding included
+    rel = domain.center + d * (ijk + 0.5) - domain.center
+    vertex_r = np.linalg.norm(np.abs(rel) + d / 2.0, axis=1)
+    return Cluster(ijk[vertex_r <= domain.radius + 1e-12], d, domain.center,
+                   domain)
 
 
 def counting_lattice(cluster):
     """The part of max_counting_sum that does not depend on the exponent.
 
-    Returns the lattice indices ijk (Cluster.lattice_index), the squared
-    offsets r^2 on the (2n)^3 table of lattice offsets (1 at the origin)
-    and the zero-padded rfftn of the site occupancy to that table's shape;
-    None off the lattice.
+    Returns the cluster's lattice indices shifted to start at 0, the
+    squared offsets r^2 on the (2n)^3 table of lattice offsets (1 at the
+    origin) and the zero-padded rfftn of the site occupancy to that
+    table's shape.
     """
-    ijk = cluster.lattice_index()
-    if ijk is None:
-        return None
+    ijk = cluster.ijk - cluster.ijk.min(axis=0)
     extent = ijk.max(axis=0) + 1
     sq = [(cluster.d * np.fft.fftfreq(2 * k, 1.0 / (2 * k))) ** 2
           for k in extent]
@@ -242,18 +213,14 @@ def counting_lattice(cluster):
 def max_counting_sum(cluster, exponent, lattice=None):
     """Worst-case counting sum max_m sum_{j != m} |z_j - z_m|^{-exponent}.
 
-    On a lattice (Cluster.lattice_index) every site's sum is read from one
-    zero-padded rfftn correlation of the site occupancy with |o|^{-exponent}
-    on the (2n)^3 table of lattice offsets: O(n^3 log n) for an n^3 bounding
-    box.  Off the lattice it is the maximum of counting_sum over the sites.
-    lattice, counting_lattice(cluster), shares the occupancy transform
-    between the exponents of one cluster; by default it is computed here.
+    Every site's sum is read from one zero-padded rfftn correlation of the
+    site occupancy with |o|^{-exponent} on the (2n)^3 table of lattice
+    offsets: O(n^3 log n) for an n^3 bounding box.  lattice,
+    counting_lattice(cluster), shares the occupancy transform between the
+    exponents of one cluster; by default it is computed here.
     """
     if lattice is None:
         lattice = counting_lattice(cluster)
-    if lattice is None:
-        return max(counting_sum(cluster, exponent, m)
-                   for m in range(cluster.count))
     ijk, r2, occupancy = lattice
     table = r2 ** (-0.5 * float(exponent))
     table[0, 0, 0] = 0.0
@@ -312,44 +279,41 @@ def boundary_counting_statistic(cluster, refine=4):
     so the statistic scales as d^-2, with a d ln(1/d) relative correction
     from the faces being finite.
 
-    The centres must sit on that pitch-d lattice, inside the covered cubes
-    (ValueError otherwise).  With n in-domain and c covered fine points per
-    axis, the complement is the disjoint union of three boxes of fine
-    points, [c_x, n_x) x [0, n_y) x [0, n_z), [0, c_x) x [c_y, n_y) x
-    [0, n_z) and [0, c_x) x [0, c_y) x [c_z, n_z), each thin along its own
-    axis.  Every centre sits at the same fractional offset of the fine
-    lattice, so an offset from a centre to a fine point is m + delta fine
-    steps along each axis, with m an integer and delta = 1/2 for even
-    refine, 0 for odd.  The r^-3 kernel is even on every axis, so it is
-    tabulated once per call on the octant of absolute offsets, m in [0, n)
-    per axis, as one summed-volume table shared by the three boxes (the
-    summed-area table of Crow, SIGGRAPH 1984, in three dimensions).  Its
-    singular entry at zero offset (odd refine) is never inside a range: a
-    thin-axis offset is at least (refine + 1)/2.  Per box, the thin-axis
-    offsets are all positive and each in-plane range folds at zero into two
-    octant ranges, so a particle's sum is four sub-boxes of eight-corner
-    differences of the table.  The integral depends only on the particle's
-    lattice site, so the differences are taken one axis at a time over the
-    whole lattice and read off at the centres.  The midpoint sum is kept to
-    round-off, at O(n_f^3 + 96 N) cost for n_f fine points per axis and N
-    sites: one table, and at most 3 boxes x 4 sub-boxes x 8 corners of
+    The cluster's lattice origin must be the box's minimum corner and its
+    indices must lie inside the covered cubes (ValueError otherwise).  With
+    n in-domain and c covered fine points per axis, the complement is the
+    disjoint union of three boxes of fine points, [c_x, n_x) x [0, n_y) x
+    [0, n_z), [0, c_x) x [c_y, n_y) x [0, n_z) and [0, c_x) x [0, c_y) x
+    [c_z, n_z), each thin along its own axis.  Every centre sits at the same
+    fractional offset of the fine lattice, so an offset from a centre to a
+    fine point is m + delta fine steps along each axis, with m an integer
+    and delta = 1/2 for even refine, 0 for odd.  The r^-3 kernel is even on
+    every axis, so it is tabulated once per call on the octant of absolute
+    offsets, m in [0, n) per axis, as one summed-volume table shared by the
+    three boxes (the summed-area table of Crow, SIGGRAPH 1984, in three
+    dimensions).  Its singular entry at zero offset (odd refine) is never
+    inside a range: a thin-axis offset is at least (refine + 1)/2.  Per box,
+    the thin-axis offsets are all positive and each in-plane range folds at
+    zero into two octant ranges, so a particle's sum is four sub-boxes of
+    eight-corner differences of the table.  The integral depends only on the
+    particle's lattice site, so the differences are taken one axis at a time
+    over the whole lattice and read off at the centres.  The midpoint sum is
+    kept to round-off, at O(n_f^3 + 96 N) cost for n_f fine points per axis
+    and N sites: one table, and at most 3 boxes x 4 sub-boxes x 8 corners of
     lookups per site.  The table, and the differences along its first axis,
     must fit in physical memory (ValueError otherwise, before either is
     allocated).
     """
-    if cluster.count == 0:
-        raise ValueError("empty cluster")
     domain = cluster.domain
     if domain.kind != "box":
         raise ValueError("boundary statistic is defined for box domains")
     d = cluster.d
     lattice, n, c = boundary_grid_counts(domain, d, refine)
     corner = domain.center - domain.extents / 2.0
-    rel = (cluster.centers - corner) / d - 0.5
-    ijk = np.rint(rel).astype(np.int64)
-    if np.max(np.abs(rel - ijk)) > 1e-9:
+    if np.max(np.abs(cluster.origin - corner)) > 1e-9 * d:
         raise ValueError("boundary statistic needs the centres on the pitch-d "
                          "lattice anchored at the box's minimum corner")
+    ijk = cluster.ijk
     if np.any(ijk < 0) or np.any(ijk >= lattice):
         raise ValueError("boundary statistic needs every centre inside the "
                          "lattice of whole cubes in the box")

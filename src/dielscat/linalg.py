@@ -138,13 +138,13 @@ def solve_coupled(kernel, c, P, b, *, guaranteed, rtol, restart, maxiter,
     """Solve x - c K(x P^T) = b for an (n, 3) field x.
 
     K is a 3x3 kernel operator on n sites that carries its own self term,
-    with apply(F) and dense() (tensors.LatticeOperator, or
-    foldylax.DirectSumOperator off a lattice); P is a 3x3 tensor acting on
-    each site.  This is the coupled-dipole system of the discrete-dipole
-    approximation (Purcell & Pennypacker, ApJ 186 (1973) 705; Draine &
-    Flatau, JOSA A 11 (1994) 1491): the point-interaction system with K =
-    Y_k between distinct particles and P = P0, and the effective-medium LSE
-    with K its voxel kernel plus self scalar and P = T.
+    with apply(F) and dense() (tensors.LatticeOperator); P is a 3x3 tensor
+    acting on each site.  This is the coupled-dipole system of the
+    discrete-dipole approximation (Purcell & Pennypacker, ApJ 186 (1973)
+    705; Draine & Flatau, JOSA A 11 (1994) 1491): the point-interaction
+    system with K = Y_k between distinct particles and P = P0, and the
+    effective-medium LSE with K its voxel kernel plus self scalar and
+    P = T.
 
     When n <= DENSE_LIMIT and the caller has no guarantee that GMRES
     converges within its budget, the dense matrix is solved by

@@ -56,17 +56,12 @@ class VolumeGrid:
             raise ValueError("grid resolution must be at least 2")
         self.domain = domain
         self.n = int(n)
+        side = domain.cell_side(n)
         if domain.kind == "box":
-            sides = domain.extents / n
-            if np.ptp(sides) > 1e-12 * np.max(sides):
-                raise ValueError("box grid needs cubic cells")
-            side = float(sides[0])
             corner = domain.center - domain.extents / 2.0
         else:
-            side = 2.0 * domain.radius / n
             corner = domain.center - domain.radius
         axes = [corner[i] + side * (np.arange(n) + 0.5) for i in range(3)]
-        idx_shape = (n, n, n)
         grid = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grid], axis=1)
         if domain.kind == "ball":
@@ -79,29 +74,11 @@ class VolumeGrid:
         self.weight = side ** 3
         self.count = self.centers.shape[0]
         self.r_eq = (3.0 * self.weight / FOUR_PI) ** (1.0 / 3.0)
-        # lattice index of each kept cell, for finite-difference stencils
-        self.index = -np.ones(idx_shape, dtype=np.int64)
-        flat = np.flatnonzero(keep)
-        self.index.reshape(-1)[flat] = np.arange(self.count)
-        self.ijk = np.stack(np.unravel_index(flat, idx_shape), axis=1)
+        self.ijk = np.stack(np.unravel_index(np.flatnonzero(keep), (n, n, n)),
+                            axis=1)
 
     def total_weight(self):
         return self.count * self.weight
-
-    def interior_mask(self, depth=1):
-        """Cells whose full depth-neighborhood stencil exists on the grid."""
-        return np.all([self.neighbor_index(axis, step) >= 0
-                       for axis in range(3)
-                       for step in range(-depth, depth + 1) if step], axis=0)
-
-    def neighbor_index(self, axis, step):
-        """Index of the cell step cells along axis (signed), -1 if absent."""
-        shifted = self.ijk.copy()
-        shifted[:, axis] += step
-        ok = (shifted[:, axis] >= 0) & (shifted[:, axis] < self.n)
-        nbr = np.full(self.count, -1, dtype=np.int64)
-        nbr[ok] = self.index[tuple(shifted[ok].T)]
-        return nbr
 
 
 def newtonian_operator(grid, k=0.0):
@@ -149,42 +126,6 @@ def nprime_apply(field, grid):
     op = LatticeOperator(grid.ijk, grid.side, "projected", 0.0, grid.weight,
                          grid.r_eq ** 2 / 6.0)
     return op.apply(np.asarray(field, dtype=complex))
-
-
-def discrete_curl(field, grid):
-    """Centered-difference curl; second return is the valid-cell mask."""
-    F = np.asarray(field, dtype=complex)
-    out = np.zeros_like(F)
-    valid = np.ones(grid.count, dtype=bool)
-    h = grid.side
-    dF = []
-    for axis in range(3):
-        plus = grid.neighbor_index(axis, +1)
-        minus = grid.neighbor_index(axis, -1)
-        ok = (plus >= 0) & (minus >= 0)
-        valid &= ok
-        der = np.zeros_like(F)
-        der[ok] = (F[plus[ok]] - F[minus[ok]]) / (2.0 * h)
-        dF.append(der)
-    out[:, 0] = dF[1][:, 2] - dF[2][:, 1]
-    out[:, 1] = dF[2][:, 0] - dF[0][:, 2]
-    out[:, 2] = dF[0][:, 1] - dF[1][:, 0]
-    return out, valid
-
-
-def discrete_divergence(field, grid):
-    """Centered-difference divergence; second return is the valid mask."""
-    F = np.asarray(field, dtype=complex)
-    out = np.zeros(grid.count, dtype=complex)
-    valid = np.ones(grid.count, dtype=bool)
-    h = grid.side
-    for axis in range(3):
-        plus = grid.neighbor_index(axis, +1)
-        minus = grid.neighbor_index(axis, -1)
-        ok = (plus >= 0) & (minus >= 0)
-        valid &= ok
-        out[ok] += (F[plus[ok], axis] - F[minus[ok], axis]) / (2.0 * h)
-    return out, valid
 
 
 def newtonian_operator_norm(grid):

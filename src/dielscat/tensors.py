@@ -1,10 +1,11 @@
 # The Helmholtz kernel family: the scalar kernel Phi_k(x,z) =
 # e^{ik|x-z|}/(4pi|x-z|) and the dyadic kernel Y_k(x,z) = grad grad Phi_k +
-# k^2 Phi_k I, with the direct pairwise sum and the FFT lattice operator
-# that every solver applies them through.
+# k^2 Phi_k I, with the FFT lattice operator that every solver applies them
+# through.
 
 import functools
 import itertools
+import math
 import os
 
 import numpy as np
@@ -31,63 +32,6 @@ def cis(x):
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out
-
-
-def helmholtz_kernel(x, z, k):
-    """Scalar outgoing Helmholtz kernel e^{ikr}/(4 pi r) with r = |x-z|."""
-    r = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(z, dtype=float))
-    if r < COINCIDENT_TOL:
-        raise ValueError("helmholtz_kernel: coincident evaluation points")
-    return np.exp(1j * k * r) / (FOUR_PI * r)
-
-
-def dyadic_green(x, z, k):
-    """Dyadic kernel Y_k(x,z) = grad grad Phi_k + k^2 Phi_k I.
-
-    Closed form in r = |x-z| and rhat = (x-z)/r:
-        Y_k = (Phi'' - Phi'/r) rhat rhat + (Phi'/r + k^2 Phi) I
-    with Phi' = Phi (ik - 1/r) and Phi'' = Phi ((ik - 1/r)^2 + 1/r^2).
-    """
-    dx = np.asarray(x, dtype=float) - np.asarray(z, dtype=float)
-    r = np.linalg.norm(dx)
-    if r < COINCIDENT_TOL:
-        raise ValueError("dyadic_green: coincident evaluation points")
-    phi = np.exp(1j * k * r) / (FOUR_PI * r)
-    s = 1j * k - 1.0 / r
-    dphi = phi * s
-    ddphi = phi * (s * s + 1.0 / r ** 2)
-    rhat = dx / r
-    radial = ddphi - dphi / r
-    iso = dphi / r + k * k * phi
-    return radial * np.outer(rhat, rhat) + iso * np.eye(3)
-
-
-def dyadic_green_fd(x, z, k, step=1e-4):
-    """Finite-difference oracle for grad grad Phi_k + k^2 Phi_k I.
-
-    Second-order central differences of the scalar kernel; kept as a
-    permanent test fixture for the closed form above.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((3, 3), dtype=complex)
-    phi0 = helmholtz_kernel(x, z, k)
-    for a in range(3):
-        for b in range(3):
-            ea = np.zeros(3)
-            eb = np.zeros(3)
-            ea[a] = step
-            eb[b] = step
-            if a == b:
-                pp = helmholtz_kernel(x + ea, z, k)
-                mm = helmholtz_kernel(x - ea, z, k)
-                out[a, b] = (pp - 2.0 * phi0 + mm) / step ** 2
-            else:
-                pp = helmholtz_kernel(x + ea + eb, z, k)
-                pm = helmholtz_kernel(x + ea - eb, z, k)
-                mp = helmholtz_kernel(x - ea + eb, z, k)
-                mm = helmholtz_kernel(x - ea - eb, z, k)
-                out[a, b] = (pp - pm - mp + mm) / (4.0 * step ** 2)
-    return out + k * k * phi0 * np.eye(3)
 
 
 def kernel_scalars(d, k, kind="dyadic"):
@@ -143,10 +87,9 @@ def dyadic_kernel_scalars(targets, sources, k):
 def dyadic_sum_chunked(targets, sources, k, fields, chunk=512):
     """Y = sum_j Y_k(x_i, z_j) . F_j with on-the-fly kernel evaluation.
 
-    The direct sum, for point sets that are not on a lattice and as the
-    oracle of LatticeOperator.  Memory stays O(chunk * n_sources);
-    coincident pairs (self terms) are skipped.  fields has shape
-    (n_sources, 3).
+    The direct sum between any two point sets.  Memory stays O(chunk *
+    n_sources); coincident pairs (self terms) are skipped.  fields has
+    shape (n_sources, 3).
     """
     tx = np.asarray(targets, dtype=float)
     sx = np.asarray(sources, dtype=float)
@@ -242,6 +185,11 @@ class LatticeOperator:
     keeps the first n entries of each axis just after transforming it, so
     it skips the unread lines.  That is 14 n^3 instead of 24 n^3 of line
     work each way, and the padded input grid is never allocated.
+
+    The spectrum and the work arrays of an apply to a (C, 3) field must fit
+    in physical memory: ValueError, naming the extent and the byte count,
+    is raised on construction, before any of them is allocated.  So is a
+    ValueError for two cells at one lattice site.
     """
 
     def __init__(self, ijk, pitch, kind, k=0.0, weight=1.0, self_term=0.0):
@@ -256,6 +204,19 @@ class LatticeOperator:
         self.self_term = self_term
         self.m = 1 if kind == "scalar" else 3
         self.dtype = np.result_type(complex if k else float, self_term)
+        # complex values per (2n)^3 table entry held while an apply to a
+        # (C, 3) field runs, the spectrum's 6 or 1 included: traced at up to
+        # 15.5 (3x3 kinds) and 7.9 (scalar) on box and ball grids of n = 6
+        # to 20
+        per_entry = 9 if self.m == 1 else 17
+        entries = math.prod(2 * int(n) for n in self.extent)
+        require_memory(16 * entries * per_entry,
+                       "lattice operator on a %d x %d x %d extent"
+                       % tuple(self.extent))
+        occupied = np.zeros(tuple(self.extent), dtype=bool)
+        occupied[tuple(self.ijk.T)] = True
+        if np.count_nonzero(occupied) < self.count:
+            raise ValueError("two cells of the lattice operator share a site")
 
     def _kernel_table(self, dtype=None):
         """Kernel components at every offset, in FFT order along each axis,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dielscat
+from dielscat import tensors
 from dielscat.cli import ConfigError, main, parse_config, validate_config
 from dielscat.config import SCHEMA
 from dielscat.reporting import emit, far_field_rows, format_float
@@ -400,7 +401,7 @@ def test_cli_rejects_bad_grid_and_wave(tmp_path, capsys, subcommand,
 @pytest.mark.parametrize("subcommand, override", [
     ("spectrum", 'domain={"kind":"ball","radius":0.9}'),
     ("spectrum", 'domain={"kind":"ball","radius":1,"center":[0,0.5,0]}'),
-    ("lse", 'domain={"kind":"box","extents":[1,0.5,1]}'),
+    ("lse", 'domain={"kind":"box","extents":[0.5,0.5,0.5]}'),
     ("foldylax", 'domain={"kind":"box","extents":[1,1,1],'
                  '"center":[0.5,0.5,0.5]}'),
 ])
@@ -409,6 +410,40 @@ def test_validate_config_accepts_good_domain_and_ordering(tmp_path,
                                                           override):
     cfg = write_config(tmp_path, STUDY_DOCS[subcommand])
     parse_config(cfg, subcommand, [override])
+
+
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("lse", ['domain={"kind":"box","extents":[1,1,2]}']),
+    ("lse", ['domain={"kind":"box","extents":[1,0.5,1]}']),
+    ("spectrum", ['domain={"kind":"box","extents":[1,1,2]}']),
+    ("foldylax", ["a=0.5", "c_r=3"]),
+    ("foldylax", ["c_r=3", 'domain={"kind":"ball","radius":0.5}']),
+])
+def test_cli_refuses_a_domain_the_study_cannot_fill(tmp_path, capsys,
+                                                     subcommand, overrides):
+    """A box grid whose cells are not cubic, and a pitch that leaves no
+    whole particle cube in the domain, are config errors: exit 2, with a
+    message that starts with the domain key, before anything is built."""
+    cfg = write_config(tmp_path, STUDY_DOCS[subcommand])
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main([subcommand, "--config", cfg, "--out",
+                 str(tmp_path / "out")] + sets) == 2
+    assert capsys.readouterr().err.startswith("config error: domain: ")
+
+
+def test_cli_lse_refuses_a_lattice_operator_larger_than_memory(
+        tmp_path, capsys, monkeypatch):
+    """The LSE kernel's spectrum and apply arrays are checked against
+    physical memory as the operator is built: with the host one byte short
+    of what the 8^3 grid's (2 x 8)^3 table needs, the run fails at once
+    (exit 1), naming the extent and the byte count."""
+    need = 16 * 16 ** 3 * 17
+    monkeypatch.setattr(tensors, "physical_memory", lambda: need - 1)
+    cfg = write_config(tmp_path, STUDY_DOCS["lse"])
+    assert main(["lse", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--set", "grid_n=8"]) == 1
+    assert "lattice operator on a 8 x 8 x 8 extent needs %d bytes" % need \
+        in capsys.readouterr().err
 
 
 def test_import_cli_does_not_load_scipy():

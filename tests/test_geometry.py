@@ -1,4 +1,3 @@
-import json
 import time
 
 import numpy as np
@@ -7,15 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from dielscat import tensors
 from dielscat.geometry import (Cluster, DomainShape, boundary_counting_statistic,
-                               boundary_grid_counts, counting_sum,
-                               derive_scales, generate_cluster,
-                               max_counting_sum, parse_sign, unit_ball,
-                               unit_box)
+                               boundary_grid_counts, derive_scales,
+                               generate_cluster, max_counting_sum, parse_sign,
+                               unit_ball, unit_box)
+from oracles import check_scales, counting_sum, parent_cluster_centers
 
 
 def test_derive_scales_identities_roundtrip():
     s = derive_scales(0.01, 0.9, 2.0, 1.0, "+", 1.5, 0.4)
-    s.check(rtol=1e-12)
+    check_scales(s, rtol=1e-12)
     assert s.eta == pytest.approx(2.0e4)
 
 
@@ -109,16 +108,47 @@ def test_cluster_min_distance_is_pitch():
     assert np.min(r) == pytest.approx(0.25, rel=1e-12)
 
 
-def test_cluster_json_roundtrip():
-    cl = generate_cluster(unit_box(), 0.5)
-    back = Cluster.from_json(cl.to_json())
-    assert back.count == cl.count
-    assert np.allclose(back.centers, cl.centers)
-    assert back.domain.kind == "box"
+def test_cluster_refuses_non_integer_or_no_indices():
+    with pytest.raises(ValueError, match="integer"):
+        Cluster([[0.5, 0.0, 0.0]], 0.1, (0, 0, 0), unit_box())
+    with pytest.raises(ValueError, match="nonempty"):
+        Cluster(np.zeros((0, 3), dtype=int), 0.1, (0, 0, 0), unit_box())
+
+
+@st.composite
+def domains_and_pitches(draw):
+    """A box of any centre and extents, or a ball of any centre and radius,
+    with a pitch from 1/12 of the extent to beyond it (up to 1728 cubes)."""
+    d = draw(st.floats(0.01, 2.0))
+    center = draw(st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    if draw(st.booleans()):
+        extents = draw(st.tuples(*[st.floats(0.5, 12.0)] * 3))
+        return DomainShape("box", [d * e for e in extents], center), d
+    return DomainShape("ball", d * draw(st.floats(1.0, 7.0)), center), d
+
+
+@settings(max_examples=300)
+@given(domain_and_pitch=domains_and_pitches())
+def test_lattice_cluster_centres_equal_the_float_formula_bit_for_bit(
+        domain_and_pitch):
+    """origin + d (ijk + 1/2) from the integer indices gives the very
+    centres the float construction gave, in the same order, and a domain
+    that formula left empty is refused."""
+    domain, d = domain_and_pitch
+    try:
+        want = parent_cluster_centers(domain, d)
+    except ValueError:
+        with pytest.raises(ValueError):
+            generate_cluster(domain, d)
+        return
+    cluster = generate_cluster(domain, d)
+    assert cluster.centers.tobytes() == want.tobytes()
+    assert cluster.count == len(want)
 
 
 def test_counting_sum_two_centers():
-    cl = Cluster(np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]), 0.5, unit_box())
+    cl = Cluster([[0, 0, 0], [1, 0, 0]], 0.5, (-0.25, -0.25, -0.25),
+                 unit_box())
     assert counting_sum(cl, 3, 0) == pytest.approx(8.0)
 
 
@@ -146,24 +176,9 @@ def test_max_counting_sum_matches_per_site_sums(shape, density, seed, d,
                                                 kappa):
     mask = np.random.default_rng(seed).random(shape) < density
     mask.flat[0] = mask.flat[-1] = True
-    cl = Cluster(d * (np.argwhere(mask) + 0.5), d, unit_box())
+    cl = Cluster(np.argwhere(mask), d, (0.0, 0.0, 0.0), unit_box())
     want = max(counting_sum(cl, kappa, m) for m in range(cl.count))
     assert max_counting_sum(cl, kappa) == pytest.approx(want, rel=1e-12)
-
-
-@pytest.mark.parametrize("kappa", [1, 3, 4])
-def test_max_counting_sum_off_lattice_fallback(kappa):
-    cl = generate_cluster(unit_box(), 0.25)
-    assert cl.lattice_index() is not None
-    on_lattice = max_counting_sum(cl, kappa)
-    jitter = np.random.default_rng(7).uniform(-1e-3, 1e-3, cl.centers.shape)
-    doc = json.loads(cl.to_json())
-    doc["centers"] = (cl.centers + jitter).tolist()
-    off = Cluster.from_json(json.dumps(doc))
-    assert off.lattice_index() is None
-    want = max(counting_sum(off, kappa, m) for m in range(off.count))
-    assert max_counting_sum(off, kappa) == pytest.approx(want, rel=1e-12)
-    assert max_counting_sum(off, kappa) == pytest.approx(on_lattice, rel=0.05)
 
 
 def midpoint_boundary_oracle(cluster, refine):
@@ -251,18 +266,18 @@ def test_boundary_grid_counts_match_the_quadrature_points(extents, center,
 
 def test_boundary_statistic_of_a_subcluster():
     cl = generate_cluster(unit_box(), 1.0 / 4.5)
-    part = Cluster(cl.centers[::3], cl.d, cl.domain)
+    part = Cluster(cl.ijk[::3], cl.d, cl.origin, cl.domain)
     assert boundary_counting_statistic(part, refine=4) == pytest.approx(
         midpoint_boundary_oracle(part, 4), rel=1e-12)
 
 
 def test_boundary_statistic_rejects_centres_off_the_corner_lattice():
     cl = generate_cluster(unit_box(), 1.0 / 4.5)
-    shifted = Cluster(cl.centers + cl.d / 3.0, cl.d, cl.domain)
+    shifted = Cluster(cl.ijk, cl.d, cl.origin + cl.d / 3.0, cl.domain)
     with pytest.raises(ValueError, match="pitch-d lattice anchored"):
         boundary_counting_statistic(shifted)
     # on the lattice, but in the uncovered layer past the whole cubes
-    outside = Cluster(cl.centers + cl.d, cl.d, cl.domain)
+    outside = Cluster(cl.ijk + 1, cl.d, cl.origin, cl.domain)
     with pytest.raises(ValueError, match="inside the lattice of whole cubes"):
         boundary_counting_statistic(outside)
     with pytest.raises(ValueError, match="refine"):

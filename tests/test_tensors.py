@@ -1,18 +1,19 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dielscat import foldylax
-from dielscat.geometry import (Cluster, DomainShape, generate_cluster,
-                               unit_ball, unit_box)
+from dielscat import foldylax, tensors
+from dielscat.geometry import Cluster, DomainShape, generate_cluster, \
+    unit_ball, unit_box
 from dielscat.lse import VolumeGrid
 from dielscat.tensors import (LatticeOperator, cis, direction_grid,
-                              dyadic_green, dyadic_green_fd,
                               dyadic_kernel_scalars, dyadic_sum_chunked,
-                              helmholtz_kernel, kernel_components,
-                              kernel_scalars)
+                              kernel_components, kernel_scalars)
+from oracles import (DirectSumOperator, dyadic_green, dyadic_green_fd,
+                     helmholtz_kernel)
 
 
 def random_points(rng, n):
@@ -158,7 +159,7 @@ def lattice_geometries():
                                         center=(0.5, 0.5, 0.25)), 0.25)
     return {"box": (box.ijk, box.side, box.centers, box.weight),
             "ball": (ball.ijk, ball.side, ball.centers, ball.weight),
-            "slab": (slab.lattice_index(), slab.d, slab.centers, 1.0)}
+            "slab": (slab.ijk, slab.d, slab.centers, 1.0)}
 
 
 GEOMETRIES = lattice_geometries()
@@ -220,7 +221,7 @@ def test_lattice_operator_uneven_extents(extent):
     dyadic = LatticeOperator(ijk, pitch, "dyadic", 1.7)
     np.testing.assert_array_equal(dyadic.extent, extent)
     got = dyadic.apply(F)
-    want = dyadic_sum_chunked(points, points, 1.7, F)
+    want = DirectSumOperator(points, 1.7).apply(F)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     ref = (dyadic.dense() @ F.reshape(-1)).reshape(-1, 3)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -275,40 +276,26 @@ def test_spectrum_is_built_in_place_and_kept_alone(k):
 
 
 def test_cluster_lattice_fft_matches_direct_sum():
-    """Foldy-Lax's kernel on a ball cluster: the LatticeOperator's FFT apply
-    and dense gather agree with the DirectSumOperator that serves the same
-    centres off the lattice."""
+    """Foldy-Lax's kernel on a ball cluster, whose indices run negative:
+    the LatticeOperator's FFT apply and dense gather agree with the direct
+    sum over the same centres, as does the package's chunked direct sum."""
     cluster = generate_cluster(unit_ball(), 0.3)
-    assert cluster.lattice_index() is not None
-    # the same centres with a pitch they are not on: the direct paths
-    direct = Cluster(cluster.centers, 0.3 * (1 - 1e-3), cluster.domain)
-    assert direct.lattice_index() is None
+    assert cluster.ijk.min() < 0
     k = 2.1
     rng = np.random.default_rng(8)
     F = rng.normal(size=(cluster.count, 3)) + 1j * rng.normal(
         size=(cluster.count, 3))
     lattice = foldylax._kernel(cluster, k)
     assert isinstance(lattice, LatticeOperator)
-    off = foldylax._kernel(direct, k)
-    want = dyadic_sum_chunked(cluster.centers, cluster.centers, k, F)
-    assert np.array_equal(off.apply(F), want)
+    direct = DirectSumOperator(cluster.centers, k)
+    want = direct.apply(F)
+    chunked = dyadic_sum_chunked(cluster.centers, cluster.centers, k, F)
+    assert np.linalg.norm(chunked - want) <= 1e-12 * np.linalg.norm(want)
     got = lattice.apply(F)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     dense = lattice.dense()
-    ref = off.dense()
+    ref = direct.dense()
     assert np.max(np.abs(dense - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_lattice_index_rejects_off_lattice_sets():
-    pair = Cluster(np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5]]), 0.12,
-                   unit_box())
-    assert pair.lattice_index() is None
-    far = Cluster(np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]]), 0.1,
-                  unit_box())
-    assert far.lattice_index() is None
-    twice = Cluster(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 0.1,
-                    unit_box())
-    assert twice.lattice_index() is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,3 +321,57 @@ def test_lattice_operator_properties(shape, mask, kind, k, seed):
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
     want = (A @ F.reshape(-1)).reshape(-1, 3) if op.m == 3 else A @ F
     assert np.linalg.norm(op.apply(F) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "scalar"])
+@pytest.mark.parametrize("domain, n", [(unit_box(), 8), (unit_ball(), 9)])
+def test_lattice_operator_checks_its_memory_before_allocating(
+        monkeypatch, kind, domain, n):
+    """The bytes checked on construction cover the traced peak of building
+    the spectrum and applying the operator to a (C, 3) field twice, and a
+    host one byte short of them refuses the operator, naming the extent and
+    the byte count."""
+    grid = VolumeGrid(domain, n)
+    checked = []
+    monkeypatch.setattr(tensors, "require_memory",
+                        lambda nbytes, what: checked.append(nbytes))
+    op = LatticeOperator(grid.ijk, grid.side, kind, 1.3, grid.weight, 0.2)
+    F = np.ones((grid.count, 3), dtype=complex)
+    tracemalloc.start()
+    try:
+        op.apply(F)
+        op.apply(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need, = checked
+    assert peak <= need
+    monkeypatch.undo()
+    monkeypatch.setattr(tensors, "physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match="on a %d x %d x %d extent needs %d "
+                       "bytes" % (tuple(op.extent) + (need,))):
+        LatticeOperator(grid.ijk, grid.side, kind, 1.3, grid.weight, 0.2)
+    monkeypatch.setattr(tensors, "physical_memory", lambda: need)
+    LatticeOperator(grid.ijk, grid.side, kind, 1.3, grid.weight, 0.2)
+
+
+def test_a_sparse_cluster_is_refused_before_its_offset_table():
+    """Two particles 10^5 pitches apart on every axis: the Foldy-Lax
+    kernel's (2 x 10^5)^3 offset table fits no host, so building it fails
+    at once instead of allocating."""
+    far = Cluster([[0, 0, 0], [10 ** 5] * 3], 0.1, (0.0, 0.0, 0.0),
+                  unit_box())
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="100001 x 100001 x 100001 extent"):
+        foldylax._kernel(far, 1.0)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_lattice_operator_refuses_a_shared_site():
+    """Two cells at one site would overwrite each other in the apply's
+    grid: the operator, and so Foldy-Lax's kernel of such a cluster, is
+    refused."""
+    shared = Cluster([[0, 1, 0], [2, 0, 0], [0, 1, 0]], 0.1, (0, 0, 0),
+                     unit_box())
+    with pytest.raises(ValueError, match="share a site"):
+        foldylax._kernel(shared, 1.0)
