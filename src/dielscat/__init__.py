@@ -2,10 +2,11 @@
 # point-interaction solver, effective-medium volume integral equation, and
 # the diagnostics connecting the two.
 
-# numpy loads numpy.fft on first use, at the first lattice apply; importing
-# it here moves that cost out of every study into the process set-up.  No
-# module calls np.unique, which would load numpy.ma (about 15 ms and 1.4 MB)
-# into the process.
+# numpy loads numpy.fft on first use.  Only the counting study's lattice
+# sums call it (the lattice operator transforms by DFT matrix products);
+# importing it here keeps that load in the process set-up, out of the
+# study.  No module calls np.unique, which would load numpy.ma (about 15 ms
+# and 1.4 MB) into the process.
 import numpy.fft  # noqa: F401
 
 from .geometry import (Cluster, DomainShape, ScaleSet,

@@ -79,11 +79,13 @@ def _run_lse(config, out, fmt):
     wave = IncidentWave(sc.k, config["theta"], config["p"])
     xi = coupling_xi(sc.eta0, sc.k, sc.c0, sc.c_r)
     T = tensor_T(xi, p0_ball(), sc.sign)
-    H, res = solve_effective_lse(grid, xi, T, sc.k, wave, sc.sign)
+    H, res, path, matvecs = solve_effective_lse(grid, xi, T, sc.k, wave,
+                                                sc.sign)
     far = effective_far_field(H, grid, xi, T, sc.k, sc.sign,
                               direction_grid())
     meta = {"scales": sc.to_dict(), "xi": xi, "grid_n": grid.n,
-            "cells": grid.count, "residual": res,
+            "cells": grid.count, "residual": res, "path": path,
+            "matvecs": matvecs,
             "field_norm": weighted_norm(H, grid),
             "transversality_defect": far.max_transversality_defect()}
     norms = np.linalg.norm(far.values, axis=1)

@@ -204,6 +204,17 @@ _cluster_fits = _domain_check(lambda dom, c: check_pitch(dom, scales(c).d))
 _cubic_cells = _domain_check(lambda dom, c: dom.cell_side(c["grid_n"]))
 
 
+def _converge_pitches(config):
+    """Every a of a_list gives a pitch that leaves a whole particle cube in
+    the unit box, where the converge study builds its clusters."""
+    for a in config["a_list"]:
+        d = scales(config, a).d
+        try:
+            check_pitch(unit_box(), d)
+        except ValueError as exc:
+            raise ValueError("a_list: a = %r: %s" % (a, exc)) from None
+
+
 def _complement(config):
     for d in config["boundary_pitches"]:
         _, n, c = boundary_grid_counts(unit_box(), d, config["refine"])
@@ -217,7 +228,7 @@ def _complement(config):
 # checks of several keys, run once every key has passed its own
 _CROSS = {"foldylax": (scales, _wave, _cluster_fits),
           "lse": (scales, _wave, _cubic_cells),
-          "converge": (lambda c: [scales(c, a) for a in c["a_list"]], _wave),
+          "converge": (_converge_pitches, _wave),
           "resonance": (_wave,), "counting": (_complement,),
           "spectrum": (_cubic_cells,)}
 

@@ -49,7 +49,7 @@ def _compare(cluster, sc, p0, wave, grid, xi, dirs):
     sol = assemble_and_solve(cluster, sc, p0, wave)
     far = cluster_far_field(sol, cluster, sc, dirs)
     T = tensor_T(xi, p0, sc.sign)
-    H, lse_res = solve_effective_lse(grid, xi, T, sc.k, wave, sc.sign)
+    H, lse_res, _, _ = solve_effective_lse(grid, xi, T, sc.k, wave, sc.sign)
     eff = effective_far_field(H, grid, xi, T, sc.k, sc.sign, dirs)
     residuals = {"fl_residual": sol.residual, "lse_residual": lse_res}
     scale = max(eff.sup_norm(), far.sup_norm())

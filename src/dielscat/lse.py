@@ -209,7 +209,8 @@ def solve_effective_lse(grid, xi, T, k, wave, sign, eigensystem=None):
     LSE_GMRES_RESTART iterations or is not finite, naming its matvec count
     and relative residual.
 
-    Returns (H, relative residual).
+    Returns (H, relative residual, path "dense" or "gmres", GMRES matvec
+    count), as solve_coupled does.
     """
     s = parse_sign(sign)
     T = np.asarray(T, dtype=complex)
@@ -224,14 +225,13 @@ def solve_effective_lse(grid, xi, T, k, wave, sign, eigensystem=None):
         if not np.all(np.isfinite(x0)):
             raise RuntimeError("the k=0 preconditioned start is not finite")
     try:
-        H, res, _, _ = solve_coupled(
+        return solve_coupled(
             DyadicVolumeOperator(grid, k), s * xi, T, rhs,
             guaranteed=eigensystem is not None, rtol=LSE_GMRES_TOL,
             restart=LSE_GMRES_RESTART, maxiter=LSE_GMRES_MAXITER,
             psolve=precond, x0=x0)
     except RuntimeError as exc:
         raise RuntimeError("effective-medium %s" % exc) from exc
-    return H, res
 
 
 def effective_far_field(H, grid, xi, T, k, sign, directions):
@@ -433,7 +433,7 @@ def magnetization_eigensystem(grid):
     order m about d 3C/48 for an irrep of dimension d (ball n=10: 27 ...
     111 against 3C = 1656).  Each block is assembled from the 3 rows of M
     at every orbit representative, gathered from the Magnetization
-    LatticeOperator's kernel table (SymmetryBasis.reduce), and solved by
+    LatticeOperator's kernel octant (SymmetryBasis.reduce), and solved by
     one divide-and-conquer eigh (numpy.linalg.eigh, LAPACK dsyevd; Gu &
     Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172).  The
     decomposition is exact: the union of the block spectra, each eigenvalue
@@ -451,13 +451,13 @@ def magnetization_eigensystem(grid):
     solved.  Then the other blocks or their eigenvectors (sum m^2 doubles
     with that block), and eigh's copy of the block, its eigenvector output
     and the 2 m_max^2 dsyevd workspace (4 m_max^2) are held, with the orbit
-    bases and the Magnetization kernel table.  The representative rows are
-    never held at once: reduce gathers them one chunk of orbits at a time
-    (symmetry.REDUCE_CHUNK_BYTES, about 4 times that with their
-    coefficients), before the first eigh, and each block is freed once its
-    eigenvectors exist.  Ball n=40 (C = 33,552, m_max = 6,402) needs about
-    3.1 GB.  When that exceeds physical memory, ValueError is raised before
-    anything is gathered.
+    bases and the Magnetization kernel's octant (6 (n+1)^3 doubles).  The
+    representative rows are never held at once: reduce gathers them one
+    chunk of orbits at a time (symmetry.REDUCE_CHUNK_BYTES, about 4 times
+    that with their coefficients), before the first eigh, and each block is
+    freed once its eigenvectors exist.  Ball n=40 (C = 33,552, m_max =
+    6,402) needs about 3.1 GB.  When that exceeds physical memory,
+    ValueError is raised before anything is gathered.
     """
     basis = SymmetryBasis(grid.ijk, "the %s grid (n=%d, C=%d cells)"
                           % (grid.domain.kind, grid.n, grid.count))
@@ -465,7 +465,7 @@ def magnetization_eigensystem(grid):
     op = magnetization_operator(grid)
     doubles = (int(np.sum(orders ** 2)) + 4 * int(orders.max()) ** 2
                + sum((3 * t.size) ** 2 for t in basis.types)
-               + 6 * int(np.prod(2 * op.extent)))
+               + 6 * int(np.prod(op.extent + 1)))
     require_memory(8 * doubles + 4 * REDUCE_CHUNK_BYTES,
                    "block eigendecomposition on C=%d cells" % grid.count)
     blocks = basis.reduce(op.dense)
@@ -577,8 +577,8 @@ def resonance_amplification_scan(grid, lam_target, betas, wave_template,
         wave = IncidentWave(k, theta, p)
         T = tensor_T_ball(xi, "-")
         try:
-            H, res = solve_effective_lse(grid, xi, T, k, wave, "-",
-                                         eigensystem=eigensystem)
+            H, res, _, _ = solve_effective_lse(grid, xi, T, k, wave, "-",
+                                               eigensystem=eigensystem)
         except RuntimeError as exc:
             rows.append({"beta": beta, "xi": xi, "k": k,
                          "status": "failed: %s" % exc})

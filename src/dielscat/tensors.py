@@ -1,10 +1,10 @@
 # The Helmholtz kernel family: the scalar kernel Phi_k(x,z) =
 # e^{ik|x-z|}/(4pi|x-z|) and the dyadic kernel Y_k(x,z) = grad grad Phi_k +
-# k^2 Phi_k I, with the FFT lattice operator that every solver applies them
-# through.
+# k^2 Phi_k I, with the lattice operator that every solver applies them
+# through: a zero-padded discrete Fourier convolution whose pruned
+# transforms are products with small DFT matrices.
 
 import functools
-import itertools
 import math
 import os
 
@@ -161,6 +161,50 @@ def assemble_dense(component, count, m, dtype, self_term=0.0, targets=None):
     return A.reshape(m * rows, m * count)
 
 
+# axes in which each component of kernel_components is odd; the others, and
+# the scalar kind's one component, are even in every axis
+ODD = ((), (), (), (0, 1), (0, 2), (1, 2))
+
+
+def _phases(n):
+    """e^{-i pi j q / n} for rows q < 2n and columns j <= n, the phase
+    reduced mod 2n in integers before it is scaled."""
+    jq = np.arange(2 * n)[:, None] * np.arange(n + 1) % (2 * n)
+    return cis(-np.pi / n * jq)
+
+
+@functools.lru_cache(maxsize=8)
+def pruned_dft(n):
+    """The pruned transforms of one axis of extent n, as matrices.
+
+    forward (2n, n): the length-2n DFT of n values padded with n zeros;
+    inverse (n, 2n): the first n values of the inverse length-2n DFT.
+    """
+    forward = np.ascontiguousarray(_phases(n)[:, :n])
+    inverse = np.ascontiguousarray(forward.T.conj()) / (2 * n)
+    forward.flags.writeable = inverse.flags.writeable = False
+    return forward, inverse
+
+
+@functools.lru_cache(maxsize=8)
+def octant_dft(n):
+    """(even, odd) (2n, n+1) matrices: the length-2n DFT along an axis of
+    offsets o = -n ... n-1, stored at o mod 2n, from the values at |o| =
+    0 ... n of a function even or odd in that axis.
+
+    Offsets +-j (0 < j < n) pair into 2 cos (even) or -2i sin (odd); the
+    offset -n alone gives (-1)^q, negated when odd.
+    """
+    e = _phases(n)
+    even = 2.0 * e.real
+    odd = 2j * e.imag
+    even[:, 0] = 1.0
+    even[:, n] = e[:, n].real
+    odd[:, n] = -e[:, n].real
+    even.flags.writeable = odd.flags.writeable = False
+    return even, odd
+
+
 class LatticeOperator:
     """Translation-invariant kernel on a masked cubic lattice plus a self term.
 
@@ -170,21 +214,31 @@ class LatticeOperator:
     the kernel_scalars kinds at wavenumber k.  A 3x3 kernel acts on (C, 3)
     fields; the scalar kind acts on each column of a (C,) or (C, m) field.
 
-    The kernel is evaluated on the (n+1)^3 octant of lattice offsets of an
-    n^3 bounding box and mirrored onto the (2n)^3 table of all offsets,
-    offset o stored at o mod 2n.  apply is a zero-padded FFT convolution
-    with the FFT of that table (the discrete-dipole method of Goodman,
-    Draine & Flatau, Opt. Lett. 16 (1991) 1198), transformed in place and
-    kept alone; dense() gathers the matrix from the table, which only it
-    keeps.  Both are built on first use.
+    The kernel is evaluated once, on the (n+1)^3 octant of offsets |o| of
+    an n^3 bounding box (octant): each component is even in every axis, or
+    odd in the two axes it pairs.  apply is a zero-padded convolution with
+    the kernel at all (2n)^3 offsets, by the DFT of that table (the
+    discrete-dipole method of Goodman, Draine & Flatau, Opt. Lett. 16
+    (1991) 1198).  The spectrum is taken from the octant by per-axis
+    2 cos / -2i sin matrices, one component at a time, and kept alone;
+    dense() gathers the matrix from the octant.  Both are built on first
+    use.
 
-    The convolution is pruned (Markel, IEEE Trans. Audio Electroacoust. 19
-    (1971) 305): only n^3 of the (2n)^3 padded inputs are non-zero and only
-    n^3 of the outputs are read.  The forward transform pads each axis just
-    before transforming it, so it skips the all-zero lines; the inverse
-    keeps the first n entries of each axis just after transforming it, so
-    it skips the unread lines.  That is 14 n^3 instead of 24 n^3 of line
-    work each way, and the padded input grid is never allocated.
+    The transforms are products with small DFT matrices (Van Loan,
+    Computational Frameworks for the Fast Fourier Transform, SIAM 1992),
+    pruned as the zero-padded FFT of Markel (IEEE Trans. Audio
+    Electroacoust. 19 (1971) 305): a (2n, n) forward matrix per axis reads
+    only the n^3 non-zero inputs, an (n, 2n) inverse writes only the n^3
+    outputs that are read, and both act on the field in its (m, X, Y, Z)
+    layout, so no axis is transposed and the padded input is never
+    allocated.  At these axis lengths the BLAS products beat numpy.fft's
+    transforms of the same pruned lines.  Median ms per apply of the LSE
+    kernel (k = 1.3) to a (C, 3) field on box grids, 2-vCPU Xeon, OpenBLAS
+    with 2 threads (BENCH_19.json has the ball grids and the spectra):
+
+        n                        7     12     20     40     64     96
+        numpy.fft, pruned     0.48   1.28   6.90    133    731   2682
+        DFT matrices          0.25   0.78   4.75     81    384   1683
 
     The spectrum and the work arrays of an apply to a (C, 3) field must fit
     in physical memory: ValueError, naming the extent and the byte count,
@@ -204,11 +258,11 @@ class LatticeOperator:
         self.self_term = self_term
         self.m = 1 if kind == "scalar" else 3
         self.dtype = np.result_type(complex if k else float, self_term)
-        # complex values per (2n)^3 table entry held while an apply to a
+        # complex values per (2n)^3 spectrum entry held while an apply to a
         # (C, 3) field runs, the spectrum's 6 or 1 included: traced at up to
-        # 15.5 (3x3 kinds) and 7.9 (scalar) on box and ball grids of n = 6
+        # 13.75 (3x3 kinds) and 7.46 (scalar) on box and ball grids of n = 6
         # to 20
-        per_entry = 9 if self.m == 1 else 17
+        per_entry = 8 if self.m == 1 else 15
         entries = math.prod(2 * int(n) for n in self.extent)
         require_memory(16 * entries * per_entry,
                        "lattice operator on a %d x %d x %d extent"
@@ -218,66 +272,59 @@ class LatticeOperator:
         if np.count_nonzero(occupied) < self.count:
             raise ValueError("two cells of the lattice operator share a site")
 
-    def _kernel_table(self, dtype=None):
-        """Kernel components at every offset, in FFT order along each axis,
-        as dtype (default: that of the kernel values).
-
-        Evaluated on the (n+1)^3 octant of offsets |o| and mirrored: each
-        component is even in every axis, or odd in the two axes it pairs
-        (xy, xz, yz), and the kernel scalars depend on the squared offsets
-        only, so the mirror reproduces the full evaluation bit for bit.
-        """
-        axes = [np.fft.fftfreq(2 * n, 1.0 / (2 * n)) for n in self.extent]
-        octant = [self.pitch * np.abs(a[:n + 1])
-                  for a, n in zip(axes, self.extent)]
-        d = np.stack(np.meshgrid(*octant, indexing="ij"), axis=-1)
+    def _octant(self):
+        """Kernel components at the offsets pitch * (0 ... n) of each axis,
+        (components, nx+1, ny+1, nz+1)."""
+        d = np.stack(np.meshgrid(*(self.pitch * np.arange(n + 1)
+                                   for n in self.extent), indexing="ij"),
+                     axis=-1)
         iso, rad2 = kernel_scalars(d, self.k, self.kind)
-        values = self.weight * kernel_components(iso, rad2, d)
-        out = np.empty((len(values),) + tuple(2 * self.extent),
-                       dtype=dtype or values.dtype)
-        # offsets 0 .. n-1 sit at their own index, -n .. -1 at 2n + o and
-        # read |o| = n .. 1 reversed; the negative half of an odd axis
-        # changes sign
-        halves = [((slice(n), slice(n)), (slice(n, None), slice(n, 0, -1)))
-                  for n in self.extent]
-        odd = ((), (), (), (0, 1), (0, 2), (1, 2))
-        for c, value in enumerate(values):
-            for part in itertools.product((0, 1), repeat=3):
-                dst, src = zip(*(h[p] for h, p in zip(halves, part)))
-                if sum(part[axis] for axis in odd[c]) % 2:
-                    np.negative(value[src], out=out[c][dst])
-                else:
-                    out[c][dst] = value[src]
-        return out
+        return self.weight * kernel_components(iso, rad2, d)
 
     @functools.cached_property
-    def table(self):
-        """Kernel components at every offset, in FFT order; kept for dense
+    def octant(self):
+        """Kernel components on the octant of offsets; kept for dense
         only."""
-        return self._kernel_table()
+        return self._octant()
 
     @functools.cached_property
     def spectrum(self):
-        """FFT of the kernel table over the three offset axes.
+        """DFT of the kernel at every offset, o stored at o mod 2n, over
+        the three offset axes: (components, 2nx, 2ny, 2nz), complex.
 
-        The axes are transformed in place on a fresh complex table, the
-        last first as fftn does, so neither a second array of its size nor
-        the table is kept.
+        Each component is transformed from the octant, the z axis first,
+        by the even or odd octant_dft matrix of each axis, the last product
+        written into the one preallocated array.
         """
-        spec = self._kernel_table(complex)
-        for axis in (3, 2, 1):
-            np.fft.fft(spec, axis=axis, out=spec)
+        octant = self._octant()
+        nx, ny, nz = (int(n) for n in self.extent)
+        spec = np.empty((len(octant), 2 * nx, 2 * ny, 2 * nz), dtype=complex)
+        tables = [octant_dft(n) for n in (nx, ny, nz)]
+        for c, values in enumerate(octant):
+            mx, my, mz = (table[axis in ODD[c]]
+                          for axis, table in enumerate(tables))
+            part = (values.reshape(-1, nz + 1) @ mz.T).reshape(
+                nx + 1, ny + 1, 2 * nz)
+            part = my @ part
+            np.matmul(mx, part.reshape(nx + 1, -1),
+                      out=spec[c].reshape(2 * nx, -1))
         return spec
 
     def apply(self, F):
-        """A F by FFT convolution; real if the kernel, self term and F are."""
+        """A F by pruned DFT convolution; real if the kernel, self term and
+        F are."""
         F = np.asarray(F)
         cols = F.reshape(self.count, -1)
+        m = cols.shape[1]
+        nx, ny, nz = (int(n) for n in self.extent)
+        (fx, gx), (fy, gy), (fz, gz) = (pruned_dft(n) for n in (nx, ny, nz))
         cells = tuple(self.ijk.T)
-        grid = np.zeros((cols.shape[1],) + tuple(self.extent), dtype=complex)
+        grid = np.zeros((m, nx, ny, nz), dtype=complex)
         grid[(slice(None),) + cells] = cols.T
-        # fftn pads each axis only as it transforms it (the last axis first)
-        spec = np.fft.fftn(grid, s=tuple(2 * self.extent), axes=(1, 2, 3))
+        # forward z, y, x: each doubles one axis
+        spec = (grid.reshape(-1, nz) @ fz.T).reshape(m, nx, ny, 2 * nz)
+        spec = fx @ (fy @ spec).reshape(m, nx, -1)
+        spec = spec.reshape(m, 2 * nx, 2 * ny, 2 * nz)
         K = self.spectrum
         if self.m == 1:
             spec *= K[0]
@@ -289,10 +336,11 @@ class LatticeOperator:
                 for b in (1, 2):
                     prod[a] += np.multiply(K[SYM[a][b]], spec[b], out=term)
             spec = prod
-        for axis, n in enumerate(self.extent, start=1):
-            spec = np.fft.ifft(spec, axis=axis)[(slice(None),) * axis
-                                                + (slice(n),)]
-        out = spec[(slice(None),) + cells].T
+        # inverse x, y, z: each keeps the first half of one axis
+        spec = gx @ spec.reshape(m, 2 * nx, -1)
+        spec = gy @ spec.reshape(m, nx, 2 * ny, 2 * nz)
+        spec = spec.reshape(-1, 2 * nz) @ gz.T
+        out = spec.reshape(m, nx, ny, nz)[(slice(None),) + cells].T
         if np.result_type(self.dtype, F.dtype) == float:
             out = out.real
         return (out + self.self_term * cols).reshape(F.shape)
@@ -305,14 +353,25 @@ class LatticeOperator:
         # built only once assemble_dense has checked the matrix fits
         @functools.cache
         def pairs():
-            """Flat table index of the offset x_i - x_j, for every pair."""
+            """Flat octant index of |x_i - x_j| and the signs of x_i - x_j,
+            for every pair."""
             diff = targets.T[:, :, None] - self.ijk.T[:, None, :]
-            return np.ravel_multi_index(tuple(diff), tuple(2 * self.extent),
-                                        mode="wrap")
+            negative = diff < 0
+            index = np.ravel_multi_index(tuple(np.abs(diff, out=diff)),
+                                         tuple(self.extent + 1))
+            return index, negative
 
-        return assemble_dense(lambda c: self.table[c].reshape(-1)[pairs()],
-                              self.count, self.m, self.dtype, self.self_term,
-                              cells)
+        def component(c):
+            index, negative = pairs()
+            values = self.octant[c].reshape(-1)[index]
+            if ODD[c]:
+                a, b = ODD[c]
+                np.negative(values, out=values,
+                            where=negative[a] ^ negative[b])
+            return values
+
+        return assemble_dense(component, self.count, self.m, self.dtype,
+                              self.self_term, cells)
 
 
 def direction_grid():

@@ -1,6 +1,6 @@
 # Test oracles: independent forms of what the package computes, each built on
-# the closed-form kernels and the direct pairwise sum, so that none of them
-# runs the FFT lattice path or the coupled-lattice solver it checks.
+# the closed-form kernels, the direct pairwise sum or numpy.fft, so that none
+# of them runs the lattice operator or the coupled-lattice solver it checks.
 
 import numpy as np
 
@@ -106,6 +106,65 @@ class DirectSumOperator:
             dyadic_pairs(targets, self.points, self.k).transpose(
                 0, 2, 1, 3).reshape(-1, 3 * n)
             for targets in self._chunks()])
+
+
+# (a, b) entries of the six independent components of a symmetric 3x3 kernel
+COMPONENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def offset_table(extent, pitch, kind, k, weight):
+    """weight K(pitch o) at every lattice offset o of an extent-sized box,
+    o stored at o mod 2n along each axis (o = -n at index n), zero at
+    o = 0, by the closed form: (6, 2nx, 2ny, 2nz) components xx, yy, zz,
+    xy, xz, yz of a 3x3 kind, (1, ...) for "scalar".  The kinds are
+    "dyadic" Y_k, "hessian" Y_k - k^2 Phi_k I, "projected" Phi_k rhat rhat
+    and "scalar" Phi_k."""
+    axes = [pitch * np.concatenate([np.arange(n), np.arange(-n, 0)])
+            for n in extent]
+    d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    radial, iso, rhat = (f[:, 0] for f in dyadic_factors(d, np.zeros((1, 3)),
+                                                         k))
+    r = np.linalg.norm(d, axis=-1)
+    phi = np.where(r > 0, np.exp(1j * k * r) / (FOUR_PI * np.where(
+        r > 0, r, 1.0)), 0.0)
+    if kind == "scalar":
+        values = phi[None]
+    else:
+        if kind == "hessian":
+            iso = iso - k * k * phi
+        elif kind == "projected":
+            radial, iso = phi, np.zeros_like(phi)
+        values = np.stack([radial * rhat[:, a] * rhat[:, b] + iso * (a == b)
+                           for a, b in COMPONENTS])
+    return weight * values.reshape((-1,) + tuple(2 * n for n in extent))
+
+
+def offset_spectrum(extent, pitch, kind, k, weight):
+    """np.fft.fftn of offset_table over its three offset axes."""
+    return np.fft.fftn(offset_table(extent, pitch, kind, k, weight),
+                       axes=(1, 2, 3))
+
+
+def fft_lattice_apply(ijk, pitch, kind, k, weight, self_term, F):
+    """A F of a lattice kernel by the zero-padded numpy.fft convolution with
+    offset_spectrum: (A F)_i = self_term F_i + sum_{j != i} weight
+    K(pitch (ijk_i - ijk_j)) F_j, on (C, 3) fields for a 3x3 kind and on
+    each column of F for "scalar"."""
+    ijk = np.asarray(ijk) - np.min(ijk, axis=0)
+    extent = ijk.max(axis=0) + 1
+    spectrum = offset_spectrum(extent, pitch, kind, k, weight)
+    cols = np.asarray(F, dtype=complex).reshape(len(ijk), -1)
+    grid = np.zeros((cols.shape[1],) + tuple(2 * extent), dtype=complex)
+    grid[(slice(None),) + tuple(ijk.T)] = cols.T
+    spec = np.fft.fftn(grid, axes=(1, 2, 3))
+    if kind == "scalar":
+        spec *= spectrum[0]
+    else:
+        entry = {pair: c for c, pair in enumerate(COMPONENTS)}
+        spec = np.stack([sum(spectrum[entry[min(a, b), max(a, b)]] * spec[b]
+                             for b in range(3)) for a in range(3)])
+    out = np.fft.ifftn(spec, axes=(1, 2, 3))[(slice(None),) + tuple(ijk.T)]
+    return out.T.reshape(np.shape(F)) + self_term * np.asarray(F)
 
 
 def incident_magnetic(wave, x):

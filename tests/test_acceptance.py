@@ -154,7 +154,7 @@ def test_criterion_05_far_field_transversality():
     xi, k = 2.0, scales.k
     T = tensor_T_ball(xi, "-")
     wave2 = IncidentWave(k, (0, 0, 1), (1, 0, 0))
-    H, _ = solve_effective_lse(grid, xi, T, k, wave2, "-")
+    H, _, _, _ = solve_effective_lse(grid, xi, T, k, wave2, "-")
     eff = effective_far_field(H, grid, xi, T, k, "-", direction_grid())
     d2 = eff.max_transversality_defect()
     report(5, "far-field-transversality", d1 <= 1e-12 and d2 <= 1e-12,
@@ -329,8 +329,8 @@ def test_criterion_11_determinism(tmp_path, monkeypatch):
     wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
     # with the dense limit at 0 the 216 cells go to GMRES
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
-    Ha, _ = solve_effective_lse(grid, xi, T, k, wave, "-")
-    Hb, _ = solve_effective_lse(grid, xi, T, k, wave, "-")
+    Ha, _, _, _ = solve_effective_lse(grid, xi, T, k, wave, "-")
+    Hb, _, _, _ = solve_effective_lse(grid, xi, T, k, wave, "-")
     iter_dev = np.linalg.norm(Ha - Hb) / np.linalg.norm(Ha)
     report(11, "determinism", direct_same and iter_dev <= 1e-8,
            "direct byte-identical %s, iterative dev %.1e"

@@ -166,6 +166,19 @@ def test_cli_lse_json_output(tmp_path):
     assert len(doc["rows"]) == 26
 
 
+@pytest.mark.parametrize("grid_n, path", [(6, "dense"), (12, "gmres")])
+def test_cli_lse_reports_path_and_matvecs(tmp_path, grid_n, path):
+    """216 cells take the dense LU, 1728 (above the dense limit) GMRES: the
+    lse meta says which, with the matvec count, as foldylax's does."""
+    cfg = write_config(tmp_path, FOLDYLAX_DOC)
+    out = str(tmp_path / "out")
+    assert main(["lse", "--config", cfg, "--out", out, "--format", "json",
+                 "--set", "grid_n=%d" % grid_n]) == 0
+    meta = json.load(open(os.path.join(out, "lse_results.json")))["meta"]
+    assert meta["path"] == path
+    assert (meta["matvecs"] == 0) == (path == "dense")
+
+
 def test_cli_counting(tmp_path):
     cfg = write_config(tmp_path, {
         "pitches": [1.0 / j for j in range(4, 9)],
@@ -431,13 +444,28 @@ def test_cli_refuses_a_domain_the_study_cannot_fill(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("config error: domain: ")
 
 
+def test_cli_converge_refuses_a_pitch_beyond_the_unit_box(tmp_path, capsys):
+    """a_list = [0.5, 0.3] at c_r = 3 gives a = 0.5 a pitch d = 1.85 above
+    the unit box's side, where the study builds its clusters: a config
+    error naming a_list and that a (exit 2), not a run whose every row
+    fails."""
+    cfg = write_config(tmp_path, dict(CONVERGE_DOC, a_list=[0.5, 0.3],
+                                      c_r=3))
+    assert main(["converge", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a_list: a = 0.5: pitch d = 1.84672 "
+                          "exceeds the box's shortest side 1")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_lse_refuses_a_lattice_operator_larger_than_memory(
         tmp_path, capsys, monkeypatch):
     """The LSE kernel's spectrum and apply arrays are checked against
     physical memory as the operator is built: with the host one byte short
-    of what the 8^3 grid's (2 x 8)^3 table needs, the run fails at once
+    of what the 8^3 grid's (2 x 8)^3 spectrum needs, the run fails at once
     (exit 1), naming the extent and the byte count."""
-    need = 16 * 16 ** 3 * 17
+    need = 16 * 16 ** 3 * 15
     monkeypatch.setattr(tensors, "physical_memory", lambda: need - 1)
     cfg = write_config(tmp_path, STUDY_DOCS["lse"])
     assert main(["lse", "--config", cfg, "--out", str(tmp_path / "out"),

@@ -81,7 +81,7 @@ def lse_problem(monkeypatch, method):
 
     def solve(p):
         return solve_effective_lse(grid, xi, T, k, IncidentWave(k, THETA, p),
-                                   "-", **kwargs)
+                                   "-", **kwargs)[:2]
 
     tol = DENSE_TOL if method == "dense" else lse.LSE_GMRES_TOL
     return solve, tol, lse_condition(grid)

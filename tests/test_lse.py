@@ -210,14 +210,16 @@ def test_lse_born_consistency():
 
 def test_solve_effective_lse_dense_vs_gmres(monkeypatch):
     """216 cells take the dense LU; with the dense limit at 0 the same
-    system goes to GMRES."""
+    system goes to GMRES.  Each solve reports its path and matvec count."""
     grid = VolumeGrid(unit_box(), 6)
     k, xi = 1.2, 2.0
     T = tensor_T_ball(xi, "-")
     wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
-    Hd, rd = solve_effective_lse(grid, xi, T, k, wave, "-")
+    Hd, rd, path, matvecs = solve_effective_lse(grid, xi, T, k, wave, "-")
+    assert (path, matvecs) == ("dense", 0)
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
-    Hg, rg = solve_effective_lse(grid, xi, T, k, wave, "-")
+    Hg, rg, path, matvecs = solve_effective_lse(grid, xi, T, k, wave, "-")
+    assert path == "gmres" and matvecs > 0
     assert rd <= 1e-10
     assert rg <= 1e-7
     assert np.linalg.norm(Hd - Hg) / np.linalg.norm(Hd) <= 1e-6
@@ -228,7 +230,7 @@ def test_effective_far_field_transversality():
     k, xi = 1.2, 2.0
     T = tensor_T_ball(xi, "-")
     wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
-    H, _ = solve_effective_lse(grid, xi, T, k, wave, "-")
+    H, _, _, _ = solve_effective_lse(grid, xi, T, k, wave, "-")
     far = effective_far_field(H, grid, xi, T, k, "-", direction_grid())
     assert far.max_transversality_defect() <= 1e-12
     assert far.sup_norm() > 0
@@ -509,9 +511,9 @@ def test_resonance_scan_matches_dense_solve(ball10, monkeypatch):
     solves = []
 
     def recording_solve(*args, **kwargs):
-        H, res = solve(*args, **kwargs)
+        H, res, path, matvecs = solve(*args, **kwargs)
         solves.append((args, H, res))
-        return H, res
+        return H, res, path, matvecs
 
     monkeypatch.setattr(lse, "solve_effective_lse", recording_solve)
     betas = [1e-3, -1e-3, 1e-2, -1e-2]
@@ -521,7 +523,7 @@ def test_resonance_scan_matches_dense_solve(ball10, monkeypatch):
     assert [r["status"] for r in rows] == ["ok"] * len(betas)
     assert len(solves) == len(betas)
     for args, H, res in solves:
-        Hd, _ = solve(*args)
+        Hd, _, _, _ = solve(*args)
         assert res <= 1e-9
         assert np.linalg.norm(H - Hd) <= 1e-8 * np.linalg.norm(Hd)
     assert slope == pytest.approx(-1.0, abs=0.05)
@@ -537,9 +539,9 @@ def test_preconditioned_lse_converges_off_the_quasistatic_limit(ball10,
     monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 3)
     xi, T, k, wave = _resonance_problem(lam, 1e-3, eta0=1.0)
     assert k > 1.5
-    H, res = solve_effective_lse(grid, xi, T, k, wave, "-",
-                                 eigensystem=magnetization_eigensystem(grid))
-    Hd, _ = solve_effective_lse(grid, xi, T, k, wave, "-")
+    H, res, _, _ = solve_effective_lse(
+        grid, xi, T, k, wave, "-", eigensystem=magnetization_eigensystem(grid))
+    Hd, _, _, _ = solve_effective_lse(grid, xi, T, k, wave, "-")
     assert res <= 1e-8
     assert np.linalg.norm(H - Hd) <= 1e-6 * np.linalg.norm(Hd)
 

@@ -51,7 +51,7 @@ def lse_problem(monkeypatch, method):
         monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
 
     def solve(theta, p, xhat, q):
-        H, res = solve_effective_lse(grid, xi, T, k,
+        H, res, _, _ = solve_effective_lse(grid, xi, T, k,
                                      IncidentWave(k, theta, p), "-")
         far = effective_far_field(H, grid, xi, T, k, "-", xhat).values[0]
         return q @ far, H, res

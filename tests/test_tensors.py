@@ -9,11 +9,11 @@ from dielscat import foldylax, tensors
 from dielscat.geometry import Cluster, DomainShape, generate_cluster, \
     unit_ball, unit_box
 from dielscat.lse import VolumeGrid
-from dielscat.tensors import (LatticeOperator, cis, direction_grid,
+from dielscat.tensors import (SYM, LatticeOperator, cis, direction_grid,
                               dyadic_kernel_scalars, dyadic_sum_chunked,
                               kernel_components, kernel_scalars)
 from oracles import (DirectSumOperator, dyadic_green, dyadic_green_fd,
-                     helmholtz_kernel)
+                     fft_lattice_apply, helmholtz_kernel, offset_spectrum)
 
 
 def random_points(rng, n):
@@ -243,26 +243,77 @@ def test_lattice_operator_uneven_extents(extent):
 @pytest.mark.parametrize("extent", [(4, 4, 4)] + UNEVEN_EXTENTS)
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("k", [0.0, 1.3])
-def test_mirrored_table_and_in_place_spectrum_are_exact(extent, kind, k):
-    """The kernel evaluated on the octant of offsets and mirrored equals
-    the kernel evaluated at every offset, and the spectrum transformed in
-    place equals fftn of that table, both exactly."""
+def test_spectrum_from_the_octant_matches_fftn_of_the_offset_table(extent,
+                                                                   kind, k):
+    """The spectrum taken from the octant by the even and odd per-axis
+    matrices equals np.fft.fftn of the kernel at every offset, the old
+    construction, to 1e-13 of its largest entry."""
     op = LatticeOperator(uneven_lattice(extent, 1), 0.3, kind, k, -0.7)
-    axes = [0.3 * np.fft.fftfreq(2 * n, 1.0 / (2 * n)) for n in extent]
-    d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    want = offset_spectrum(extent, 0.3, kind, k, -0.7)
+    assert op.spectrum.shape == want.shape
+    assert op.spectrum.dtype == np.complex128
+    assert np.max(np.abs(op.spectrum - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("extent", [(4, 4, 4)] + UNEVEN_EXTENTS)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [0.0, 1.3])
+def test_dense_from_the_octant_is_the_kernel_at_every_offset(extent, kind, k):
+    """dense() gathers the octant at |x_i - x_j| with the sign of each odd
+    component's axes, and so equals the kernel evaluated at every pair's
+    offset bit for bit."""
+    ijk = uneven_lattice(extent, 1)
+    op = LatticeOperator(ijk, 0.3, kind, k, -0.7)
+    d = 0.3 * (ijk[:, None, :] - ijk[None, :, :])
     iso, rad2 = kernel_scalars(d, k, kind)
-    want = -0.7 * kernel_components(iso, rad2, d)
-    assert op.table.dtype == want.dtype
-    np.testing.assert_array_equal(op.table, want)
-    np.testing.assert_array_equal(op.spectrum,
-                                  np.fft.fftn(want, axes=(1, 2, 3)))
+    values = -0.7 * kernel_components(iso, rad2, d)
+    m = 1 if kind == "scalar" else 3
+    want = np.stack([np.stack([values[SYM[a][b]] for b in range(m)], axis=-1)
+                     for a in range(m)], axis=1).reshape(m * len(ijk), -1)
+    dense = op.dense()
+    assert dense.dtype == want.dtype
+    np.testing.assert_array_equal(dense, want)
+    assert "octant" in vars(op) and "spectrum" not in vars(op)
+
+
+@pytest.mark.parametrize("domain, n", [(unit_box(), 7), (unit_box(), 11),
+                                       (unit_box(), 12), (unit_ball(), 10),
+                                       (None, (9, 5, 3))])
+def test_apply_matches_the_direct_sum_on_the_workload_grids(domain, n):
+    """The dyadic kernel at k = 2.1 on the benchmark workloads' lattices
+    (box n = 7, 11 and 12, ball n = 10) and on an uneven one: the pruned
+    DFT apply equals the direct pair sum to 1e-12."""
+    ijk = uneven_lattice(n, 2) if domain is None \
+        else VolumeGrid(domain, n).ijk
+    rng = np.random.default_rng(3)
+    F = rng.normal(size=(len(ijk), 3)) + 1j * rng.normal(size=(len(ijk), 3))
+    got = LatticeOperator(ijk, 0.1, "dyadic", 2.1).apply(F)
+    want = DirectSumOperator(0.1 * ijk, 2.1).apply(F)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("domain", [unit_box(), unit_ball()])
+@pytest.mark.parametrize("n", [7, 13, 24])
+@pytest.mark.parametrize("kind", ["dyadic", "scalar"])
+def test_apply_matches_the_numpy_fft_convolution(domain, n, kind):
+    """The pruned DFT apply against the zero-padded numpy.fft convolution
+    with fftn of the kernel at every offset, to 1e-12, on box and ball
+    grids."""
+    grid = VolumeGrid(domain, n)
+    rng = np.random.default_rng(n)
+    F = rng.normal(size=(grid.count, 3)) + 1j * rng.normal(
+        size=(grid.count, 3))
+    op = LatticeOperator(grid.ijk, grid.side, kind, 1.3, grid.weight, 0.2)
+    want = fft_lattice_apply(grid.ijk, grid.side, kind, 1.3, grid.weight,
+                             0.2, F)
+    assert np.linalg.norm(op.apply(F) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("k", [0.0, 1.3])
 def test_spectrum_is_built_in_place_and_kept_alone(k):
     """Building the spectrum of the box n=12 LSE kernel peaks at no more
     than 1.5 times its bytes of traced allocations, and the operator
-    keeps no table."""
+    keeps no octant."""
     grid = VolumeGrid(unit_box(), 12)
     op = LatticeOperator(grid.ijk, grid.side, "dyadic", k, grid.weight)
     tracemalloc.start()
@@ -272,7 +323,7 @@ def test_spectrum_is_built_in_place_and_kept_alone(k):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * spectrum.nbytes
-    assert "table" not in vars(op)
+    assert "octant" not in vars(op)
 
 
 def test_cluster_lattice_fft_matches_direct_sum():
