@@ -11,9 +11,9 @@ from .effective import (classify_regime, coercivity_window, coupling_xi,
                         effective_mu, p0_ball, tensor_T)
 from .foldylax import (IncidentWave, assemble_and_solve, cluster_far_field,
                        invertibility_margin)
-from .geometry import (boundary_counting_statistic, counting_lattice,
-                       generate_cluster, max_counting_sum, unit_ball,
-                       unit_box)
+from .geometry import (boundary_counting_statistic, boundary_grid_counts,
+                       boundary_table, counting_lattice, generate_cluster,
+                       max_counting_sum, unit_ball, unit_box)
 from .lse import (VolumeGrid, effective_far_field, select_resonant_eigenvalue,
                   solve_effective_lse)
 from .tensors import direction_grid
@@ -187,6 +187,11 @@ def run_counting(config):
     d^-3 ln(1/d), kappa=4 d^-4, and the boundary statistic d^-2 with a
     d ln(1/d) relative correction, which pulls its fitted slope below -2 at
     the default pitches.
+
+    The three kappa share each cluster's occupancy transform, and every
+    boundary pitch reads its prefix of one summed-volume table, built
+    before the boundary loop for the per-axis largest fine-point count of
+    the pitches (geometry.boundary_table).
     """
     config = with_defaults("counting", config)
     kappa_pitches = config["pitches"]
@@ -205,11 +210,16 @@ def run_counting(config):
         rows.extend({"quantity": "counting_sum", "kappa": kappa, "d": d,
                      "value": v} for d, v in zip(kappa_pitches, sums[kappa]))
     boundary_pitches = config["boundary_pitches"]
+    refine = config["refine"]
+    # one summed-volume table, as long on each axis as the longest pitch's
+    n = np.max([boundary_grid_counts(unit_box(), d, refine)[1]
+                for d in boundary_pitches], axis=0)
+    table = boundary_table(n, refine)
     stats = []
     for d in boundary_pitches:
         cluster = generate_cluster(unit_box(), d)
         stats.append(boundary_counting_statistic(
-            cluster, refine=config["refine"]))
+            cluster, refine=refine, table=table))
     slopes["boundary"] = _fit_slope(boundary_pitches, stats)
     rows.extend({"quantity": "boundary_statistic", "kappa": 3, "d": d,
                  "value": v} for d, v in zip(boundary_pitches, stats))

@@ -267,7 +267,65 @@ def _folded(start, stop, odd):
             (np.maximum(-stop, 0) + odd, np.maximum(-start, 0) + odd))
 
 
-def boundary_counting_statistic(cluster, refine=4):
+def boundary_table(n, refine):
+    """The boundary statistic's summed-volume table for up to n fine points
+    per axis: (n_x + 1, n_y + 1, n_z + 1) floats.
+
+    Entry [i, j, k] sums the r^-3 kernel over the octant of absolute fine
+    offsets m < (i, j, k), each m + delta fine steps along its axis, with
+    delta = 1/2 for even refine and 0 for odd: in fine-grid units the
+    weight step^3 cancels the kernel's step^-3, so the table depends on
+    nothing but n and the parity of refine.  Each entry is a running sum
+    over smaller offsets, so the table for a smaller n is a prefix of this
+    one, bit for bit, and one table serves every pitch whose n it covers.
+    The table, and the differences along its first axis that the statistic
+    takes, must fit in physical memory (ValueError otherwise, before either
+    is allocated); the differences hold one plane per whole cube, at most
+    n // refine along an axis.
+    """
+    n = np.asarray(n, dtype=int)
+    refine = int(refine)
+    odd = refine % 2
+    shape = n + 1
+    entries = np.prod(shape, dtype=float)
+    # the first axis's differences hold up to three (lattice, plane) arrays
+    planes = np.max(n // refine * entries / shape)
+    require_memory(8 * int(entries + 3 * planes),
+                   "the boundary statistic's summed-volume table of "
+                   "%d x %d x %d fine points (refine=%d)"
+                   % (tuple(shape) + (refine,)))
+    # sat[i, j, k] sums the kernel over m < (i, j, k)
+    sat = np.zeros(tuple(shape))
+    q = sat[1:, 1:, 1:]
+    sq = [(np.arange(k) + 0.5 * (1 - odd)) ** 2 for k in n]
+    q[...] = sq[0][:, None, None] + sq[1][None, :, None]
+    q += sq[2]
+    if odd:
+        # the singular zero offset, weighted inf^-1.5 = 0
+        q[0, 0, 0] = np.inf
+    np.power(q, -1.5, out=q)
+    for axis in range(3):
+        np.cumsum(sat, axis=axis, out=sat)
+    return sat
+
+
+def _differences(box, axis, pairs):
+    """sum over (lo, hi) in pairs of box[hi] - box[lo] along axis, each
+    range's difference taken in place so that no more than three arrays of
+    the result's size are alive at once."""
+    at = (slice(None),) * axis
+    total = None
+    for lo, hi in pairs:
+        part = box[at + (hi,)]
+        part -= box[at + (lo,)]
+        if total is None:
+            total = part
+        else:
+            total += part
+    return total
+
+
+def boundary_counting_statistic(cluster, refine=4, table=None):
     """sum_m ( int_{Omega \\ union of cubes} |z_m - z|^-3 dz )^2.
 
     The complement of the cube union inside the box domain is integrated by
@@ -288,9 +346,9 @@ def boundary_counting_statistic(cluster, refine=4):
     fractional offset of the fine lattice, so an offset from a centre to a
     fine point is m + delta fine steps along each axis, with m an integer
     and delta = 1/2 for even refine, 0 for odd.  The r^-3 kernel is even on
-    every axis, so it is tabulated once per call on the octant of absolute
-    offsets, m in [0, n) per axis, as one summed-volume table shared by the
-    three boxes (the summed-area table of Crow, SIGGRAPH 1984, in three
+    every axis, so it is tabulated on the octant of absolute offsets, m in
+    [0, n) per axis, as one summed-volume table shared by the three boxes
+    (boundary_table; the summed-area table of Crow, SIGGRAPH 1984, in three
     dimensions).  Its singular entry at zero offset (odd refine) is never
     inside a range: a thin-axis offset is at least (refine + 1)/2.  Per box,
     the thin-axis offsets are all positive and each in-plane range folds at
@@ -298,11 +356,17 @@ def boundary_counting_statistic(cluster, refine=4):
     eight-corner differences of the table.  The integral depends only on the
     particle's lattice site, so the differences are taken one axis at a time
     over the whole lattice and read off at the centres.  The midpoint sum is
-    kept to round-off, at O(n_f^3 + 96 N) cost for n_f fine points per axis
-    and N sites: one table, and at most 3 boxes x 4 sub-boxes x 8 corners of
-    lookups per site.  The table, and the differences along its first axis,
-    must fit in physical memory (ValueError otherwise, before either is
-    allocated).
+    kept to round-off.
+
+    table, boundary_table(N, refine) with N >= n on every axis, lets one
+    table serve every pitch of a study: its [:n_x+1, :n_y+1, :n_z+1] prefix
+    is this call's table bit for bit, so the statistic is the same.  A table
+    that does not cover n, or was built for the other parity of refine,
+    raises ValueError; by default boundary_table(n, refine) is built here,
+    with its memory check.  The cost is
+    one table per study, O(N^3) for N fine points per axis, plus at most
+    3 boxes x 4 sub-boxes x 8 corners = 96 lookups per site per pitch,
+    O(96 N_sites).
     """
     domain = cluster.domain
     if domain.kind != "box":
@@ -321,27 +385,18 @@ def boundary_counting_statistic(cluster, refine=4):
         return 0.0
     refine = int(refine)
     half, odd = divmod(refine, 2)
-    shape = n + 1
-    entries = np.prod(shape, dtype=float)
-    # the first axis's differences hold up to three (lattice, plane) arrays
-    planes = np.max(lattice * entries / shape)
-    require_memory(8 * int(entries + 3 * planes),
-                   "the boundary statistic's summed-volume table of "
-                   "%d x %d x %d fine points (refine=%d)"
-                   % (tuple(shape) + (refine,)))
-    # sat[i, j, k] sums the kernel over m < (i, j, k); the weight step^3
-    # cancels the step^-3 of the kernel
-    sat = np.zeros(tuple(shape))
-    q = sat[1:, 1:, 1:]
-    sq = [(np.arange(k) + 0.5 * (1 - odd)) ** 2 for k in n]
-    q[...] = sq[0][:, None, None] + sq[1][None, :, None]
-    q += sq[2]
-    if odd:
-        # the singular zero offset, weighted inf^-1.5 = 0
-        q[0, 0, 0] = np.inf
-    np.power(q, -1.5, out=q)
-    for axis in range(3):
-        np.cumsum(sat, axis=axis, out=sat)
+    if table is None:
+        table = boundary_table(n, refine)
+    elif np.any(np.asarray(table.shape) < n + 1):
+        raise ValueError("boundary statistic needs a summed-volume table of "
+                         "at least %d x %d x %d fine points, not %d x %d x %d"
+                         % (tuple(n + 1) + table.shape))
+    elif (table[1, 1, 1] == 0.0) != odd:
+        # the zero offset's entry: 0 for odd refine, positive for even
+        raise ValueError("boundary statistic with refine=%d needs a table "
+                         "built for %s refine" % (refine,
+                                                  ("even", "odd")[odd]))
+    sat = table[:n[0] + 1, :n[1] + 1, :n[2] + 1]
     # a centre sits at fine coordinate refine * i + (refine - 1)/2, so the
     # offset to fine point g is p + delta with p = g - refine * i - half
     start = [-refine * np.arange(k) - half for k in lattice]
@@ -357,7 +412,6 @@ def boundary_counting_statistic(cluster, refine=4):
                 ranges[b] = _folded(start[b], start[b] + width, odd)
         box = sat
         for b, pairs in ranges.items():
-            box = sum(box.take(hi, axis=b) - box.take(lo, axis=b)
-                      for lo, hi in pairs)
+            box = _differences(box, b, pairs)
         integral += box
     return float(np.sum(integral[tuple(ijk.T)] ** 2))

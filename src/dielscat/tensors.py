@@ -188,19 +188,23 @@ def pruned_dft(n):
 
 @functools.lru_cache(maxsize=8)
 def octant_dft(n):
-    """(even, odd) (2n, n+1) matrices: the length-2n DFT along an axis of
-    offsets o = -n ... n-1, stored at o mod 2n, from the values at |o| =
-    0 ... n of a function even or odd in that axis.
+    """(even, odd) real (2n, n+1) matrices: the length-2n DFT along an axis
+    of offsets o = -n ... n-1, stored at o mod 2n, from the values at |o| =
+    0 ... n of a function even in that axis, and that DFT over i for a
+    function odd in it.
 
     Offsets +-j (0 < j < n) pair into 2 cos (even) or -2i sin (odd); the
-    offset -n alone gives (-1)^q, negated when odd.
+    offset -n alone gives (-1)^q when even and is 0 when odd.  The
+    convolution reads only offsets |o| <= n-1, so the value at -n is free:
+    0 keeps an odd function's table odd, and the DFT of a real kernel even
+    or odd in each axis real.
     """
     e = _phases(n)
     even = 2.0 * e.real
-    odd = 2j * e.imag
+    odd = 2.0 * e.imag
     even[:, 0] = 1.0
     even[:, n] = e[:, n].real
-    odd[:, n] = -e[:, n].real
+    odd[:, n] = 0.0
     even.flags.writeable = odd.flags.writeable = False
     return even, odd
 
@@ -290,24 +294,32 @@ class LatticeOperator:
     @functools.cached_property
     def spectrum(self):
         """DFT of the kernel at every offset, o stored at o mod 2n, over
-        the three offset axes: (components, 2nx, 2ny, 2nz), complex.
+        the three offset axes: (components, 2nx, 2ny, 2nz), of the octant's
+        dtype, float64 for a real kernel (k = 0 and a real weight).
 
         Each component is transformed from the octant, the z axis first,
         by the even or odd octant_dft matrix of each axis, the last product
-        written into the one preallocated array.
+        written into the one preallocated array; a component odd in two
+        axes is then negated for the factor i^2 that the odd matrices
+        leave out.
         """
         octant = self._octant()
         nx, ny, nz = (int(n) for n in self.extent)
-        spec = np.empty((len(octant), 2 * nx, 2 * ny, 2 * nz), dtype=complex)
-        tables = [octant_dft(n) for n in (nx, ny, nz)]
+        spec = np.empty((len(octant), 2 * nx, 2 * ny, 2 * nz),
+                        dtype=octant.dtype)
+        # in the octant's dtype, so that no product casts a matrix again
+        tables = [[m.astype(octant.dtype, copy=False) for m in octant_dft(n)]
+                  for n in (nx, ny, nz)]
         for c, values in enumerate(octant):
             mx, my, mz = (table[axis in ODD[c]]
                           for axis, table in enumerate(tables))
             part = (values.reshape(-1, nz + 1) @ mz.T).reshape(
                 nx + 1, ny + 1, 2 * nz)
             part = my @ part
-            np.matmul(mx, part.reshape(nx + 1, -1),
-                      out=spec[c].reshape(2 * nx, -1))
+            out = spec[c].reshape(2 * nx, -1)
+            np.matmul(mx, part.reshape(nx + 1, -1), out=out)
+            if ODD[c]:
+                np.negative(out, out=out)
         return spec
 
     def apply(self, F):

@@ -118,7 +118,10 @@ def offset_table(extent, pitch, kind, k, weight):
     o = 0, by the closed form: (6, 2nx, 2ny, 2nz) components xx, yy, zz,
     xy, xz, yz of a 3x3 kind, (1, ...) for "scalar".  The kinds are
     "dyadic" Y_k, "hessian" Y_k - k^2 Phi_k I, "projected" Phi_k rhat rhat
-    and "scalar" Phi_k."""
+    and "scalar" Phi_k.  A convolution over the box reads no offset o = -n,
+    so that entry is free; it is zero on both axes of an off-diagonal
+    component, which is odd in them, so the table of a real kernel has a
+    real DFT."""
     axes = [pitch * np.concatenate([np.arange(n), np.arange(-n, 0)])
             for n in extent]
     d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -136,7 +139,12 @@ def offset_table(extent, pitch, kind, k, weight):
             radial, iso = phi, np.zeros_like(phi)
         values = np.stack([radial * rhat[:, a] * rhat[:, b] + iso * (a == b)
                            for a, b in COMPONENTS])
-    return weight * values.reshape((-1,) + tuple(2 * n for n in extent))
+    table = weight * values.reshape((-1,) + tuple(2 * n for n in extent))
+    for part, (a, b) in zip(table, COMPONENTS):
+        if a != b:
+            for axis in (a, b):
+                np.moveaxis(part, axis, 0)[extent[axis]] = 0.0
+    return table
 
 
 def offset_spectrum(extent, pitch, kind, k, weight):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dielscat import experiments, geometry
 from dielscat.experiments import (_fit_slope, polarization_angle_deg,
                                   run_convergence, run_counting,
                                   run_regime_map)
@@ -85,6 +88,49 @@ def test_run_counting_slopes():
     assert slopes["kappa_3"] < -3.0  # log-corrected d^-3
     assert slopes["boundary"] < 0.0
     assert all(r["value"] > 0 for r in rows)
+
+
+def test_run_counting_builds_one_boundary_table(monkeypatch):
+    """Every boundary pitch reads the one summed-volume table built for the
+    study, and the rows are those of a table per pitch."""
+    config = {"pitches": [0.5, 1.0 / 3.0],
+              "boundary_pitches": [1.0 / (j + 0.5) for j in range(2, 6)],
+              "refine": 3}
+    per_pitch = [geometry.boundary_counting_statistic(
+        geometry.generate_cluster(geometry.unit_box(), d), refine=3)
+        for d in config["boundary_pitches"]]
+    calls = []
+    build = geometry.boundary_table
+
+    def counted(n, refine):
+        calls.append((tuple(n), refine))
+        return build(n, refine)
+
+    monkeypatch.setattr(experiments, "boundary_table", counted)
+    monkeypatch.setattr(geometry, "boundary_table", counted)
+    rows, _ = run_counting(config)
+    assert calls == [((17, 17, 17), 3)]
+    assert [r["value"] for r in rows
+            if r["quantity"] == "boundary_statistic"] == per_pitch
+
+
+def test_boundary_loop_heap_peak_is_the_finest_table_and_its_differences():
+    """The traced heap peak of the counting study at the default boundary
+    pitches (two coarse interior pitches) stays within the finest pitch's
+    summed-volume table plus three arrays of its first-axis differences,
+    the bytes the table's memory check counts: the table is shared, and
+    each pitch's differences are taken in place."""
+    d = 1.0 / 14.5
+    lattice, n, _ = geometry.boundary_grid_counts(geometry.unit_box(), d, 4)
+    entries = np.prod(n + 1)
+    planes = np.max(lattice * entries / (n + 1))
+    tracemalloc.start()
+    try:
+        run_counting({"pitches": [0.5, 1.0 / 3.0]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (entries + 3 * planes)
 
 
 def test_polarization_angle_of_a_parallel_field_is_zero():

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from dielscat import tensors
 from dielscat.geometry import (Cluster, DomainShape, boundary_counting_statistic,
-                               boundary_grid_counts, derive_scales,
+                               boundary_grid_counts, boundary_table,
+                               derive_scales,
                                generate_cluster, max_counting_sum, parse_sign,
                                unit_ball, unit_box)
 from oracles import check_scales, counting_sum, parent_cluster_centers
@@ -225,6 +226,49 @@ def test_boundary_statistic_matches_midpoint_oracle(refine, u, extents):
         assert (want > 0) == (not np.array_equal(n, c))
         got = boundary_counting_statistic(cl, refine=refine)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("extents", [(1.0, 1.0, 1.0), (1.0, 0.8, 1.3)])
+@pytest.mark.parametrize("u", [0.4, 0.5, 0.6])
+@pytest.mark.parametrize("refine", [1, 2, 3, 4, 5, 12])
+def test_a_shared_table_gives_the_statistic_bit_for_bit(refine, u, extents):
+    """One table built for the finest pitch's fine-point counts, the
+    per-axis maximum on the uneven box, serves every pitch: the statistic
+    read from its prefix equals the one from the call's own table exactly,
+    on boxes off the origin."""
+    domain = DomainShape("box", extents, center=(0.3, -0.2, 0.1))
+    pitches = [1.0 / (j + u) for j in (2, 5, 9)]
+    n = np.max([boundary_grid_counts(domain, d, refine)[1] for d in pitches],
+               axis=0)
+    table = boundary_table(n, refine)
+    for d in pitches:
+        cl = generate_cluster(domain, d)
+        assert boundary_counting_statistic(cl, refine=refine, table=table) \
+            == boundary_counting_statistic(cl, refine=refine)
+
+
+def test_a_table_too_short_or_of_the_other_parity_is_refused():
+    """A table one fine point short on any axis, or built for a refine of
+    the other parity, raises ValueError instead of reading wrong entries."""
+    domain = DomainShape("box", (1.0, 0.8, 1.3))
+    cl = generate_cluster(domain, 1.0 / 4.5)
+    _, n, _ = boundary_grid_counts(domain, cl.d, 4)
+    want = boundary_counting_statistic(cl, refine=4)
+    assert boundary_counting_statistic(
+        cl, refine=4, table=boundary_table(n, 4)) == want
+    for axis in range(3):
+        short = n.copy()
+        short[axis] -= 1
+        with pytest.raises(ValueError, match="at least"):
+            boundary_counting_statistic(cl, refine=4,
+                                        table=boundary_table(short, 4))
+    with pytest.raises(ValueError, match="even refine"):
+        boundary_counting_statistic(cl, refine=4,
+                                    table=boundary_table(n, 3))
+    _, n3, _ = boundary_grid_counts(domain, cl.d, 3)
+    with pytest.raises(ValueError, match="odd refine"):
+        boundary_counting_statistic(cl, refine=3,
+                                    table=boundary_table(n3, 4))
 
 
 def boundary_grid_counts_oracle(domain, d, refine):
