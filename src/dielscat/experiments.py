@@ -43,13 +43,17 @@ def polarization_angle_deg(v, p):
                                        abs(along))))
 
 
-def _compare(cluster, sc, p0, wave, grid, xi, dirs):
+def _compare(cluster, sc, p0, wave, grid, xi, dirs, log):
     """Row fields comparing the cluster's far field with the effective
-    medium's at one particle scale."""
+    medium's at one particle scale; the two solves' paths and matvec counts
+    go to the timing row `log`."""
     sol = assemble_and_solve(cluster, sc, p0, wave)
     far = cluster_far_field(sol, cluster, sc, dirs)
     T = tensor_T(xi, p0, sc.sign)
-    H, lse_res, _, _ = solve_effective_lse(grid, xi, T, sc.k, wave, sc.sign)
+    H, lse_res, lse_path, lse_matvecs = solve_effective_lse(
+        grid, xi, T, sc.k, wave, sc.sign)
+    log.update(fl_path=sol.path, fl_matvecs=sol.matvecs, lse_path=lse_path,
+               lse_matvecs=lse_matvecs)
     eff = effective_far_field(H, grid, xi, T, sc.k, sc.sign, dirs)
     residuals = {"fl_residual": sol.residual, "lse_residual": lse_res}
     scale = max(eff.sup_norm(), far.sup_norm())
@@ -68,8 +72,10 @@ def run_convergence(config):
     cluster, solve the point-interaction system, solve the volume integral
     equation at the matched coupling, and record the sup-direction far-field
     difference.  Returns (rows, fitted slope of log-error vs log-a, timing
-    log).  Wall times are reported separately so the result table itself is
-    reproducible byte for byte.
+    log).  Wall times, and each compared row's solve paths and matvec
+    counts (fl_path, fl_matvecs, lse_path, lse_matvecs), are reported in
+    the timing log, so the result table itself is reproducible byte for
+    byte.
     """
     config = with_defaults("converge", config)
     a_list = list(config["a_list"])
@@ -82,7 +88,7 @@ def run_convergence(config):
     timings = []
     for a in a_list:
         t0 = time.perf_counter()
-        row = {"a": a}
+        row, timing = {"a": a}, {"a": a}
         try:
             sc = scales(config, a)
             cluster = generate_cluster(unit_box(), sc.d)
@@ -94,13 +100,14 @@ def run_convergence(config):
             # vanishing coupling: both far fields tend to zero and the
             # relative comparison is meaningless
             if xi >= DEGENERATE_XI:
-                row.update(_compare(cluster, sc, p0, wave, grid, xi, dirs))
+                row.update(_compare(cluster, sc, p0, wave, grid, xi, dirs,
+                                    timing))
             else:
                 row.update(DEGENERATE_ROW)
         except (RuntimeError, ValueError) as exc:
             row.update({"status": "failed: %s" % exc})
         rows.append(row)
-        timings.append({"a": a, "wall_time": time.perf_counter() - t0})
+        timings.append(dict(timing, wall_time=time.perf_counter() - t0))
     good = [r for r in rows if r.get("status") == "ok"]
     tail = (len(good) + 1) // 2 + 1
     slope = _fit_slope([r["a"] for r in good], [r["sup_error"] for r in good],

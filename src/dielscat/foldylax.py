@@ -13,10 +13,6 @@ from .tensors import LatticeOperator, cis, spectral_norm
 # LatticeOperator, so nothing in this module calls them
 from .tensors import dyadic_kernel_scalars, dyadic_sum_chunked  # noqa: F401
 
-# GMRES on I - B meets GMRES_TOL within its budget of GMRES_RESTART *
-# GMRES_MAXITER iterations once margin ** (GMRES_RESTART * GMRES_MAXITER)
-# <= GMRES_TOL, that is for margin <= 10^-0.1 ~ 0.794 (see
-# assemble_and_solve)
 GMRES_TOL = 1e-10
 GMRES_RESTART = 100
 # the matvec budget, in restart cycles: 100 iterations, at least 10x the 8
@@ -143,18 +139,11 @@ def assemble_and_solve(cluster, scales, p0, wave):
     B = coupling * P0.Y_k between distinct particles.  linalg.solve_coupled
     solves the rescaled system U - coupling * Y_k.(P0 U) = ik H_inc, and
     Q_m = (a^{5-h} / sign c0) P0.U_m solves the Q-form system for every P0.
-    The invertibility margin bounds |B|_2 (checked against the dense 2-norm
-    for margins 0.03 to 3.9 and counts 27 to 1000, where |B|_2 / margin
-    stays below 0.75); Y_k is complex
-    symmetric, so for a symmetric P0 the rescaled coupling Y_k.P0 = B^T has
-    the same 2-norm.  GMRES on I - B has |r_m| <= |B|^m |b| after m
-    iterations (take the residual polynomial (1 - z)^m), so it meets
-    GMRES_TOL within its budget of GMRES_RESTART * GMRES_MAXITER iterations
-    whenever margin ** (GMRES_RESTART * GMRES_MAXITER) <= GMRES_TOL.  Only
-    strongly coupled clusters that fail this test and have at most
-    linalg.DENSE_LIMIT particles take the dense (3N)^2 LU; every other
-    cluster is solved by matrix-free restarted GMRES, applying the kernel by
-    FFT on the particle lattice, so memory stays O(count).  The solution
+    solve_coupled chooses between the dense (3N)^2 LU and matrix-free
+    restarted GMRES, which applies the kernel by FFT on the particle
+    lattice, so memory stays O(count).  The invertibility margin, the
+    paper's bound on |B|_2 (below 1: a Neumann-series contraction), is
+    reported with the solution and flagged from 1 up.  The solution
     records its path, its matvec count and the relative residual of the
     rescaled system; a failed GMRES solve raises RuntimeError naming its
     matvec count, residual and margin.
@@ -162,14 +151,11 @@ def assemble_and_solve(cluster, scales, p0, wave):
     if abs(wave.k - scales.k) > 1e-10 * scales.k:
         raise ValueError("wave.k inconsistent with the derived scales")
     margin = invertibility_margin(scales, p0)
-    guaranteed = margin <= GMRES_TOL ** (
-        1.0 / (GMRES_RESTART * GMRES_MAXITER))
     b = 1j * scales.k * incident_magnetic_many(wave, cluster.centers)
     try:
         U, res, path, matvecs = solve_coupled(
             _kernel(cluster, scales.k), coupling_constant(scales), p0, b,
-            guaranteed=guaranteed, rtol=GMRES_TOL, restart=GMRES_RESTART,
-            maxiter=GMRES_MAXITER)
+            rtol=GMRES_TOL, restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
     except RuntimeError as exc:
         raise RuntimeError("point-interaction %s, invertibility margin=%.3g"
                            % (exc, margin)) from exc

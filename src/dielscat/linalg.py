@@ -4,6 +4,8 @@
 
 import numpy as np
 
+from .tensors import spectral_norm
+
 # the largest site count solved by a dense (3n)^2 LU, and then only when
 # GMRES has no convergence guarantee
 DENSE_LIMIT = 1500
@@ -133,26 +135,30 @@ def gmres(matvec, b, x0=None, psolve=None, *, rtol, restart, maxiter):
     return x, 0 if rnorm <= atol else maxiter, rnorm
 
 
-def solve_coupled(kernel, c, P, b, *, guaranteed, rtol, restart, maxiter,
-                  psolve=None, x0=None):
+def solve_coupled(kernel, c, P, b, *, rtol, restart, maxiter, psolve=None,
+                  x0=None):
     """Solve x - c K(x P^T) = b for an (n, 3) field x.
 
     K is a 3x3 kernel operator on n sites that carries its own self term,
-    with apply(F) and dense() (tensors.LatticeOperator); P is a 3x3 tensor
-    acting on each site.  This is the coupled-dipole system of the
-    discrete-dipole approximation (Purcell & Pennypacker, ApJ 186 (1973)
-    705; Draine & Flatau, JOSA A 11 (1994) 1491): the point-interaction
-    system with K = Y_k between distinct particles and P = P0, and the
-    effective-medium LSE with K its voxel kernel plus self scalar and
-    P = T.
+    with apply(F), dense() and norm_bound (tensors.LatticeOperator); P is a
+    3x3 tensor acting on each site.  This is the coupled-dipole system of
+    the discrete-dipole approximation (Purcell & Pennypacker, ApJ 186
+    (1973) 705; Draine & Flatau, JOSA A 11 (1994) 1491): the
+    point-interaction system with K = Y_k between distinct particles and
+    P = P0, and the effective-medium LSE with K its voxel kernel plus self
+    scalar and P = T.
 
-    When n <= DENSE_LIMIT and the caller has no guarantee that GMRES
-    converges within its budget, the dense matrix is solved by
-    np.linalg.solve.  Otherwise restarted GMRES runs on the matrix-free
-    apply, with relative tolerance rtol and at most maxiter cycles of
-    restart iterations, from x0 and left-preconditioned by psolve if given.
-    A GMRES solve that is not converged within its budget, or not finite,
-    raises RuntimeError naming its matvec count and relative residual.
+    The path is chosen here alone: restarted GMRES on the matrix-free
+    apply (relative tolerance rtol, at most maxiter cycles of restart
+    iterations, from x0 and left-preconditioned by psolve if given) when a
+    psolve is given, when n > DENSE_LIMIT, or when its budget is sure to
+    suffice, else np.linalg.solve on the dense matrix.  B = c K (I x P)
+    has |B|_2 <= beta = |c| |P|_2 K.norm_bound, and GMRES on I - B has
+    |r_m| <= |B|^m |r_0| after m iterations of a cycle (take the residual
+    polynomial (1 - z)^m), so from a zero start it meets rtol within its
+    budget whenever beta ** (restart * maxiter) <= rtol.  A GMRES solve
+    that is not converged within its budget, or not finite, raises
+    RuntimeError naming its matvec count and relative residual.
 
     Returns (x, relative residual |x - c K(x P^T) - b| / |b| (0.0 for a
     zero b), path "dense" or "gmres", GMRES matvec count, 0 on the dense
@@ -168,7 +174,9 @@ def solve_coupled(kernel, c, P, b, *, guaranteed, rtol, restart, maxiter,
     def relative(rnorm):
         return float(rnorm / bnorm) if bnorm else 0.0
 
-    if n <= DENSE_LIMIT and not guaranteed:
+    if psolve is None and n <= DENSE_LIMIT and (
+            abs(c) * spectral_norm(P) * kernel.norm_bound
+            > rtol ** (1.0 / (restart * maxiter))):
         # per-site P: (K Pbig)[:, 3j+b] = sum_a K[:, 3j+a] P_ab
         A = (kernel.dense().reshape(3 * n, n, 3) @ P).reshape(3 * n, 3 * n)
         A *= -c

@@ -185,21 +185,19 @@ def solve_effective_lse(grid, xi, T, k, wave, sign, eigensystem=None):
     """Solve the discretized Lippmann-Schwinger system A(k) H = ik H_inc.
 
     A(k) H = H - s xi (G_k + sigma_k I)(T H), with G_k + sigma_k I the LSE
-    kernel DyadicVolumeOperator, solved by linalg.solve_coupled.  Without
-    an eigensystem GMRES has no convergence guarantee: a grid of at most
-    linalg.DENSE_LIMIT cells is solved by the dense LU, a larger one by
-    GMRES on the FFT kernel operator.
+    kernel DyadicVolumeOperator, solved by linalg.solve_coupled, which
+    chooses between the dense LU and GMRES on the FFT kernel operator.  A
+    wave of another wavenumber than k raises ValueError.
 
     With eigensystem = magnetization_eigensystem(grid) (only for a scalar
-    T = t I; any other T raises ValueError), GMRES is used whatever the cell
-    count, preconditioned by the exact inverse of A(0) and started from
-    A(0)^-1 b.  A(0) is exact to invert: Y_0 is the Magnetization kernel
-    grad grad Phi_0 with weight -w and sigma_0 = -1/3 is minus its self
-    term, so G_0 + sigma_0 I = -M and A(0) = I + s xi t M, which the
-    eigensystem inverts block by block under the cube symmetry
-    (MagnetizationEigensystem.inverse: per orbit gather, V_G diag(1 /
-    (1 + s xi t lambda)) V_G^T per irrep block G, scatter back; no 3C x 3C
-    product).  A(k) - A(0) = O(k^2), so at the quasi-static k of the
+    T = t I; any other T raises ValueError), GMRES is preconditioned by the
+    exact inverse of A(0) and started from A(0)^-1 b.  A(0) is exact to
+    invert: Y_0 is the Magnetization kernel grad grad Phi_0 with weight -w
+    and sigma_0 = -1/3 is minus its self term, so G_0 + sigma_0 I = -M and
+    A(0) = I + s xi t M, which the eigensystem inverts block by block under
+    the cube symmetry (MagnetizationEigensystem.inverse: per orbit gather,
+    V_G diag(1 / (1 + s xi t lambda)) V_G^T per irrep block G, scatter
+    back; no 3C x 3C product).  A(k) - A(0) = O(k^2), so at the quasi-static k of the
     resonance study GMRES stops after one iteration, and it still
     converges, in more, at k ~ 1.  linalg.gmres applies the
     preconditioner on the left, minimizing the preconditioned residual, and
@@ -212,6 +210,8 @@ def solve_effective_lse(grid, xi, T, k, wave, sign, eigensystem=None):
     Returns (H, relative residual, path "dense" or "gmres", GMRES matvec
     count), as solve_coupled does.
     """
+    if abs(wave.k - k) > 1e-10 * k:
+        raise ValueError("wave.k inconsistent with the solve's k")
     s = parse_sign(sign)
     T = np.asarray(T, dtype=complex)
     rhs = 1j * k * incident_magnetic_many(wave, grid.centers)
@@ -227,9 +227,8 @@ def solve_effective_lse(grid, xi, T, k, wave, sign, eigensystem=None):
     try:
         return solve_coupled(
             DyadicVolumeOperator(grid, k), s * xi, T, rhs,
-            guaranteed=eigensystem is not None, rtol=LSE_GMRES_TOL,
-            restart=LSE_GMRES_RESTART, maxiter=LSE_GMRES_MAXITER,
-            psolve=precond, x0=x0)
+            rtol=LSE_GMRES_TOL, restart=LSE_GMRES_RESTART,
+            maxiter=LSE_GMRES_MAXITER, psolve=precond, x0=x0)
     except RuntimeError as exc:
         raise RuntimeError("effective-medium %s" % exc) from exc
 

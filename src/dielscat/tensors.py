@@ -139,28 +139,6 @@ def require_memory(nbytes, what):
                          "physical memory" % (what, nbytes, limit))
 
 
-def assemble_dense(component, count, m, dtype, self_term=0.0, targets=None):
-    """(m T)x(m C) matrix of a pairwise kernel, self_term where i == j.
-
-    component(c) returns the (T, C) pair values of kernel component c
-    (see kernel_components) from each target cell (the indices `targets`,
-    default all C cells) to each of the C source cells; m is 3 for a 3x3
-    kernel acting on (C, 3) fields, 1 for a scalar kernel.  The matrix
-    must fit in physical memory: a larger one raises ValueError before
-    anything is allocated.
-    """
-    targets = np.arange(count) if targets is None else np.asarray(targets)
-    rows = targets.size
-    require_memory(m * rows * m * count * np.dtype(dtype).itemsize,
-                   "dense operator on C=%d cells" % count)
-    A = np.empty((rows, m, count, m), dtype=dtype)
-    for a in range(m):
-        for b in range(m):
-            A[:, a, :, b] = component(SYM[a][b])
-    A[np.arange(rows), :, targets, :] += self_term * np.eye(m)
-    return A.reshape(m * rows, m * count)
-
-
 # axes in which each component of kernel_components is odd; the others, and
 # the scalar kind's one component, are even in every axis
 ODD = ((), (), (), (0, 1), (0, 2), (1, 2))
@@ -225,8 +203,8 @@ class LatticeOperator:
     discrete-dipole method of Goodman, Draine & Flatau, Opt. Lett. 16
     (1991) 1198).  The spectrum is taken from the octant by per-axis
     2 cos / -2i sin matrices, one component at a time, and kept alone;
-    dense() gathers the matrix from the octant.  Both are built on first
-    use.
+    norm_bound reads a bound on the operator's 2-norm off it, and dense()
+    gathers the matrix from the octant.  All are built on first use.
 
     The transforms are products with small DFT matrices (Van Loan,
     Computational Frameworks for the Fast Fourier Transform, SIAM 1992),
@@ -357,33 +335,44 @@ class LatticeOperator:
             out = out.real
         return (out + self.self_term * cols).reshape(F.shape)
 
+    @functools.cached_property
+    def norm_bound(self):
+        """A 3x3 kind's bound on its 2-norm: the largest absolute row sum of
+        the symbol K(w) + self_term I over the spectrum's frequencies w.
+        The operator compresses the block circulant that apply multiplies
+        by, of 2-norm max_w |K(w) + self_term I|_2, and a complex-symmetric
+        M has |M|_2^2 <= |M|_1 |M|_inf = |M|_inf^2."""
+        K = self.spectrum
+        return float(max(np.max(np.abs(K[a] + self.self_term) + sum(
+            np.abs(K[c]) for c in SYM[a] if c != a)) for a in range(3)))
+
     def dense(self, cells=None):
         """The (m C)x(m C) matrix of the operator, or only its rows at the
-        cell indices `cells`; float64 if A is real."""
-        targets = self.ijk if cells is None else self.ijk[cells]
-
-        # built only once assemble_dense has checked the matrix fits
-        @functools.cache
-        def pairs():
-            """Flat octant index of |x_i - x_j| and the signs of x_i - x_j,
-            for every pair."""
-            diff = targets.T[:, :, None] - self.ijk.T[:, None, :]
-            negative = diff < 0
-            index = np.ravel_multi_index(tuple(np.abs(diff, out=diff)),
-                                         tuple(self.extent + 1))
-            return index, negative
-
-        def component(c):
-            index, negative = pairs()
-            values = self.octant[c].reshape(-1)[index]
-            if ODD[c]:
-                a, b = ODD[c]
-                np.negative(values, out=values,
-                            where=negative[a] ^ negative[b])
-            return values
-
-        return assemble_dense(component, self.count, self.m, self.dtype,
-                              self.self_term, cells)
+        cell indices `cells`; float64 if A is real.  A matrix that does not
+        fit in physical memory raises ValueError before it is allocated."""
+        m, count = self.m, self.count
+        rows = np.arange(count) if cells is None else np.asarray(cells)
+        require_memory(m * rows.size * m * count
+                       * np.dtype(self.dtype).itemsize,
+                       "dense operator on C=%d cells" % count)
+        # flat octant index of |x_i - x_j| and the signs of x_i - x_j, for
+        # every pair
+        diff = self.ijk[rows].T[:, :, None] - self.ijk.T[:, None, :]
+        negative = diff < 0
+        index = np.ravel_multi_index(tuple(np.abs(diff, out=diff)),
+                                     tuple(self.extent + 1))
+        A = np.empty((rows.size, m, count, m), dtype=self.dtype)
+        for a in range(m):
+            for b in range(m):
+                c = SYM[a][b]
+                values = self.octant[c].reshape(-1)[index]
+                if ODD[c]:
+                    i, j = ODD[c]
+                    np.negative(values, out=values,
+                                where=negative[i] ^ negative[j])
+                A[:, a, :, b] = values
+        A[np.arange(rows.size), :, rows, :] += self.self_term * np.eye(m)
+        return A.reshape(m * rows.size, m * count)
 
 
 def direction_grid():

@@ -11,7 +11,7 @@ from dielscat.foldylax import (IncidentWave, assemble_and_solve,
                                incident_magnetic_many, invertibility_margin)
 from dielscat.geometry import Cluster, DomainShape, derive_scales, \
     generate_cluster, unit_box
-from dielscat.tensors import direction_grid
+from dielscat.tensors import LatticeOperator, direction_grid
 from oracles import (DirectSumOperator, incident_magnetic,
                      neumann_series_solution, q_form_rhs, system_residual,
                      to_u_form, u_form_residual)
@@ -157,8 +157,11 @@ def offdiag_matrix(cluster, scales, p0):
     return coupling_constant(scales) * B
 
 
-@pytest.mark.parametrize("a, c_r", [(0.02, 2.0), (0.03, 3.0), (0.05, 1.0),
-                                    (0.05, 0.8), (0.1, 0.6)])
+MARGIN_CONFIGS = [(0.02, 2.0), (0.03, 3.0), (0.05, 1.0), (0.05, 0.8),
+                  (0.1, 0.6)]
+
+
+@pytest.mark.parametrize("a, c_r", MARGIN_CONFIGS)
 def test_margin_bounds_the_coupling_norm(a, c_r):
     """|B|_2 <= invertibility margin, the bound the solver's path rule rests
     on, for margins from 0.03 to 3.9 and counts from 27 to 1000.
@@ -177,6 +180,34 @@ def test_margin_bounds_the_coupling_norm(a, c_r):
     except np.linalg.LinAlgError:
         pytest.fail("|B|_2 = %.4g above the margin %.4g" % (
             np.linalg.norm(B, 2), margin))
+
+
+class DensePath(Exception):
+    """Raised in place of a dense matrix, to see the path without its LU."""
+
+
+@pytest.mark.parametrize("a, c_r", MARGIN_CONFIGS)
+def test_the_kernel_norm_bound_picks_the_path_of_the_paper_margin(
+        a, c_r, monkeypatch):
+    """On every cluster above, the two of the CLI's path tests among them
+    (a = 0.05, c_r = 1 and a = 0.02, c_r = 2), solve_coupled's rule, read
+    off the kernel's norm bound, takes GMRES exactly where the paper's
+    invertibility margin guarantees it: margin ** (GMRES_RESTART *
+    GMRES_MAXITER) <= GMRES_TOL.  Bound / margin: 0.97, 0.80, 1.01, 1.01
+    and 0.99."""
+    def dense(self, cells=None):
+        raise DensePath
+
+    monkeypatch.setattr(LatticeOperator, "dense", dense)
+    scales, cluster, wave = small_setup(a=a, c_r=c_r)
+    margin = invertibility_margin(scales, p0_ball())
+    budget = foldylax.GMRES_RESTART * foldylax.GMRES_MAXITER
+    try:
+        path = assemble_and_solve(cluster, scales, p0_ball(), wave).path
+    except DensePath:
+        path = "dense"
+    assert path == ("gmres" if margin ** budget <= foldylax.GMRES_TOL
+                    else "dense")
 
 
 def test_weakly_coupled_cluster_takes_gmres_within_the_neumann_bound():
@@ -214,7 +245,8 @@ def test_strongly_coupled_cluster_takes_the_dense_lu(monkeypatch):
 
 def test_margin_below_one_without_the_gmres_guarantee_takes_dense():
     """a = 0.05, c_r = 1 (N = 512): margin 0.90 is below 1 but above
-    GMRES_TOL ** (1 / (GMRES_RESTART * GMRES_MAXITER)) ~ 0.794."""
+    GMRES_TOL ** (1 / (GMRES_RESTART * GMRES_MAXITER)) ~ 0.794, and so is
+    the bound solve_coupled reads off the kernel (0.91)."""
     scales, cluster, wave = small_setup(a=0.05, c_r=1.0)
     sol = assemble_and_solve(cluster, scales, p0_ball(), wave)
     budget = foldylax.GMRES_RESTART * foldylax.GMRES_MAXITER

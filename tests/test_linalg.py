@@ -188,6 +188,7 @@ class CountedKernel:
 
     def __init__(self, op):
         self.op = op
+        self.norm_bound = op.norm_bound
         self.applies = 0
 
     def apply(self, F):
@@ -207,12 +208,10 @@ def test_solve_coupled_reports_the_gmres_exit_residual_without_an_apply():
     b = rng.normal(size=(grid.count, 3)) + 1j * rng.normal(
         size=(grid.count, 3))
     x, res, path, matvecs = linalg.solve_coupled(
-        kernel, 0.8, P, b, guaranteed=True, rtol=1e-10, restart=20,
-        maxiter=2)
+        kernel, 0.8, P, b, rtol=1e-10, restart=20, maxiter=2)
     assert path == "gmres" and kernel.applies == matvecs > 0
     direct = x - 0.8 * kernel.op.apply(x @ P.T) - b
     assert res == np.linalg.norm(direct) / np.linalg.norm(b) <= 1e-10
     x, res, path, matvecs = linalg.solve_coupled(
-        kernel, 0.8, P, 0 * b, guaranteed=True, rtol=1e-10, restart=20,
-        maxiter=2)
+        kernel, 0.8, P, 0 * b, rtol=1e-10, restart=20, maxiter=2)
     assert res == 0.0 and not x.any() and matvecs == 0

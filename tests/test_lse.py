@@ -13,10 +13,11 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 import dielscat
 from dielscat import linalg, lse, tensors
 from dielscat.cli import main
-from dielscat.effective import (detuned_xi, plasmonic_frequency,
+from dielscat.effective import (coupling_xi, detuned_xi, p0_ball,
+                                plasmonic_frequency, tensor_T,
                                 tensor_T_ball)
 from dielscat.foldylax import IncidentWave
-from dielscat.geometry import unit_ball, unit_box
+from dielscat.geometry import derive_scales, unit_ball, unit_box
 from dielscat.symmetry import SymmetryBasis
 from dielscat.lse import (DEGENERACY_TOL, RESONANT_MIN_ABOVE,
                           DyadicVolumeOperator, VolumeGrid,
@@ -209,20 +210,43 @@ def test_lse_born_consistency():
 
 
 def test_solve_effective_lse_dense_vs_gmres(monkeypatch):
-    """216 cells take the dense LU; with the dense limit at 0 the same
-    system goes to GMRES.  Each solve reports its path and matvec count."""
+    """216 cells at xi = 2, "-": the kernel's norm bound guarantees GMRES
+    (|c| |T|_2 norm_bound = 0.77), which stops after 14 matvecs.  The
+    FOLDYLAX_DOC scales (a = 0.05, c_r = 1, "+") couple above the bound
+    (1.63), so the same grid takes the dense LU; with the dense limit at 0
+    that system goes to GMRES and matches it.  Each solve reports its path
+    and matvec count."""
     grid = VolumeGrid(unit_box(), 6)
-    k, xi = 1.2, 2.0
-    T = tensor_T_ball(xi, "-")
-    wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
-    Hd, rd, path, matvecs = solve_effective_lse(grid, xi, T, k, wave, "-")
+    T = tensor_T_ball(2.0, "-")
+    wave = IncidentWave(1.2, (0, 0, 1), (1, 0, 0))
+    _, rg, path, matvecs = solve_effective_lse(grid, 2.0, T, 1.2, wave, "-")
+    assert (path, matvecs) == ("gmres", 14)
+    assert rg <= 1e-7
+    sc = derive_scales(0.05, 0.9, 1.0, 1.0, "+", 1.0, 0.4)
+    xi = coupling_xi(sc.eta0, sc.k, sc.c0, sc.c_r)
+    T = tensor_T(xi, p0_ball(), sc.sign)
+    wave = IncidentWave(sc.k, (0, 0, 1), (1, 0, 0))
+    Hd, rd, path, matvecs = solve_effective_lse(grid, xi, T, sc.k, wave,
+                                                sc.sign)
     assert (path, matvecs) == ("dense", 0)
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
-    Hg, rg, path, matvecs = solve_effective_lse(grid, xi, T, k, wave, "-")
+    Hg, rg, path, matvecs = solve_effective_lse(grid, xi, T, sc.k, wave,
+                                                sc.sign)
     assert path == "gmres" and matvecs > 0
     assert rd <= 1e-10
     assert rg <= 1e-7
     assert np.linalg.norm(Hd - Hg) / np.linalg.norm(Hd) <= 1e-6
+
+
+def test_solve_effective_lse_refuses_a_wave_of_another_k():
+    """The kernel is built at k and the right-hand side from wave.k, so a
+    wave of another wavenumber is refused, as Foldy-Lax refuses one that
+    disagrees with its scales."""
+    grid = VolumeGrid(unit_box(), 4)
+    wave = IncidentWave(1.2, (0, 0, 1), (1, 0, 0))
+    with pytest.raises(ValueError, match="wave.k"):
+        solve_effective_lse(grid, 2.0, tensor_T_ball(2.0, "-"), 1.3, wave,
+                            "-")
 
 
 def test_effective_far_field_transversality():
