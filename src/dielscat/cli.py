@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .config import SCHEMA, ConfigError, scales, validate_config
-from .effective import coupling_xi, p0_ball, tensor_T
+from .effective import coupling_xi, effective_mu, p0_ball
 from .experiments import (run_convergence, run_counting, run_regime_map,
                           run_resonance)
 from .foldylax import IncidentWave, assemble_and_solve, cluster_far_field
@@ -78,11 +78,9 @@ def _run_lse(config, out, fmt):
                       config["grid_n"])
     wave = IncidentWave(sc.k, config["theta"], config["p"])
     xi = coupling_xi(sc.eta0, sc.k, sc.c0, sc.c_r)
-    T = tensor_T(xi, p0_ball(), sc.sign)
-    H, res, path, matvecs = solve_effective_lse(grid, xi, T, sc.k, wave,
-                                                sc.sign)
-    far = effective_far_field(H, grid, xi, T, sc.k, sc.sign,
-                              direction_grid())
+    mu = effective_mu(xi, p0_ball(), sc.sign)
+    H, res, path, matvecs = solve_effective_lse(grid, mu, wave)
+    far = effective_far_field(H, grid, mu, sc.k, direction_grid())
     meta = {"scales": sc.to_dict(), "xi": xi, "grid_n": grid.n,
             "cells": grid.count, "residual": res, "path": path,
             "matvecs": matvecs,

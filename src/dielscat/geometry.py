@@ -2,12 +2,20 @@
 # relations tying particle size, contrast, dilution and wavenumber together,
 # and the counting-sum diagnostics used by the regression studies.
 
+import math
+
 import numpy as np
 
 from .tensors import require_memory
 
 H_LOW = 9.0 / 11.0
 H_HIGH = 1.0
+
+# bytes per candidate lattice site held at once while generate_cluster
+# builds a cluster: traced at up to 80.5 (box, every site a candidate) and
+# 112.2 (ball, the (2 half + 1)^3 sites of its bounding cube) on 8,000 to
+# 6,000,000 sites
+CLUSTER_SITE_BYTES = {"box": 81, "ball": 113}
 
 
 class DomainShape:
@@ -171,18 +179,24 @@ def generate_cluster(domain, d):
     """All side-d lattice cubes whose closure lies inside the domain.
 
     The lattice is anchored at the box's minimum corner, or at the ball's
-    center; partial cubes at the boundary are discarded.
+    center; partial cubes at the boundary are discarded.  A lattice whose
+    candidate sites (the box's, or those of the ball's bounding cube) need
+    more than physical memory raises ValueError before any is allocated.
     """
     check_pitch(domain, d)
     if domain.kind == "box":
-        counts = np.floor(domain.extents / d + 1e-12).astype(int)
-        origin = domain.center - domain.extents / 2.0
-        ijk = np.stack(np.unravel_index(np.arange(np.prod(counts)),
-                                        tuple(counts)), axis=1)
-        return Cluster(ijk, d, origin, domain)
-    half = int(np.ceil(domain.radius / d)) + 1
-    ijk = np.stack(np.unravel_index(np.arange((2 * half + 1) ** 3),
-                                    (2 * half + 1,) * 3), axis=1) - half
+        shape = tuple(int(n) for n in np.floor(domain.extents / d + 1e-12))
+    else:
+        half = int(np.ceil(domain.radius / d)) + 1
+        shape = (2 * half + 1,) * 3
+    sites = math.prod(shape)
+    require_memory(CLUSTER_SITE_BYTES[domain.kind] * sites,
+                   "a %s cluster of pitch d = %.6g on %d lattice sites"
+                   % (domain.kind, d, sites))
+    ijk = np.stack(np.unravel_index(np.arange(sites), shape), axis=1)
+    if domain.kind == "box":
+        return Cluster(ijk, d, domain.center - domain.extents / 2.0, domain)
+    ijk -= half
     # keep a cube iff its farthest vertex is still inside the ball, measured
     # from the centre as the cluster computes it, rounding included
     rel = domain.center + d * (ijk + 0.5) - domain.center

@@ -146,7 +146,7 @@ def solve_coupled(kernel, c, P, b, *, rtol, restart, maxiter, psolve=None,
     (1973) 705; Draine & Flatau, JOSA A 11 (1994) 1491): the
     point-interaction system with K = Y_k between distinct particles and
     P = P0, and the effective-medium LSE with K its voxel kernel plus self
-    scalar and P = T.
+    scalar, c = 1 and P = mu - I, mu the effective relative permeability.
 
     The path is chosen here alone: restarted GMRES on the matrix-free
     apply (relative tolerance rtol, at most maxiter cycles of restart

@@ -8,10 +8,9 @@ import functools
 import numpy as np
 from numpy.linalg import eigh
 
-from .effective import detuned_xi, plasmonic_frequency, tensor_T_ball
+from .effective import detuned_xi, effective_mu_ball, plasmonic_frequency
 from .foldylax import (IncidentWave, incident_magnetic_many,
                        source_far_field)
-from .geometry import parse_sign
 from .linalg import solve_coupled
 from .symmetry import REDUCE_CHUNK_BYTES, SymmetryBasis
 from .tensors import (FOUR_PI, LatticeOperator, direction_grid,
@@ -27,9 +26,14 @@ LSE_GMRES_MAXITER = 11
 
 # perfbench/probes.py still wraps these names, and perfbench's tests need
 # every probe target to resolve.  The solve runs GMRES and the dense LU
-# inside linalg.solve_coupled, so they hold None until the probes are
-# refreshed.
-gmres = lu_factor = lu_solve = None
+# inside linalg.solve_coupled, and the dense k=0 Magnetization matrix is
+# magnetization_operator(grid).dense(), so they hold None until the probes
+# are refreshed.
+gmres = lu_factor = lu_solve = magnetization_matrix = None
+
+# bytes per candidate cell held at once while a VolumeGrid is built: traced
+# at up to 121.5 (box) and 111.5 (ball) on n = 20 to 80
+GRID_CELL_BYTES = 122
 
 # discrete eigenvalues this close to 0 or 1 are treated as the images of the
 # divergence-free / curl-free subspaces and dropped by the spectrum filter
@@ -48,7 +52,9 @@ class VolumeGrid:
     """Uniform voxel grid over a box or ball domain.
 
     Cells are cubes of side (extent/n); for the ball, cells whose centers lie
-    inside are kept with full cube weight (staircase approximation).
+    inside are kept with full cube weight (staircase approximation).  A
+    grid whose n^3 candidate cells need more than physical memory raises
+    ValueError before any is allocated.
     """
 
     def __init__(self, domain, n):
@@ -57,6 +63,9 @@ class VolumeGrid:
         self.domain = domain
         self.n = int(n)
         side = domain.cell_side(n)
+        require_memory(GRID_CELL_BYTES * self.n ** 3,
+                       "a %s grid of n=%d (%d candidate cells)"
+                       % (domain.kind, self.n, self.n ** 3))
         if domain.kind == "box":
             corner = domain.center - domain.extents / 2.0
         else:
@@ -181,75 +190,71 @@ def lse_self_scalar(grid, k):
             + 1j * k ** 3 * grid.weight / FOUR_PI)
 
 
-def solve_effective_lse(grid, xi, T, k, wave, sign, eigensystem=None):
+def solve_effective_lse(grid, mu, wave, eigensystem=None):
     """Solve the discretized Lippmann-Schwinger system A(k) H = ik H_inc.
 
-    A(k) H = H - s xi (G_k + sigma_k I)(T H), with G_k + sigma_k I the LSE
-    kernel DyadicVolumeOperator, solved by linalg.solve_coupled, which
-    chooses between the dense LU and GMRES on the FFT kernel operator.  A
-    wave of another wavenumber than k raises ValueError.
+    The effective medium alters the permeability alone: mu is its relative
+    permeability, a 3x3 tensor, and the wave its incident field, of
+    wavenumber k = wave.k.  A(k) H = H - (G_k + sigma_k I)((mu - I) H),
+    with G_k + sigma_k I the LSE kernel DyadicVolumeOperator, is solved by
+    linalg.solve_coupled (c = 1, P = mu - I), which chooses between the
+    dense LU and GMRES on the FFT kernel operator.
 
     With eigensystem = magnetization_eigensystem(grid) (only for a scalar
-    T = t I; any other T raises ValueError), GMRES is preconditioned by the
-    exact inverse of A(0) and started from A(0)^-1 b.  A(0) is exact to
+    mu = m I; any other mu raises ValueError), GMRES is preconditioned by
+    the exact inverse of A(0) and started from A(0)^-1 b.  A(0) is exact to
     invert: Y_0 is the Magnetization kernel grad grad Phi_0 with weight -w
     and sigma_0 = -1/3 is minus its self term, so G_0 + sigma_0 I = -M and
-    A(0) = I + s xi t M, which the eigensystem inverts block by block under
-    the cube symmetry (MagnetizationEigensystem.inverse: per orbit gather,
-    V_G diag(1 / (1 + s xi t lambda)) V_G^T per irrep block G, scatter
-    back; no 3C x 3C product).  A(k) - A(0) = O(k^2), so at the quasi-static k of the
-    resonance study GMRES stops after one iteration, and it still
-    converges, in more, at k ~ 1.  linalg.gmres applies the
+    A(0) = I + (m - 1) M, which the eigensystem inverts block by block
+    under the cube symmetry (MagnetizationEigensystem.inverse: per orbit
+    gather, V_G diag(1 / (1 + (m - 1) lambda)) V_G^T per irrep block G,
+    scatter back; no 3C x 3C product).  A(k) - A(0) = O(k^2), so at the
+    quasi-static k of the resonance study GMRES stops after one iteration,
+    and it still converges, in more, at k ~ 1.  linalg.gmres applies the
     preconditioner on the left, minimizing the preconditioned residual, and
     tests convergence on the true residual b - A x.  A k=0 operator that
-    is singular at this coupling raises RuntimeError, and so does a GMRES
-    solve that is not converged within LSE_GMRES_MAXITER restarts of
+    is singular at this mu raises RuntimeError, and so does a GMRES solve
+    that is not converged within LSE_GMRES_MAXITER restarts of
     LSE_GMRES_RESTART iterations or is not finite, naming its matvec count
     and relative residual.
 
     Returns (H, relative residual, path "dense" or "gmres", GMRES matvec
     count), as solve_coupled does.
     """
-    if abs(wave.k - k) > 1e-10 * k:
-        raise ValueError("wave.k inconsistent with the solve's k")
-    s = parse_sign(sign)
-    T = np.asarray(T, dtype=complex)
-    rhs = 1j * k * incident_magnetic_many(wave, grid.centers)
+    contrast = np.asarray(mu, dtype=complex) - np.eye(3)
+    rhs = 1j * wave.k * incident_magnetic_many(wave, grid.centers)
     precond = x0 = None
     if eigensystem is not None:
-        if not np.array_equal(T, T[0, 0] * np.eye(3)):
-            raise ValueError("the k=0 preconditioner needs a scalar T = t I")
-        precond = eigensystem.inverse(s * xi * T[0, 0])
+        if not np.array_equal(contrast, contrast[0, 0] * np.eye(3)):
+            raise ValueError("the k=0 preconditioner needs a scalar mu = m I")
+        precond = eigensystem.inverse(contrast[0, 0])
         x0 = precond(rhs.reshape(-1))
         # a NaN start would run GMRES through its whole budget
         if not np.all(np.isfinite(x0)):
             raise RuntimeError("the k=0 preconditioned start is not finite")
     try:
         return solve_coupled(
-            DyadicVolumeOperator(grid, k), s * xi, T, rhs,
+            DyadicVolumeOperator(grid, wave.k), 1.0, contrast, rhs,
             rtol=LSE_GMRES_TOL, restart=LSE_GMRES_RESTART,
             maxiter=LSE_GMRES_MAXITER, psolve=precond, x0=x0)
     except RuntimeError as exc:
         raise RuntimeError("effective-medium %s" % exc) from exc
 
 
-def effective_far_field(H, grid, xi, T, k, sign, directions):
-    """E_inf(xhat) = -sign (ik/4pi) xi int e^{-ik xhat.z} xhat x (T.H) dz.
+def effective_far_field(H, grid, mu, k, directions):
+    """E_inf(xhat) = -(ik/4pi) w sum_z e^{-ik xhat.z} xhat x ((mu - I) H(z))
+    over the cell centres z, for the relative permeability mu.
 
-    The -sign prefactor is the one consistent with the cluster far field:
-    rescaling the point-interaction far field through U_m and matching
-    T.H(z_m) with P0.U_m per cube fixes the branch factor to -sign, and the
-    two far fields indeed converge to each other with this choice.
+    With mu - I = sign xi T this is -sign (ik/4pi) xi w sum_z ... xhat x
+    (T H), and its branch factor -sign is the one consistent with the
+    cluster far field: rescaling the point-interaction far field through
+    U_m and matching T H(z_m) with P0 U_m per cube fixes it, and the two
+    far fields indeed converge to each other with this choice.
     """
-    s = parse_sign(sign)
-    TH = np.asarray(H, dtype=complex) @ np.asarray(T, dtype=complex).T
-    return source_far_field(directions, k, grid.centers, TH,
-                            -s * 1j * k * xi / FOUR_PI, grid.weight)
-
-
-def magnetization_matrix(grid):
-    """Dense real-symmetric matrix of the k=0 Magnetization operator."""
-    return magnetization_operator(grid).dense()
+    contrast = np.asarray(mu, dtype=complex) - np.eye(3)
+    return source_far_field(directions, k, grid.centers,
+                            np.asarray(H, dtype=complex) @ contrast.T,
+                            -1j * k / FOUR_PI, grid.weight)
 
 
 class SpectrumReport:
@@ -405,7 +410,7 @@ class MagnetizationEigensystem:
         if min(np.min(np.abs(x), initial=np.inf) for x in denom.values()) \
                 <= n * np.finfo(float).eps * max(1.0, abs(c)):
             raise RuntimeError("the k=0 LSE operator is singular at this "
-                               "coupling (1 + s xi t lambda = 0)")
+                               "coupling (1 + (mu - 1) lambda = 0)")
 
         def solve(y):
             y = np.ascontiguousarray(y, dtype=complex).reshape(-1)
@@ -545,9 +550,10 @@ def resonance_amplification_scan(grid, lam_target, betas, wave_template,
 
     For each detuning beta, the coupling follows the detuned dispersion
     relation and the incident frequency follows the plasmonic-frequency
-    rule; the lower sign branch is used throughout.  Each LSE is solved by
-    GMRES on the FFT operator, preconditioned with the exact inverse of its
-    k=0 operator I + s xi t M from magnetization_eigensystem(grid), the
+    rule; the lower sign branch is used throughout, so the medium is the
+    ball permeability mu = effective_mu_ball(xi, "-").  Each LSE is solved
+    by GMRES on the FFT operator, preconditioned with the exact inverse of
+    its k=0 operator I + (mu - 1) M from magnetization_eigensystem(grid), the
     decomposition select_resonant_eigenvalue already made (see
     solve_effective_lse); no dense matrix is built per detuning.  A
     detuning whose k the grid does not resolve, k side >= pi (fewer than
@@ -574,16 +580,15 @@ def resonance_amplification_scan(grid, lam_target, betas, wave_template,
                          % (k, grid.side, k * grid.side)})
             continue
         wave = IncidentWave(k, theta, p)
-        T = tensor_T_ball(xi, "-")
+        mu = effective_mu_ball(xi, "-")
         try:
-            H, res, _, _ = solve_effective_lse(grid, xi, T, k, wave, "-",
+            H, res, _, _ = solve_effective_lse(grid, mu, wave,
                                                eigensystem=eigensystem)
         except RuntimeError as exc:
             rows.append({"beta": beta, "xi": xi, "k": k,
                          "status": "failed: %s" % exc})
             continue
-        far = effective_far_field(H, grid, xi, T, k, "-",
-                                  _scan_directions(theta))
+        far = effective_far_field(H, grid, mu, k, _scan_directions(theta))
         inc_norm = weighted_norm(1j * k * incident_magnetic_many(
             wave, grid.centers), grid)
         rows.append({"beta": beta, "xi": xi, "k": k,

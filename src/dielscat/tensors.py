@@ -72,38 +72,6 @@ def kernel_scalars(d, k, kind="dyadic"):
     return iso, rad2
 
 
-def dyadic_kernel_scalars(targets, sources, k):
-    """Scalar factors of Y_k for all target/source pairs.
-
-    Returns (iso, rad2) with Y_k(x_i, z_j) = iso[i,j] I + rad2[i,j] d d^T
-    where d = x_i - z_j (unnormalized).  Pairs closer than the coincidence
-    tolerance get zero entries; callers handle self terms separately.
-    """
-    tx = np.asarray(targets, dtype=float)
-    sx = np.asarray(sources, dtype=float)
-    return kernel_scalars(tx[:, None, :] - sx[None, :, :], k)
-
-
-def dyadic_sum_chunked(targets, sources, k, fields, chunk=512):
-    """Y = sum_j Y_k(x_i, z_j) . F_j with on-the-fly kernel evaluation.
-
-    The direct sum between any two point sets.  Memory stays O(chunk *
-    n_sources); coincident pairs (self terms) are skipped.  fields has
-    shape (n_sources, 3).
-    """
-    tx = np.asarray(targets, dtype=float)
-    sx = np.asarray(sources, dtype=float)
-    F = np.asarray(fields, dtype=complex)
-    out = np.empty((tx.shape[0], 3), dtype=complex)
-    for lo in range(0, tx.shape[0], chunk):
-        hi = min(lo + chunk, tx.shape[0])
-        d = tx[lo:hi, None, :] - sx[None, :, :]
-        iso, rad2 = kernel_scalars(d, k)
-        dF = np.einsum("ijk,jk->ij", d, F)
-        out[lo:hi] = iso @ F + np.einsum("ij,ijk->ik", rad2 * dF, d)
-    return out
-
-
 def kernel_components(iso, rad2, d):
     """Independent entries of iso I + rad2 d d^T, stacked on a new first axis.
 

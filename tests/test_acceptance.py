@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from dielscat.effective import (ball_moment_vectors, classify_regime,
-                                effective_mu, p0_ball, p0_from_moments,
-                                tensor_T_ball)
+                                effective_mu, effective_mu_ball, p0_ball,
+                                p0_from_moments)
 from dielscat.experiments import run_convergence, run_counting, run_resonance
 from dielscat.foldylax import (IncidentWave, assemble_and_solve,
                                cluster_far_field, invertibility_margin)
@@ -151,11 +151,10 @@ def test_criterion_05_far_field_transversality():
     far = cluster_far_field(sol, cluster, scales, direction_grid())
     d1 = far.max_transversality_defect()
     grid = VolumeGrid(unit_box(), 8)
-    xi, k = 2.0, scales.k
-    T = tensor_T_ball(xi, "-")
+    mu, k = effective_mu_ball(2.0, "-"), scales.k
     wave2 = IncidentWave(k, (0, 0, 1), (1, 0, 0))
-    H, _, _, _ = solve_effective_lse(grid, xi, T, k, wave2, "-")
-    eff = effective_far_field(H, grid, xi, T, k, "-", direction_grid())
+    H, _, _, _ = solve_effective_lse(grid, mu, wave2)
+    eff = effective_far_field(H, grid, mu, k, direction_grid())
     d2 = eff.max_transversality_defect()
     report(5, "far-field-transversality", d1 <= 1e-12 and d2 <= 1e-12,
            "cluster %.1e, effective %.1e" % (d1, d2))
@@ -324,13 +323,12 @@ def test_criterion_11_determinism(tmp_path, monkeypatch):
                    == (o2 / "foldylax_results.csv").read_bytes())
     # iterative solver: repeated runs agree within 1e-8
     grid = VolumeGrid(unit_box(), 6)
-    xi, k = 2.0, 1.2
-    T = tensor_T_ball(xi, "-")
-    wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
+    mu = effective_mu_ball(2.0, "-")
+    wave = IncidentWave(1.2, (0, 0, 1), (1, 0, 0))
     # with the dense limit at 0 the 216 cells go to GMRES
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
-    Ha, _, _, _ = solve_effective_lse(grid, xi, T, k, wave, "-")
-    Hb, _, _, _ = solve_effective_lse(grid, xi, T, k, wave, "-")
+    Ha, _, _, _ = solve_effective_lse(grid, mu, wave)
+    Hb, _, _, _ = solve_effective_lse(grid, mu, wave)
     iter_dev = np.linalg.norm(Ha - Hb) / np.linalg.norm(Ha)
     report(11, "determinism", direct_same and iter_dev <= 1e-8,
            "direct byte-identical %s, iterative dev %.1e"

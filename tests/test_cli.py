@@ -459,6 +459,28 @@ def test_cli_converge_refuses_a_pitch_beyond_the_unit_box(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("subcommand, doc, override, what", [
+    ("foldylax", FOLDYLAX_DOC, "a=1e-6", "a box cluster of pitch"),
+    ("lse", FOLDYLAX_DOC, "grid_n=200000", "a box grid of n=200000"),
+    ("counting", {}, "pitches=[1e-5, 2e-5]",
+     "a box cluster of pitch d = 1e-05")])
+def test_cli_refuses_a_cell_set_larger_than_memory(tmp_path, capsys,
+                                                   subcommand, doc,
+                                                   override, what):
+    """A cluster or voxel grid that no host holds (29 TiB of lattice sites
+    at a = 1e-6, a 56.8 PiB grid at n = 200000, 7.1 PiB of sites at d =
+    1e-5) is refused before it is allocated: exit 1 within a second,
+    naming it, with no traceback."""
+    cfg = write_config(tmp_path, doc)
+    t0 = time.perf_counter()
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--set", override]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: " + what)
+    assert "needs" in err and "Traceback" not in err
+
+
 def test_cli_lse_refuses_a_lattice_operator_larger_than_memory(
         tmp_path, capsys, monkeypatch):
     """The LSE kernel's spectrum and apply arrays are checked against

@@ -8,7 +8,7 @@ from dielscat.effective import (amplification_f, ball_moment_vectors,
                                 effective_mu, effective_mu_ball,
                                 frequency_function_c, p0_ball,
                                 p0_from_moments, plasmonic_frequency,
-                                spectral_gap_delta, tensor_T, tensor_T_ball)
+                                spectral_gap_delta, tensor_T)
 
 PI3 = np.pi ** 3
 
@@ -22,14 +22,6 @@ def test_p0_from_single_moment():
     v = np.array([1.0, 2.0, 0.0])
     p0 = p0_from_moments([v])
     assert np.allclose(p0, np.outer(v, v))
-
-
-def test_tensor_T_ball_matches_general():
-    for xi in (0.5, 2.0, 10.0):
-        for sign in ("+", "-"):
-            T1 = tensor_T(xi, p0_ball(), sign)
-            T2 = tensor_T_ball(xi, sign)
-            assert np.allclose(T1, T2, rtol=1e-13)
 
 
 def test_effective_mu_ball_closed_form():
@@ -79,7 +71,7 @@ def test_classify_regime():
 
 def test_degenerate_pole_raises():
     with pytest.raises(ZeroDivisionError):
-        tensor_T_ball(PI3 / 4, "+")
+        tensor_T(PI3 / 4, p0_ball(), "+")
     with pytest.raises(ZeroDivisionError):
         effective_mu_ball(PI3 / 4, "+")
 
@@ -111,7 +103,7 @@ def test_resonant_denominator_identity():
     for lam, beta in ((0.45, 2e-3), (0.37, -1e-4)):
         q = 3 * lam - 1
         xi = detuned_xi(lam, beta)
-        Ttilde = np.real(tensor_T_ball(xi, "-")[0, 0])
+        Ttilde = np.real(tensor_T(xi, p0_ball(), "-")[0, 0])
         lhs = 1.0 - xi * Ttilde * lam
         f = amplification_f(lam, beta)
         want = -np.sign(beta) * f / (1.0 + beta * q / (3 * lam))

@@ -152,7 +152,7 @@ def offdiag_matrix(cluster, scales, p0):
     """Dense B = coupling * P0.Y_k of the system (I - B) Q = rhs, from the
     dense form of the solver's kernel."""
     n = cluster.count
-    Y = foldylax._kernel(cluster, scales.k).dense()
+    Y = LatticeOperator(cluster.ijk, cluster.d, "dyadic", scales.k).dense()
     B = (p0 @ Y.reshape(n, 3, 3 * n)).reshape(3 * n, 3 * n)
     return coupling_constant(scales) * B
 
@@ -280,7 +280,7 @@ def test_lattice_cluster_matches_the_direct_sum_oracles(kind, sizes, center,
     F = rng.normal(size=(cluster.count, 3)) + 1j * rng.normal(
         size=(cluster.count, 3))
     want = DirectSumOperator(cluster.centers, scales.k).apply(F)
-    got = foldylax._kernel(cluster, scales.k).apply(F)
+    got = LatticeOperator(cluster.ijk, cluster.d, "dyadic", scales.k).apply(F)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     p0 = p0_ball()
     wave = IncidentWave(scales.k, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))

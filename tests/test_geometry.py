@@ -1,10 +1,11 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dielscat import tensors
+from dielscat import geometry, tensors
 from dielscat.geometry import (Cluster, DomainShape, boundary_counting_statistic,
                                boundary_grid_counts, boundary_table,
                                derive_scales,
@@ -88,6 +89,35 @@ def test_generate_cluster_ball_brute_force_oracle():
                 if ok:
                     count += 1
     assert cl.count == count
+
+
+@pytest.mark.parametrize("domain, d", [
+    (unit_box(), 0.05), (unit_ball(), 0.1),
+    (DomainShape("box", (2.0, 1.0, 3.0), (0.1, 0.2, 0.3)), 0.05)])
+def test_generate_cluster_checks_its_memory_before_allocating(
+        monkeypatch, domain, d):
+    """The bytes checked before the lattice is laid down cover the traced
+    peak of building the cluster (8,000 to 48,000 candidate sites), and a
+    host one byte short of them refuses the cluster, naming the pitch and
+    the byte count."""
+    checked = []
+    monkeypatch.setattr(geometry, "require_memory",
+                        lambda nbytes, what: checked.append(nbytes))
+    tracemalloc.start()
+    try:
+        generate_cluster(domain, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need, = checked
+    assert peak <= need
+    monkeypatch.undo()
+    monkeypatch.setattr(tensors, "physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match="cluster of pitch d = %g on .* "
+                       "needs %d bytes" % (d, need)):
+        generate_cluster(domain, d)
+    monkeypatch.setattr(tensors, "physical_memory", lambda: need)
+    generate_cluster(domain, d)
 
 
 def test_cluster_fill_fraction_improves():

@@ -10,8 +10,8 @@ from scipy.sparse.linalg import gmres as scipy_gmres
 
 import dielscat
 from dielscat import linalg, tensors
-from dielscat.effective import (detuned_xi, p0_ball, plasmonic_frequency,
-                                tensor_T_ball)
+from dielscat.effective import (detuned_xi, effective_mu_ball, p0_ball,
+                                plasmonic_frequency)
 from dielscat.foldylax import IncidentWave, assemble_and_solve
 from dielscat.geometry import derive_scales, generate_cluster, unit_ball, \
     unit_box
@@ -76,7 +76,7 @@ def test_gmres_matches_scipy_on_the_preconditioned_lse(ball10, eta0,
     wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
     oracle = ScipyOracle()
     monkeypatch.setattr(linalg, "gmres", oracle)
-    solve_effective_lse(grid, xi, tensor_T_ball(xi, "-"), k, wave, "-",
+    solve_effective_lse(grid, effective_mu_ball(xi, "-"), wave,
                         eigensystem=magnetization_eigensystem(grid))
     matvecs, = oracle.check()
     assert matvecs > 100 if eta0 == 1.0 else matvecs <= 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dielscat import foldylax, linalg, lse
-from dielscat.effective import p0_ball, tensor_T_ball
+from dielscat.effective import effective_mu_ball, p0_ball
 from dielscat.foldylax import IncidentWave, assemble_and_solve
 from dielscat.geometry import derive_scales, generate_cluster, unit_ball, \
     unit_box
@@ -52,9 +52,9 @@ def lse_condition(grid):
     n = grid.count
     G = DyadicVolumeOperator(grid, LSE_K).dense()
     diag = np.arange(3 * n)
-    T = tensor_T_ball(LSE_XI, "-")
-    # A = I - s xi (G + sigma I) T with s = -1
-    A = LSE_XI * (G.reshape(3 * n, n, 3) @ T).reshape(3 * n, 3 * n)
+    contrast = effective_mu_ball(LSE_XI, "-") - np.eye(3)
+    # A = I - (G + sigma I)(mu - I)
+    A = -(G.reshape(3 * n, n, 3) @ contrast).reshape(3 * n, 3 * n)
     A[diag, diag] += 1.0
     sv = np.linalg.svd(A, compute_uv=False)
     return sv[0] / sv[-1]
@@ -71,8 +71,7 @@ def lse_problem(monkeypatch, method):
     k=0 eigensystem inverse): solve(p) -> (H, residual), the stopping
     tolerance and the condition number."""
     grid = ball10()
-    xi, k = LSE_XI, LSE_K
-    T = tensor_T_ball(xi, "-")
+    mu, k = effective_mu_ball(LSE_XI, "-"), LSE_K
     kwargs = {}
     if method == "gmres":
         monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
@@ -80,8 +79,8 @@ def lse_problem(monkeypatch, method):
         kwargs = {"eigensystem": magnetization_eigensystem(grid)}
 
     def solve(p):
-        return solve_effective_lse(grid, xi, T, k, IncidentWave(k, THETA, p),
-                                   "-", **kwargs)[:2]
+        return solve_effective_lse(grid, mu, IncidentWave(k, THETA, p),
+                                   **kwargs)[:2]
 
     tol = DENSE_TOL if method == "dense" else lse.LSE_GMRES_TOL
     return solve, tol, lse_condition(grid)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dielscat import foldylax, linalg, lse
-from dielscat.effective import p0_ball, tensor_T_ball
+from dielscat.effective import effective_mu_ball, p0_ball
 from dielscat.foldylax import IncidentWave, assemble_and_solve, \
     cluster_far_field
 from dielscat.geometry import derive_scales, generate_cluster, unit_ball, \
@@ -45,19 +45,18 @@ def lse_problem(monkeypatch, method):
     by method "dense" (within the dense limit) or "gmres" (the limit set to
     0)."""
     grid = VolumeGrid(unit_ball(), 10)
-    xi, k = 2.0, 1.2
-    T = tensor_T_ball(xi, "-")
+    mu, k = effective_mu_ball(2.0, "-"), 1.2
     if method == "gmres":
         monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
 
     def solve(theta, p, xhat, q):
-        H, res, _, _ = solve_effective_lse(grid, xi, T, k,
-                                     IncidentWave(k, theta, p), "-")
-        far = effective_far_field(H, grid, xi, T, k, "-", xhat).values[0]
+        H, res, _, _ = solve_effective_lse(grid, mu,
+                                           IncidentWave(k, theta, p))
+        far = effective_far_field(H, grid, mu, k, xhat).values[0]
         return q @ far, H, res
 
     tol = DENSE_TOL if method == "dense" else lse.LSE_GMRES_TOL
-    return solve, tol, abs(k * xi * grid.weight * T[0, 0]) / (4 * np.pi), \
+    return solve, tol, abs(k * grid.weight * (mu[0, 0] - 1)) / (4 * np.pi), \
         grid.count
 
 
@@ -72,7 +71,7 @@ def lse_problem(monkeypatch, method):
 def test_far_field_reciprocity(problem, monkeypatch):
     """q . E_inf(xhat; theta, p) = p . E_inf(-theta; -xhat, q).
 
-    P0 and T are scalar and the kernel is symmetric, so each system matrix
+    P0 and mu are scalar and the kernel is symmetric, so each system matrix
     A is complex-symmetric, and with q . E_inf = c g^T X for the solution
     X of A X = b(theta, p), the two sides are c g^T A^-1 f and
     c f^T A^-1 g.  Solves with relative residual at most tol change their

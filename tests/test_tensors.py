@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dielscat import foldylax, tensors
+from dielscat import tensors
 from dielscat.geometry import Cluster, DomainShape, derive_scales, \
     generate_cluster, unit_ball, unit_box
 from dielscat.lse import (DyadicVolumeOperator, VolumeGrid,
                           magnetization_operator)
 from dielscat.tensors import (SYM, LatticeOperator, cis, direction_grid,
-                              dyadic_kernel_scalars, dyadic_sum_chunked,
                               kernel_components, kernel_scalars)
 from oracles import (DirectSumOperator, dyadic_green, dyadic_green_fd,
                      fft_lattice_apply, helmholtz_kernel, offset_spectrum)
@@ -84,7 +83,7 @@ def test_kernel_scalars_reconstruct_dyadic():
     src = random_points(rng, 4)
     tgt = random_points(rng, 3) + 3.0
     k = 0.9
-    iso, rad2 = dyadic_kernel_scalars(tgt, src, k)
+    iso, rad2 = kernel_scalars(tgt[:, None, :] - src[None, :, :], k)
     for i in range(3):
         for j in range(4):
             d = tgt[i] - src[j]
@@ -95,17 +94,17 @@ def test_kernel_scalars_reconstruct_dyadic():
 
 def test_kernel_scalars_zero_on_coincident_points():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    iso, rad2 = dyadic_kernel_scalars(pts, pts, 1.0)
+    iso, rad2 = kernel_scalars(pts[:, None, :] - pts[None, :, :], 1.0)
     assert iso[0, 0] == 0.0 and rad2[0, 0] == 0.0
     assert iso[0, 1] != 0.0
 
 
-def test_dyadic_sum_chunked_matches_direct():
+def test_direct_sum_oracle_matches_the_pairwise_green_tensor():
     rng = np.random.default_rng(13)
     pts = random_points(rng, 30)
     F = rng.normal(size=(30, 3)) + 1j * rng.normal(size=(30, 3))
     k = 1.1
-    got = dyadic_sum_chunked(pts, pts, k, F, chunk=7)
+    got = DirectSumOperator(pts, k).apply(F)
     want = np.zeros((30, 3), dtype=complex)
     for m in range(30):
         for j in range(30):
@@ -365,7 +364,8 @@ def test_norm_bound_bounds_the_dense_2_norm_on_cluster_lattices(a, c_r):
     particles: |dense()|_2 <= norm_bound, measured at 0.74 and 0.75 of it
     (0.73-0.74 at N = 512)."""
     scales = derive_scales(a, 0.9, 1.0, 1.0, "+", c_r, 0.4)
-    op = foldylax._kernel(generate_cluster(unit_box(), scales.d), scales.k)
+    cluster = generate_cluster(unit_box(), scales.d)
+    op = LatticeOperator(cluster.ijk, cluster.d, "dyadic", scales.k)
     norm = np.linalg.norm(op.dense(), 2)
     assert 0.7 * op.norm_bound <= norm <= op.norm_bound
 
@@ -373,19 +373,16 @@ def test_norm_bound_bounds_the_dense_2_norm_on_cluster_lattices(a, c_r):
 def test_cluster_lattice_fft_matches_direct_sum():
     """Foldy-Lax's kernel on a ball cluster, whose indices run negative:
     the LatticeOperator's FFT apply and dense gather agree with the direct
-    sum over the same centres, as does the package's chunked direct sum."""
+    sum over the same centres."""
     cluster = generate_cluster(unit_ball(), 0.3)
     assert cluster.ijk.min() < 0
     k = 2.1
     rng = np.random.default_rng(8)
     F = rng.normal(size=(cluster.count, 3)) + 1j * rng.normal(
         size=(cluster.count, 3))
-    lattice = foldylax._kernel(cluster, k)
-    assert isinstance(lattice, LatticeOperator)
+    lattice = LatticeOperator(cluster.ijk, cluster.d, "dyadic", k)
     direct = DirectSumOperator(cluster.centers, k)
     want = direct.apply(F)
-    chunked = dyadic_sum_chunked(cluster.centers, cluster.centers, k, F)
-    assert np.linalg.norm(chunked - want) <= 1e-12 * np.linalg.norm(want)
     got = lattice.apply(F)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     dense = lattice.dense()
@@ -458,7 +455,7 @@ def test_a_sparse_cluster_is_refused_before_its_offset_table():
                   unit_box())
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="100001 x 100001 x 100001 extent"):
-        foldylax._kernel(far, 1.0)
+        LatticeOperator(far.ijk, far.d, "dyadic", 1.0)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -469,4 +466,4 @@ def test_lattice_operator_refuses_a_shared_site():
     shared = Cluster([[0, 1, 0], [2, 0, 0], [0, 1, 0]], 0.1, (0, 0, 0),
                      unit_box())
     with pytest.raises(ValueError, match="share a site"):
-        foldylax._kernel(shared, 1.0)
+        LatticeOperator(shared.ijk, shared.d, "dyadic", 1.0)
