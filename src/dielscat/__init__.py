@@ -22,10 +22,10 @@ from .effective import (amplification_f, ball_moment_vectors,
                         effective_eps, effective_mu, effective_mu_ball,
                         frequency_function_c, p0_ball, p0_from_moments,
                         plasmonic_frequency, spectral_gap_delta, tensor_T)
-from .lse import (SpectrumReport, VolumeGrid, effective_far_field,
-                  magnetization_apply, magnetization_spectrum, newtonian_apply,
+from .lse import (VolumeGrid, effective_far_field, magnetization_operator,
+                  magnetization_spectrum, newtonian_operator,
                   newtonian_operator_norm, nnprime_inner_product,
-                  nprime_apply, resonance_amplification_scan,
+                  nprime_operator, resonance_amplification_scan,
                   solve_effective_lse)
 
 __version__ = "0.1.0"

@@ -145,16 +145,14 @@ def _run_counting(config, out, fmt):
 def _run_spectrum(config, out, fmt):
     grid = VolumeGrid(DomainShape.from_dict(config["domain"]),
                       config["grid_n"])
-    report = magnetization_spectrum(grid, count=config["count"],
-                                    mode=config["mode"], lmax=config["lmax"])
-    meta = {"resolution": report.resolution, "mode": report.mode,
-            "raw_count": report.raw_count,
-            "nearest_to_third": report.nearest(1.0 / 3.0)}
+    vals, raw_count = magnetization_spectrum(
+        grid, count=config["count"], mode=config["mode"], lmax=config["lmax"])
+    nearest = float(vals[np.argmin(np.abs(vals - 1.0 / 3.0))])
+    meta = {"resolution": grid.n, "mode": config["mode"],
+            "raw_count": raw_count, "nearest_to_third": nearest}
     _report(out, fmt, "spectrum",
-            [{"index": i, "eigenvalue": float(v)}
-             for i, v in enumerate(report.eigenvalues)], meta,
-            ("magnetization spectrum", range(len(report.eigenvalues)),
-             report.eigenvalues))
+            [{"index": i, "eigenvalue": float(v)} for i, v in enumerate(vals)],
+            meta, ("magnetization spectrum", range(len(vals)), vals))
     return 0
 
 

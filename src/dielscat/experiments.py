@@ -14,8 +14,8 @@ from .foldylax import (IncidentWave, assemble_and_solve, cluster_far_field,
 from .geometry import (boundary_counting_statistic, boundary_grid_counts,
                        boundary_table, counting_lattice, generate_cluster,
                        max_counting_sum, unit_ball, unit_box)
-from .lse import (VolumeGrid, effective_far_field, select_resonant_eigenvalue,
-                  solve_effective_lse)
+from .lse import (VolumeGrid, effective_far_field, magnetization_eigensystem,
+                  select_resonant_eigenvalue, solve_effective_lse)
 from .tensors import direction_grid
 
 
@@ -137,42 +137,40 @@ def run_regime_map(config):
 def run_resonance(config):
     """Plasmonic amplification against detuning on the unit ball.
 
-    Selects the discrete Magnetization eigenvalue above 1/3 with the
-    strongest coupling to long-wavelength excitation, scans the detuning
-    over both signs, fits the amplification slope, and evaluates the
-    back-scattered polarization alignment near the peak.  A detuning whose
-    solve fails keeps its row with status "failed: ..."; when none is ok,
-    the peak fields of the report are None.
+    Builds the grid's k=0 Magnetization eigensystem once and uses it
+    twice: to select the discrete eigenvalue above 1/3 with the strongest
+    coupling to long-wavelength excitation, and to precondition the one
+    scan over the detunings of both signs followed by the off-resonance
+    reference, a small, globally non-resonant coupling xi_off.  That last
+    row is marked off_resonance.  Every other ok row turns its
+    back-scattered far field into the polarization angle back_angle_deg,
+    and those rows give the fitted amplification slope (log field norm
+    against log |beta|) and the peak, the strongest field.  A detuning
+    whose solve fails keeps its row with status "failed: ..."; when none is
+    ok, the peak fields of the report are None, and with fewer than two the
+    slope is NaN.
     """
     # looked up at call time, so that perfbench's lse.scan probe, which
     # wraps the name in lse, sees the call
     from .lse import resonance_amplification_scan
     config = with_defaults("resonance", config)
     grid = VolumeGrid(unit_ball(), config["grid_n"])
-    lam, coupling_weight, degeneracy = select_resonant_eigenvalue(grid)
-    betas = list(config["betas"])
-    wave = {key: np.asarray(config[key], dtype=float)
-            for key in ("theta", "p")}
-    scales_template = {"eta0": config["eta0"],
-                       "lambda_b": config["lambda_b"]}
-    rows, slope = resonance_amplification_scan(grid, lam, betas, wave,
-                                               scales_template)
-    for r in rows:
-        if r["status"] == "ok":
-            r["back_angle_deg"] = polarization_angle_deg(
-                r.pop("back_scatter"), wave["p"])
-    # back-scatter polarization angle at the strongest amplification; none
-    # when every detuning failed
-    peak = max((r for r in rows if r["status"] == "ok"),
-               key=lambda r: r["field_norm"], default=None)
-    # off-resonance reference row at a small, globally non-resonant coupling
+    system = magnetization_eigensystem(grid)
+    lam, coupling_weight, degeneracy = select_resonant_eigenvalue(system)
     beta_off = 4.0 * config["xi_off"] / np.pi ** 3 - 1.0 / (3.0 * lam - 1.0)
-    off_rows, _ = resonance_amplification_scan(grid, lam, [beta_off], wave,
-                                               scales_template)
-    for r in off_rows:
-        r.pop("back_scatter", None)
-        r["off_resonance"] = True
-        rows.append(r)
+    rows = resonance_amplification_scan(
+        grid, system, lam, list(config["betas"]) + [beta_off], config)
+    rows[-1].pop("back_scatter", None)
+    rows[-1]["off_resonance"] = True
+    good = [r for r in rows[:-1] if r["status"] == "ok"]
+    p = np.asarray(config["p"], dtype=float)
+    for r in good:
+        r["back_angle_deg"] = polarization_angle_deg(r.pop("back_scatter"), p)
+    slope = _fit_slope([abs(r["beta"]) for r in good],
+                       [r["field_norm"] for r in good]) \
+        if len(good) > 1 else float("nan")
+    # back-scatter polarization angle at the strongest amplification
+    peak = max(good, key=lambda r: r["field_norm"], default=None)
     report = {"lambda_target": lam, "coupling_weight": coupling_weight,
               "degeneracy": degeneracy, "slope": slope,
               "peak_beta": None if peak is None else peak["beta"],

@@ -16,6 +16,10 @@ H_HIGH = 1.0
 # 112.2 (ball, the (2 half + 1)^3 sites of its bounding cube) on 8,000 to
 # 6,000,000 sites
 CLUSTER_SITE_BYTES = {"box": 81, "ball": 113}
+# bytes per entry of the (2n)^3 offset table held at once while one
+# cluster's three counting sums are computed: traced at 51.5 to 52.7 (box,
+# d = 1/20 to 1/60)
+COUNTING_ENTRY_BYTES = 53
 
 
 class DomainShape:
@@ -211,10 +215,15 @@ def counting_lattice(cluster):
     Returns the cluster's lattice indices shifted to start at 0, the
     squared offsets r^2 on the (2n)^3 table of lattice offsets (1 at the
     origin) and the zero-padded rfftn of the site occupancy to that
-    table's shape.
+    table's shape.  A table whose counting sums need more than physical
+    memory raises ValueError before it is allocated.
     """
     ijk = cluster.ijk - cluster.ijk.min(axis=0)
     extent = ijk.max(axis=0) + 1
+    entries = math.prod(2 * int(n) for n in extent)
+    require_memory(COUNTING_ENTRY_BYTES * entries,
+                   "the counting sums of pitch d = %.6g on a table of %d "
+                   "lattice offsets" % (cluster.d, entries))
     sq = [(cluster.d * np.fft.fftfreq(2 * k, 1.0 / (2 * k))) ** 2
           for k in extent]
     r2 = sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]

@@ -3,8 +3,6 @@
 # with analytic self-cell corrections, spectral diagnostics of the
 # Magnetization operator, and the resonance amplification scan.
 
-import functools
-
 import numpy as np
 from numpy.linalg import eigh
 
@@ -115,26 +113,14 @@ def magnetization_operator(grid, k=0.0):
                            1.0 / 3.0)
 
 
-def newtonian_apply(field, grid, k=0.0):
-    """N^k F for a (C, 3) field; see newtonian_operator."""
-    return newtonian_operator(grid, k).apply(np.asarray(field, dtype=complex))
-
-
-def magnetization_apply(field, grid, k=0.0):
-    """grad M^k F for a (C, 3) field; see magnetization_operator."""
-    return magnetization_operator(grid, k).apply(
-        np.asarray(field, dtype=complex))
-
-
-def nprime_apply(field, grid):
+def nprime_operator(grid):
     """Projected Newtonian operator (N' F)_i with kernel Phi_0 rhat rhat.
 
     Self cell: the equivalent-sphere average of rhat rhat is I/3, giving
     r_eq^2/6.
     """
-    op = LatticeOperator(grid.ijk, grid.side, "projected", 0.0, grid.weight,
-                         grid.r_eq ** 2 / 6.0)
-    return op.apply(np.asarray(field, dtype=complex))
+    return LatticeOperator(grid.ijk, grid.side, "projected", 0.0, grid.weight,
+                           grid.r_eq ** 2 / 6.0)
 
 
 def newtonian_operator_norm(grid):
@@ -257,20 +243,6 @@ def effective_far_field(H, grid, mu, k, directions):
                             -1j * k / FOUR_PI, grid.weight)
 
 
-class SpectrumReport:
-    """Filtered, sorted discrete Magnetization spectrum."""
-
-    def __init__(self, eigenvalues, resolution, mode, raw_count):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.resolution = resolution
-        self.mode = mode
-        self.raw_count = raw_count
-
-    def nearest(self, target):
-        return float(self.eigenvalues[
-            np.argmin(np.abs(self.eigenvalues - target))])
-
-
 def _monomial_exponents(degree):
     return [(a, b, degree - a - b)
             for a in range(degree, -1, -1) for b in range(degree - a, -1, -1)]
@@ -350,6 +322,10 @@ def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10):
     magnetization_eigensystem(grid), each repeated by its irrep's
     dimension, with no (3C)^2 matrix (ball n=20: about 1 s and 100 MB).
     Every VolumeGrid is invariant under the cube group, as that needs.
+
+    Returns (eigenvalues, raw_count): the first `count` kept eigenvalues
+    in ascending order, and how many were computed before the edge filter
+    and the count.
     """
     if grid.n < 12:
         raise ValueError("spectrum diagnostics need resolution n >= 12")
@@ -377,7 +353,7 @@ def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10):
         raise ValueError("unknown spectrum mode %r" % mode)
     if count is not None:
         vals = vals[:count]
-    return SpectrumReport(np.sort(vals), grid.n, mode, raw)
+    return np.sort(vals), raw
 
 
 class MagnetizationEigensystem:
@@ -426,7 +402,6 @@ class MagnetizationEigensystem:
         return solve
 
 
-@functools.lru_cache(maxsize=1)
 def magnetization_eigensystem(grid):
     """Every eigenpair of the k=0 Magnetization matrix M, by cube symmetry.
 
@@ -447,9 +422,7 @@ def magnetization_eigensystem(grid):
     3 (3s)^2 doubles at a time, freed before the rows are gathered).
 
     A grid whose cells are not mapped onto themselves by all 48 raises
-    ValueError naming the grid.  The last grid's result is kept, so a
-    resonance study selects its eigenvalue and preconditions every detuning
-    with one decomposition.
+    ValueError naming the grid.
 
     Memory: the peak is while the largest block, of order m_max, is
     solved.  Then the other blocks or their eigenvectors (sum m^2 doubles
@@ -482,12 +455,13 @@ def magnetization_eigensystem(grid):
     return MagnetizationEigensystem(basis, values, vectors)
 
 
-def select_resonant_eigenvalue(grid):
+def select_resonant_eigenvalue(system):
     """Exact discrete eigenvalue > 1/3 most strongly coupled to constants.
 
-    Reads every eigenpair from magnetization_eigensystem (one eigh per
-    irrep block).  The coupling weight of an eigenvalue multiplet is the
-    squared overlap of its eigenspace with the three constant vector
+    Reads every eigenpair from system = magnetization_eigensystem(grid),
+    which the caller builds once and may go on to use as the resonance
+    scan's preconditioner.  The coupling weight of an eigenvalue multiplet
+    is the squared overlap of its eigenspace with the three constant vector
     fields (the leading content of a long-wavelength incident field).
     Those span the vector irrep T1u with e_x in its first partner row, so
     only T1u eigenvectors have weight, 3 times the squared overlap of
@@ -496,9 +470,8 @@ def select_resonant_eigenvalue(grid):
     counted with multiplicity.  Returns (eigenvalue, multiplet weight,
     degeneracy).
     """
-    system = magnetization_eigensystem(grid)
     basis = system.basis
-    C = grid.count
+    C = basis.count
     const_x = np.zeros((3 * C, 1))
     const_x[0::3] = 1.0 / np.sqrt(C)
     overlap = system.vectors["T1u"].T @ basis.block(
@@ -540,38 +513,35 @@ def nnprime_inner_product(grid):
     c = 1.0 / np.sqrt(grid.total_weight())
     F = np.zeros((grid.count, 3), dtype=complex)
     F[:, 0] = c
-    G = newtonian_apply(F, grid, k=0.0) + nprime_apply(F, grid)
+    G = newtonian_operator(grid).apply(F) + nprime_operator(grid).apply(F)
     return float(np.real(grid.weight * np.sum(np.conj(F) * G)))
 
 
-def resonance_amplification_scan(grid, lam_target, betas, wave_template,
-                                 scales_template):
-    """Amplification study near the dispersion root of lam_target.
+def resonance_amplification_scan(grid, system, lam_target, betas, config):
+    """The LSE field of the ball near the dispersion root of lam_target.
 
     For each detuning beta, the coupling follows the detuned dispersion
-    relation and the incident frequency follows the plasmonic-frequency
-    rule; the lower sign branch is used throughout, so the medium is the
-    ball permeability mu = effective_mu_ball(xi, "-").  Each LSE is solved
-    by GMRES on the FFT operator, preconditioned with the exact inverse of
-    its k=0 operator I + (mu - 1) M from magnetization_eigensystem(grid), the
-    decomposition select_resonant_eigenvalue already made (see
-    solve_effective_lse); no dense matrix is built per detuning.  A
+    relation and the incident frequency the plasmonic-frequency rule, with
+    config's eta0 and lambda_b; the incident wave has config's theta and p.
+    The lower sign branch is used throughout, so the medium is the ball
+    permeability mu = effective_mu_ball(xi, "-").  Each LSE is solved by
+    GMRES on the FFT operator, preconditioned with the exact inverse of its
+    k=0 operator I + (mu - 1) M from system = magnetization_eigensystem(grid)
+    (see solve_effective_lse); no dense matrix is built per detuning.  A
     detuning whose k the grid does not resolve, k side >= pi (fewer than
     two cells per wavelength), is not solved: its row has status
     "failed: ..." naming k and the cell side, as does a solve that fails.
-    Returns (rows, slope)
-    where rows hold (beta, xi, k, field norm, far-field sup, incident-ratio,
-    residual) and slope fits log field-norm against log |beta|.
+    Returns one row per beta, in order: beta, xi, k and the status, and
+    for an ok row the field norm, the far-field sup, the back-scattered
+    far field, the ratio to the incident field's norm and the residual.
     """
-    eigensystem = magnetization_eigensystem(grid)
-    eta0 = scales_template["eta0"]
-    lambda_b = scales_template["lambda_b"]
-    theta = np.asarray(wave_template["theta"], dtype=float)
-    p = np.asarray(wave_template["p"], dtype=float)
+    theta = np.asarray(config["theta"], dtype=float)
+    p = np.asarray(config["p"], dtype=float)
     rows = []
     for beta in betas:
         xi = detuned_xi(lam_target, beta)
-        ksq, _ = plasmonic_frequency(eta0, lambda_b, lam_target, beta)
+        ksq, _ = plasmonic_frequency(config["eta0"], config["lambda_b"],
+                                     lam_target, beta)
         k = float(np.sqrt(ksq))
         if k * grid.side >= np.pi:
             rows.append({"beta": beta, "xi": xi, "k": k, "status":
@@ -583,7 +553,7 @@ def resonance_amplification_scan(grid, lam_target, betas, wave_template,
         mu = effective_mu_ball(xi, "-")
         try:
             H, res, _, _ = solve_effective_lse(grid, mu, wave,
-                                               eigensystem=eigensystem)
+                                               eigensystem=system)
         except RuntimeError as exc:
             rows.append({"beta": beta, "xi": xi, "k": k,
                          "status": "failed: %s" % exc})
@@ -597,12 +567,7 @@ def resonance_amplification_scan(grid, lam_target, betas, wave_template,
                      "back_scatter": far.values[-1],
                      "incident_ratio": weighted_norm(H, grid) / inc_norm,
                      "residual": res, "status": "ok"})
-    good = [r for r in rows if r["status"] == "ok" and abs(r["beta"]) > 0]
-    logs = np.array([[np.log(abs(r["beta"])), np.log(r["field_norm"])]
-                     for r in good])
-    slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0]) if len(good) > 1 \
-        else np.nan
-    return rows, slope
+    return rows
 
 
 def _scan_directions(theta):

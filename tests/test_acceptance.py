@@ -21,8 +21,8 @@ from dielscat.foldylax import (IncidentWave, assemble_and_solve,
 from dielscat.geometry import (Cluster, derive_scales, generate_cluster,
                                unit_ball, unit_box)
 from dielscat.lse import (VolumeGrid, effective_far_field,
-                          magnetization_apply, magnetization_spectrum,
-                          newtonian_apply, newtonian_operator_norm,
+                          magnetization_operator, magnetization_spectrum,
+                          newtonian_operator, newtonian_operator_norm,
                           solve_effective_lse)
 from dielscat.tensors import direction_grid
 from oracles import (discrete_curl, dyadic_green, dyadic_green_fd,
@@ -166,16 +166,18 @@ def test_criterion_06_volume_operators():
     const = np.zeros((grid.count, 3), dtype=complex)
     const[:, 0] = 1.0
     center = np.argmin(np.linalg.norm(grid.centers, axis=1))
-    n_center = np.real(newtonian_apply(const, grid)[center, 0])
-    m_center = np.real(magnetization_apply(const, grid)[center, 0])
+    newtonian = newtonian_operator(grid).apply
+    magnetization = magnetization_operator(grid).apply
+    n_center = np.real(newtonian(const)[center, 0])
+    m_center = np.real(magnetization(const)[center, 0])
     # Helmholtz identity on a smooth interior field
     bump = np.exp(-3.0 * np.einsum("ij,ij->i", grid.centers, grid.centers))
     F = np.zeros((grid.count, 3), dtype=complex)
     F[:, 0] = bump
-    NF = newtonian_apply(F, grid)
+    NF = newtonian(F)
     c1, v1 = discrete_curl(NF, grid)
     c2, v2 = discrete_curl(c1, grid)
-    total = magnetization_apply(F, grid) + c2
+    total = magnetization(F) + c2
     mask = interior_mask(grid, depth=2) & v1 & v2
     ident_err = np.max(np.abs(total[mask] - F[mask])) / np.max(np.abs(F))
     # Newtonian operator norm, improving with resolution
@@ -196,9 +198,8 @@ def test_criterion_06_volume_operators():
 def test_criterion_07_magnetization_spectrum():
     t0 = time.perf_counter()
     grid = VolumeGrid(unit_ball(), 20)
-    rep = magnetization_spectrum(grid, mode="gradient", lmax=10)
-    vals = rep.eigenvalues
-    near_third = abs(rep.nearest(1.0 / 3.0) - 1.0 / 3.0)
+    vals, _ = magnetization_spectrum(grid, mode="gradient", lmax=10)
+    near_third = float(np.min(np.abs(vals - 1.0 / 3.0)))
     contained = bool(np.all(vals > 0.25 - 0.05) and np.all(vals < 0.75 + 0.05))
     cluster_half = int(np.sum(np.abs(vals - 0.5) < 0.05))
     elapsed = time.perf_counter() - t0

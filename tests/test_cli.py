@@ -201,6 +201,19 @@ def test_cli_counting_refuses_a_boundary_table_larger_than_memory(
     assert "summed-volume table" in err and "refine=100000" in err
 
 
+def test_cli_counting_refuses_counting_sums_larger_than_memory(
+        tmp_path, capsys, monkeypatch):
+    """On a 10 MB host the pitch-1/40 cluster fits and its counting sums
+    do not: exit 1 before the offset table is allocated, naming it."""
+    monkeypatch.setattr(tensors, "physical_memory", lambda: 10 * 2 ** 20)
+    cfg = write_config(tmp_path, {"pitches": [1 / 20, 1 / 40]})
+    out = str(tmp_path / "out")
+    assert main(["counting", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "run failed: the counting sums of pitch d = 0.025" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("override, key", [
     ("pitches=[]", "pitches"),
     ("refine=0", "refine"),

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dielscat import experiments, geometry
+from dielscat import experiments, geometry, lse
 from dielscat.experiments import (_fit_slope, polarization_angle_deg,
                                   run_convergence, run_counting,
-                                  run_regime_map)
+                                  run_regime_map, run_resonance)
 
 PI3 = np.pi ** 3
 
@@ -163,3 +163,40 @@ def test_polarization_angle_matches_arccos_away_from_zero():
             checked += 1
             assert abs(polarization_angle_deg(v, p) - reference) <= 1e-12
     assert checked > 150
+
+
+def test_resonance_rows_end_with_the_off_resonance_reference(monkeypatch):
+    """One eigensystem and one scan serve the detunings and the
+    off-resonance row: that row is last, carries no back-scatter angle,
+    and takes part in neither the slope nor the peak."""
+    calls = {"eigensystem": 0, "scan": 0}
+    eigensystem = experiments.magnetization_eigensystem
+    scan = lse.resonance_amplification_scan
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "magnetization_eigensystem",
+                        counted("eigensystem", eigensystem))
+    monkeypatch.setattr(lse, "resonance_amplification_scan",
+                        counted("scan", scan))
+    betas = [1e-3, -1e-3, 1e-2, -1e-2]
+    rows, report = run_resonance({"eta0": 1e9, "lambda_b": 0.4,
+                                  "betas": betas, "grid_n": 8})
+    assert calls == {"eigensystem": 1, "scan": 1}
+    assert [r["beta"] for r in rows[:-1]] == betas
+    off = rows[-1]
+    assert off["off_resonance"] is True and off["status"] == "ok"
+    assert "back_angle_deg" not in off and "back_scatter" not in off
+    scan_rows = rows[:-1]
+    assert all(r["status"] == "ok" and "back_angle_deg" in r
+               and "back_scatter" not in r and "off_resonance" not in r
+               for r in scan_rows)
+    assert report["slope"] == _fit_slope([abs(r["beta"]) for r in scan_rows],
+                                         [r["field_norm"] for r in scan_rows])
+    peak = max(scan_rows, key=lambda r: r["field_norm"])
+    assert report["peak_beta"] == peak["beta"] != off["beta"]
+    assert report["peak_back_angle_deg"] == peak["back_angle_deg"]

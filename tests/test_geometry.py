@@ -212,6 +212,33 @@ def test_max_counting_sum_matches_per_site_sums(shape, density, seed, d,
     assert max_counting_sum(cl, kappa) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1 / 20, 1 / 30])
+def test_counting_sums_check_their_memory_before_allocating(monkeypatch, d):
+    """The bytes checked before the offset table is built cover the traced
+    peak of one cluster's three counting sums, and a host one byte short
+    of them refuses the table, naming the pitch and the byte count."""
+    cluster = generate_cluster(unit_box(), d)
+    checked = []
+    monkeypatch.setattr(geometry, "require_memory",
+                        lambda nbytes, what: checked.append(nbytes))
+    tracemalloc.start()
+    try:
+        lattice = geometry.counting_lattice(cluster)
+        for kappa in (1, 3, 4):
+            max_counting_sum(cluster, kappa, lattice)
+        del lattice
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need, = checked
+    assert peak <= need
+    monkeypatch.undo()
+    monkeypatch.setattr(tensors, "physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match="counting sums of pitch d = %g on "
+                       ".* needs %d bytes" % (d, need)):
+        max_counting_sum(cluster, 3)
+
+
 def midpoint_boundary_oracle(cluster, refine):
     """The boundary statistic's midpoint sum, particle by quadrature point."""
     domain = cluster.domain

@@ -61,8 +61,10 @@ class ScipyOracle:
 
 @pytest.fixture(scope="module")
 def ball10():
+    """The ball n=10 grid, its k=0 eigensystem and resonant eigenvalue."""
     grid = VolumeGrid(unit_ball(), 10)
-    return grid, select_resonant_eigenvalue(grid)[0]
+    system = magnetization_eigensystem(grid)
+    return grid, system, select_resonant_eigenvalue(system)[0]
 
 
 @pytest.mark.parametrize("eta0", [1e9, 1.0])
@@ -70,14 +72,14 @@ def test_gmres_matches_scipy_on_the_preconditioned_lse(ball10, eta0,
                                                        monkeypatch):
     """The resonance study's solve at k ~ 1e-4 (one iteration) and at
     k ~ 1.6, where it takes over a hundred matvecs and one restart."""
-    grid, lam = ball10
+    grid, system, lam = ball10
     xi = detuned_xi(lam, 1e-3)
     k = float(np.sqrt(plasmonic_frequency(eta0, 0.4, lam, 1e-3)[0]))
     wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
     oracle = ScipyOracle()
     monkeypatch.setattr(linalg, "gmres", oracle)
     solve_effective_lse(grid, effective_mu_ball(xi, "-"), wave,
-                        eigensystem=magnetization_eigensystem(grid))
+                        eigensystem=system)
     matvecs, = oracle.check()
     assert matvecs > 100 if eta0 == 1.0 else matvecs <= 3
 
