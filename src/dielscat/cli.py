@@ -81,7 +81,7 @@ def _run_lse(config, out, fmt):
     mu = effective_mu(xi, p0_ball(), sc.sign)
     H, res, path, matvecs = solve_effective_lse(grid, mu, wave)
     far = effective_far_field(H, grid, mu, sc.k, direction_grid())
-    meta = {"scales": sc.to_dict(), "xi": xi, "grid_n": grid.n,
+    meta = {"scales": sc.to_dict(), "xi": xi, "grid_n": config["grid_n"],
             "cells": grid.count, "residual": res, "path": path,
             "matvecs": matvecs,
             "field_norm": weighted_norm(H, grid),
@@ -148,7 +148,7 @@ def _run_spectrum(config, out, fmt):
     vals, raw_count = magnetization_spectrum(
         grid, count=config["count"], mode=config["mode"], lmax=config["lmax"])
     nearest = float(vals[np.argmin(np.abs(vals - 1.0 / 3.0))])
-    meta = {"resolution": grid.n, "mode": config["mode"],
+    meta = {"resolution": config["grid_n"], "mode": config["mode"],
             "raw_count": raw_count, "nearest_to_third": nearest}
     _report(out, fmt, "spectrum",
             [{"index": i, "eigenvalue": float(v)} for i, v in enumerate(vals)],

@@ -47,10 +47,14 @@ def tensor_T(xi, p0, sign):
     """T = (I - (xi / (3 sign)) P0)^-1 P0.
 
     For the ball this reduces to (1 - sign * 4 xi / pi^3)^-1 (12/pi^3) I.
+    The identity sets the factor's scale, so xi is degenerate, and
+    ZeroDivisionError is raised, when the factor's smallest singular value
+    is below POLE_TOL: for the ball within the relative distance POLE_TOL
+    of the pole pi^3/4, as effective_mu_ball and classify_regime refuse.
     """
     s = parse_sign(sign)
     factor = np.eye(3, dtype=complex) - (xi / (3.0 * s)) * p0
-    if np.abs(np.linalg.det(factor)) < POLE_TOL:
+    if np.linalg.svd(factor, compute_uv=False)[-1] < POLE_TOL:
         raise ZeroDivisionError("degenerate xi: singular tensor-T factor")
     return np.linalg.solve(factor, p0.astype(complex))
 

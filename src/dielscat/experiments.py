@@ -70,11 +70,12 @@ def run_convergence(config):
     For each particle scale a: derive the consistent scales, build the
     cluster, solve the point-interaction system, solve the volume integral
     equation at the matched coupling, and record the sup-direction far-field
-    difference.  Returns (rows, fitted slope of log-error vs log-a, timing
-    log).  Wall times, and each compared row's solve paths and matvec
-    counts (fl_path, fl_matvecs, lse_path, lse_matvecs), are reported in
-    the timing log, so the result table itself is reproducible byte for
-    byte.
+    difference; a scale whose solve fails, as one at a k that the LSE grid
+    does not resolve does, keeps its row with status "failed: ...".
+    Returns (rows, fitted slope of log-error vs log-a, timing log).  Wall
+    times, and each compared row's solve paths and matvec counts (fl_path,
+    fl_matvecs, lse_path, lse_matvecs), are reported in the timing log, so
+    the result table itself is reproducible byte for byte.
     """
     config = with_defaults("converge", config)
     a_list = list(config["a_list"])

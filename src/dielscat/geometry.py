@@ -6,15 +6,15 @@ import math
 
 import numpy as np
 
-from .tensors import require_memory
+from .tensors import FOUR_PI, require_memory
 
 H_LOW = 9.0 / 11.0
 H_HIGH = 1.0
 
-# bytes per candidate lattice site held at once while generate_cluster
-# builds a cluster: traced at up to 80.5 (box, every site a candidate) and
-# 112.2 (ball, the (2 half + 1)^3 sites of its bounding cube) on 8,000 to
-# 6,000,000 sites
+# bytes per candidate lattice site held at once while lattice_cluster
+# builds a particle cluster or a voxel grid: traced at up to 80.6 (box,
+# every site a candidate) and 112.2 (ball, the sites of its bounding cube)
+# on 8,000 to 1,860,867 sites
 CLUSTER_SITE_BYTES = {"box": 81, "ball": 113}
 # bytes per entry of the (2n)^3 offset table held at once while one
 # cluster's three counting sums are computed: traced at 51.5 to 52.7 (box,
@@ -147,7 +147,9 @@ class Cluster:
     """Periodic cluster: the cubes of pitch d at the distinct integer lattice
     indices ijk (N, 3), which may be negative, of the lattice anchored at
     origin, inside the domain.  Cube ijk has its centre at origin +
-    d (ijk + 1/2)."""
+    d (ijk + 1/2), its volume weight = d^3 and its volume-equivalent
+    sphere the radius r_eq.  The particles of the Foldy-Lax system and the
+    voxel cells of the LSE (lse.VolumeGrid) are both such cell sets."""
 
     def __init__(self, ijk, d, origin, domain):
         ijk = np.asarray(ijk)
@@ -161,6 +163,8 @@ class Cluster:
         self.domain = domain
         self.count = ijk.shape[0]
         self.centers = self.origin + self.d * (self.ijk + 0.5)
+        self.weight = self.d ** 3
+        self.r_eq = (3.0 * self.weight / FOUR_PI) ** (1.0 / 3.0)
 
 
 def check_pitch(domain, d):
@@ -179,6 +183,29 @@ def check_pitch(domain, d):
                          "ball of radius %.6g" % (d, domain.radius))
 
 
+def lattice_cluster(domain, d, origin, shape, margin, what, start=0):
+    """The Cluster of the domain's sites of the pitch-d lattice anchored at
+    origin among the indices ijk = start + j, 0 <= j < shape per axis.
+
+    A box keeps every site.  A ball keeps a site iff the point |centre| +
+    margin per axis, relative to the ball's centre, lies inside: its
+    farthest vertex for margin d/2, its centre for margin 0; the centre is
+    measured as the cluster computes it, rounding included.  Sites that
+    need more than physical memory raise ValueError, naming `what`, before
+    any is allocated.
+    """
+    sites = math.prod(shape)
+    require_memory(CLUSTER_SITE_BYTES[domain.kind] * sites,
+                   "%s on %d lattice sites" % (what, sites))
+    ijk = np.stack(np.unravel_index(np.arange(sites), shape), axis=1)
+    if domain.kind == "box":
+        return Cluster(ijk, d, origin, domain)
+    ijk += start
+    rel = origin + d * (ijk + 0.5) - domain.center
+    reach = np.linalg.norm(np.abs(rel) + margin, axis=1)
+    return Cluster(ijk[reach <= domain.radius + 1e-12], d, origin, domain)
+
+
 def generate_cluster(domain, d):
     """All side-d lattice cubes whose closure lies inside the domain.
 
@@ -188,25 +215,14 @@ def generate_cluster(domain, d):
     more than physical memory raises ValueError before any is allocated.
     """
     check_pitch(domain, d)
+    what = "a %s cluster of pitch d = %.6g" % (domain.kind, d)
     if domain.kind == "box":
         shape = tuple(int(n) for n in np.floor(domain.extents / d + 1e-12))
-    else:
-        half = int(np.ceil(domain.radius / d)) + 1
-        shape = (2 * half + 1,) * 3
-    sites = math.prod(shape)
-    require_memory(CLUSTER_SITE_BYTES[domain.kind] * sites,
-                   "a %s cluster of pitch d = %.6g on %d lattice sites"
-                   % (domain.kind, d, sites))
-    ijk = np.stack(np.unravel_index(np.arange(sites), shape), axis=1)
-    if domain.kind == "box":
-        return Cluster(ijk, d, domain.center - domain.extents / 2.0, domain)
-    ijk -= half
-    # keep a cube iff its farthest vertex is still inside the ball, measured
-    # from the centre as the cluster computes it, rounding included
-    rel = domain.center + d * (ijk + 0.5) - domain.center
-    vertex_r = np.linalg.norm(np.abs(rel) + d / 2.0, axis=1)
-    return Cluster(ijk[vertex_r <= domain.radius + 1e-12], d, domain.center,
-                   domain)
+        return lattice_cluster(domain, d, domain.center - domain.extents / 2.0,
+                               shape, 0.0, what)
+    half = int(np.ceil(domain.radius / d)) + 1
+    return lattice_cluster(domain, d, domain.center, (2 * half + 1,) * 3,
+                           d / 2.0, what, start=-half)
 
 
 def counting_lattice(cluster):

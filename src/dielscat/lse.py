@@ -9,6 +9,7 @@ from numpy.linalg import eigh
 from .effective import detuned_xi, effective_mu_ball, plasmonic_frequency
 from .foldylax import (IncidentWave, incident_magnetic_many,
                        source_far_field)
+from .geometry import lattice_cluster
 from .linalg import solve_coupled
 from .symmetry import REDUCE_CHUNK_BYTES, SymmetryBasis
 from .tensors import (FOUR_PI, LatticeOperator, direction_grid,
@@ -19,7 +20,7 @@ LSE_GMRES_RESTART = 100
 # the matvec budget, in restart cycles: 1,100 iterations, at least 10x the
 # 106 matvecs of the slowest solve in the tests and benchmark workloads
 # (ball n=10 preconditioned at eta0 = 1, k ~ 1.6; the resonance-ball
-# workload needs at most 7)
+# workload needs 3 per detuning and 1 for its off-resonance row)
 LSE_GMRES_MAXITER = 11
 
 # perfbench/probes.py still wraps these names, and perfbench's tests need
@@ -28,10 +29,6 @@ LSE_GMRES_MAXITER = 11
 # magnetization_operator(grid).dense(), so they hold None until the probes
 # are refreshed.
 gmres = lu_factor = lu_solve = magnetization_matrix = None
-
-# bytes per candidate cell held at once while a VolumeGrid is built: traced
-# at up to 121.5 (box) and 111.5 (ball) on n = 20 to 80
-GRID_CELL_BYTES = 122
 
 # discrete eigenvalues this close to 0 or 1 are treated as the images of the
 # divergence-free / curl-free subspaces and dropped by the spectrum filter
@@ -46,46 +43,28 @@ NEWTONIAN_NORM_TOL = 1e-12
 NEWTONIAN_NORM_MAX_APPLIES = 100
 
 
-class VolumeGrid:
-    """Uniform voxel grid over a box or ball domain.
+def VolumeGrid(domain, n):
+    """Uniform voxel grid over a box or ball domain: the Cluster of the
+    cubic cells of side (extent/n) of the n^3 lattice anchored at the
+    domain's bounding-box corner, with indices 0 ... n - 1.
 
-    Cells are cubes of side (extent/n); for the ball, cells whose centers lie
-    inside are kept with full cube weight (staircase approximation).  A
-    grid whose n^3 candidate cells need more than physical memory raises
-    ValueError before any is allocated.
+    A box keeps every cell, so its grid is generate_cluster(box, L/n); a
+    ball keeps the cells whose centres lie inside with full cube weight
+    (staircase approximation).  A grid whose n^3 candidate cells need more
+    than physical memory raises ValueError before any is allocated.
     """
+    if n < 2:
+        raise ValueError("grid resolution must be at least 2")
+    n = int(n)
+    half = domain.extents / 2.0 if domain.kind == "box" else domain.radius
+    return lattice_cluster(domain, domain.cell_side(n), domain.center - half,
+                           (n,) * 3, 0.0,
+                           "a %s grid of n=%d" % (domain.kind, n))
 
-    def __init__(self, domain, n):
-        if n < 2:
-            raise ValueError("grid resolution must be at least 2")
-        self.domain = domain
-        self.n = int(n)
-        side = domain.cell_side(n)
-        require_memory(GRID_CELL_BYTES * self.n ** 3,
-                       "a %s grid of n=%d (%d candidate cells)"
-                       % (domain.kind, self.n, self.n ** 3))
-        if domain.kind == "box":
-            corner = domain.center - domain.extents / 2.0
-        else:
-            corner = domain.center - domain.radius
-        axes = [corner[i] + side * (np.arange(n) + 0.5) for i in range(3)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grid], axis=1)
-        if domain.kind == "ball":
-            rel = pts - domain.center
-            keep = np.einsum("ij,ij->i", rel, rel) < domain.radius ** 2
-        else:
-            keep = np.ones(pts.shape[0], dtype=bool)
-        self.centers = pts[keep]
-        self.side = side
-        self.weight = side ** 3
-        self.count = self.centers.shape[0]
-        self.r_eq = (3.0 * self.weight / FOUR_PI) ** (1.0 / 3.0)
-        self.ijk = np.stack(np.unravel_index(np.flatnonzero(keep), (n, n, n)),
-                            axis=1)
 
-    def total_weight(self):
-        return self.count * self.weight
+def _resolution(grid):
+    """n of a voxel grid: the fewest cells its indices span on an axis."""
+    return int(np.min(np.ptp(grid.ijk, axis=0))) + 1
 
 
 def newtonian_operator(grid, k=0.0):
@@ -98,7 +77,7 @@ def newtonian_operator(grid, k=0.0):
     self_term = grid.r_eq ** 2 / 2.0
     if k:
         self_term += 1j * k * grid.weight / FOUR_PI
-    return LatticeOperator(grid.ijk, grid.side, "scalar", k, grid.weight,
+    return LatticeOperator(grid.ijk, grid.d, "scalar", k, grid.weight,
                            self_term)
 
 
@@ -109,7 +88,7 @@ def magnetization_operator(grid, k=0.0):
     source-gradient form flips the sign of the target Hessian); the self
     cell contributes the cubic-cell depolarization term F/3.
     """
-    return LatticeOperator(grid.ijk, grid.side, "hessian", k, -grid.weight,
+    return LatticeOperator(grid.ijk, grid.d, "hessian", k, -grid.weight,
                            1.0 / 3.0)
 
 
@@ -119,7 +98,7 @@ def nprime_operator(grid):
     Self cell: the equivalent-sphere average of rhat rhat is I/3, giving
     r_eq^2/6.
     """
-    return LatticeOperator(grid.ijk, grid.side, "projected", 0.0, grid.weight,
+    return LatticeOperator(grid.ijk, grid.d, "projected", 0.0, grid.weight,
                            grid.r_eq ** 2 / 6.0)
 
 
@@ -151,7 +130,7 @@ def newtonian_operator_norm(grid):
                            % applies)
     if grid.domain.kind == "ball":
         exact_vol = 4.0 * np.pi / 3.0 * grid.domain.radius ** 3
-        norm *= (exact_vol / grid.total_weight()) ** (2.0 / 3.0)
+        norm *= (exact_vol / (grid.count * grid.weight)) ** (2.0 / 3.0)
     return norm
 
 
@@ -160,7 +139,7 @@ class DyadicVolumeOperator(LatticeOperator):
     on the grid lattice plus the self scalar sigma_k = lse_self_scalar."""
 
     def __init__(self, grid, k):
-        super().__init__(grid.ijk, grid.side, "dyadic", k, grid.weight,
+        super().__init__(grid.ijk, grid.d, "dyadic", k, grid.weight,
                          lse_self_scalar(grid, k))
 
     # bound on this class, so perfbench's probes see the LSE's kernel calls
@@ -204,9 +183,17 @@ def solve_effective_lse(grid, mu, wave, eigensystem=None):
     LSE_GMRES_RESTART iterations or is not finite, naming its matvec count
     and relative residual.
 
+    A grid that does not resolve k, k d >= pi (fewer than two cells per
+    wavelength), raises ValueError naming k and the cell side before
+    anything is solved.
+
     Returns (H, relative residual, path "dense" or "gmres", GMRES matvec
     count), as solve_coupled does.
     """
+    if wave.k * grid.d >= np.pi:
+        raise ValueError("k = %.6g is not resolved by cells of side %.6g "
+                         "(k side = %.3g >= pi)"
+                         % (wave.k, grid.d, wave.k * grid.d))
     contrast = np.asarray(mu, dtype=complex) - np.eye(3)
     rhs = 1j * wave.k * incident_magnetic_many(wave, grid.centers)
     precond = x0 = None
@@ -327,7 +314,7 @@ def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10):
     in ascending order, and how many were computed before the edge filter
     and the count.
     """
-    if grid.n < 12:
+    if _resolution(grid) < 12:
         raise ValueError("spectrum diagnostics need resolution n >= 12")
     if mode == "full":
         system = magnetization_eigensystem(grid)
@@ -437,7 +424,8 @@ def magnetization_eigensystem(grid):
     ValueError is raised before anything is gathered.
     """
     basis = SymmetryBasis(grid.ijk, "the %s grid (n=%d, C=%d cells)"
-                          % (grid.domain.kind, grid.n, grid.count))
+                          % (grid.domain.kind, _resolution(grid),
+                             grid.count))
     orders = np.array(list(basis.orders.values()))
     op = magnetization_operator(grid)
     doubles = (int(np.sum(orders ** 2)) + 4 * int(orders.max()) ** 2
@@ -510,7 +498,7 @@ def weighted_norm(field, grid):
 
 def nnprime_inner_product(grid):
     """<(N + N')(e1); e1> for the unit-norm constant ball eigenfunction."""
-    c = 1.0 / np.sqrt(grid.total_weight())
+    c = 1.0 / np.sqrt(grid.count * grid.weight)
     F = np.zeros((grid.count, 3), dtype=complex)
     F[:, 0] = c
     G = newtonian_operator(grid).apply(F) + nprime_operator(grid).apply(F)
@@ -528,9 +516,8 @@ def resonance_amplification_scan(grid, system, lam_target, betas, config):
     GMRES on the FFT operator, preconditioned with the exact inverse of its
     k=0 operator I + (mu - 1) M from system = magnetization_eigensystem(grid)
     (see solve_effective_lse); no dense matrix is built per detuning.  A
-    detuning whose k the grid does not resolve, k side >= pi (fewer than
-    two cells per wavelength), is not solved: its row has status
-    "failed: ..." naming k and the cell side, as does a solve that fails.
+    detuning whose solve fails, as one at a k that the grid does not
+    resolve does, keeps its row with status "failed: ..." and the error.
     Returns one row per beta, in order: beta, xi, k and the status, and
     for an ok row the field norm, the far-field sup, the back-scattered
     far field, the ratio to the incident field's norm and the residual.
@@ -543,18 +530,12 @@ def resonance_amplification_scan(grid, system, lam_target, betas, config):
         ksq, _ = plasmonic_frequency(config["eta0"], config["lambda_b"],
                                      lam_target, beta)
         k = float(np.sqrt(ksq))
-        if k * grid.side >= np.pi:
-            rows.append({"beta": beta, "xi": xi, "k": k, "status":
-                         "failed: k = %.6g is not resolved by cells of "
-                         "side %.6g (k side = %.3g >= pi)"
-                         % (k, grid.side, k * grid.side)})
-            continue
         wave = IncidentWave(k, theta, p)
         mu = effective_mu_ball(xi, "-")
         try:
             H, res, _, _ = solve_effective_lse(grid, mu, wave,
                                                eigensystem=system)
-        except RuntimeError as exc:
+        except (RuntimeError, ValueError) as exc:
             rows.append({"beta": beta, "xi": xi, "k": k,
                          "status": "failed: %s" % exc})
             continue

@@ -287,19 +287,21 @@ def parent_cluster_centers(domain, d):
 
 
 def grid_index(grid):
-    """(n, n, n) array of each grid cell's row, -1 where no cell is kept."""
-    index = -np.ones((grid.n,) * 3, dtype=np.int64)
+    """Array over the extent of the grid's indices of each cell's row, -1
+    where no cell is kept."""
+    index = -np.ones(tuple(grid.ijk.max(axis=0) + 1), dtype=np.int64)
     index[tuple(grid.ijk.T)] = np.arange(grid.count)
     return index
 
 
 def neighbor_index(grid, axis, step):
     """Row of the cell step cells along axis (signed), -1 if absent."""
+    index = grid_index(grid)
     shifted = grid.ijk.copy()
     shifted[:, axis] += step
-    ok = (shifted[:, axis] >= 0) & (shifted[:, axis] < grid.n)
+    ok = (shifted[:, axis] >= 0) & (shifted[:, axis] < index.shape[axis])
     nbr = np.full(grid.count, -1, dtype=np.int64)
-    nbr[ok] = grid_index(grid)[tuple(shifted[ok].T)]
+    nbr[ok] = index[tuple(shifted[ok].T)]
     return nbr
 
 
@@ -322,7 +324,7 @@ def _centered_differences(field, grid):
         ok = (plus >= 0) & (minus >= 0)
         valid &= ok
         der = np.zeros_like(F)
-        der[ok] = (F[plus[ok]] - F[minus[ok]]) / (2.0 * grid.side)
+        der[ok] = (F[plus[ok]] - F[minus[ok]]) / (2.0 * grid.d)
         dF.append(der)
     return dF, valid
 

@@ -129,6 +129,22 @@ def test_cli_effective_end_to_end(tmp_path):
     assert os.path.exists(os.path.join(out, "effective_plotdata.json"))
 
 
+def test_cli_effective_near_the_pole(tmp_path):
+    """xi = 7.7515 lies 2.5e-4 below the "+" pole pi^3/4, where the
+    permeability is about 3.4e5 but finite: the run exits 0 with the
+    closed form's value, which the regime label agrees is not degenerate."""
+    xi_values = [1.0, 7.7515, 7.76]
+    cfg = write_config(tmp_path, {"xi_values": xi_values, "signs": ["+"]})
+    out = tmp_path / "out"
+    assert main(["effective", "--config", cfg, "--out", str(out),
+                 "--format", "json"]) == 0
+    rows = json.loads((out / "effective_results.json").read_text())["rows"]
+    for xi, row in zip(xi_values, rows):
+        want = (np.pi ** 3 + 8.0 * xi) / (np.pi ** 3 - 4.0 * xi)
+        assert row["mu_diag"] == pytest.approx(want, rel=1e-9)
+    assert rows[1]["regime"] == "dielectric-positive"
+
+
 def test_cli_foldylax_end_to_end_and_determinism(tmp_path):
     cfg = write_config(tmp_path, FOLDYLAX_DOC)
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
@@ -492,6 +508,30 @@ def test_cli_refuses_a_cell_set_larger_than_memory(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("run failed: " + what)
     assert "needs" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand, doc", [
+    ("lse", FOLDYLAX_DOC), ("converge", CONVERGE_DOC)])
+def test_cli_refuses_a_grid_that_does_not_resolve_k(tmp_path, capsys,
+                                                    subcommand, doc):
+    """At eta0 = 1e-3 the wavenumber is about 48, and cells of side 1/6
+    resolve k only below pi / (1/6) = 18.8: the LSE refuses to solve,
+    naming k and the cell side, so lse exits 1 and every converge row
+    fails with that text, where both used to report a small residual."""
+    cfg = write_config(tmp_path, dict(doc, eta0=1e-3))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out),
+                 "--format", "json", "--set", "grid_n=6"]) == 1
+    def refusal(k):
+        return ("k = %.6g is not resolved by cells of side 0.166667 "
+                "(k side = %.3g >= pi)" % (k, k / 6.0))
+    if subcommand == "lse":
+        assert capsys.readouterr().err == \
+            "run failed: %s\n" % refusal(48.2839)
+        return
+    rows = json.loads((out / "converge_results.json").read_text())["rows"]
+    for row in rows:
+        assert row["status"] == "failed: " + refusal(row["k"])
 
 
 def test_cli_lse_refuses_a_lattice_operator_larger_than_memory(

@@ -1,9 +1,9 @@
-# The package holds what its studies run.  Every top-level function, class
-# and method of src/dielscat is used in the package outside its own
-# definition, exported by dielscat/__init__.py, or reached by perfbench (a
-# probe target in perfbench/probes.TARGETS, or a name its code uses); and
-# the test oracles import neither the lattice operator nor the solver that
-# they check.
+# The package holds what its studies run.  Every top-level function, class,
+# method and module constant of src/dielscat is used in the package outside
+# its own definition, exported by dielscat/__init__.py, or reached by
+# perfbench (a probe target in perfbench/probes.TARGETS, or a name its code
+# uses); and the test oracles import neither the lattice operator nor the
+# solver that they check.
 
 import ast
 import collections
@@ -26,19 +26,30 @@ def used_names(tree):
         if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
-    """(qualified name, node) of every top-level function and class and of
-    every method; dunder methods, which the language calls, are left out."""
+    """(qualified name, name, node) of every top-level function, class and
+    module constant, and of every method; dunders, which the language
+    reads, are left out."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
-            yield node.name, node
+            yield node.name, node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for name in (t.id for target in targets
+                         for t in ast.walk(target)
+                         if isinstance(t, ast.Name)):
+                if not dunder(name):
+                    yield name, name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, defs) and not (
-                        item.name.startswith("__")
-                        and item.name.endswith("__")):
-                    yield "%s.%s" % (node.name, item.name), item
+                if isinstance(item, defs) and not dunder(item.name):
+                    yield "%s.%s" % (node.name, item.name), item.name, item
 
 
 def exported_names():
@@ -67,9 +78,9 @@ def test_every_package_definition_is_used_exported_or_probed():
     allowed = exported_names() | perfbench_names()
     unused = []
     for module, tree in trees.items():
-        for qualified, node in definitions(tree):
-            outside = total[node.name] - used_names(node)[node.name]
-            if outside <= 0 and node.name not in allowed:
+        for qualified, name, node in definitions(tree):
+            outside = total[name] - used_names(node)[name]
+            if outside <= 0 and name not in allowed:
                 unused.append("%s:%d %s" % (module, node.lineno, qualified))
     assert not unused, "defined but never used: " + ", ".join(unused)
 

@@ -76,6 +76,21 @@ def test_degenerate_pole_raises():
         effective_mu_ball(PI3 / 4, "+")
 
 
+def test_tensor_T_refuses_only_within_the_pole_tolerance():
+    """Near the "+" pole pi^3/4 the tensor-T factor is (1 - 4 xi / pi^3) I:
+    at the relative distance 10^-j from the pole its smallest singular
+    value is 10^-j, above POLE_TOL for j = 3 ... 9, so the general form
+    returns, as the closed form does, and the two agree to the pole's
+    conditioning, 10^(j - 15) relative (5e-9 apart at j = 8)."""
+    for j in range(3, 10):
+        for side in (1.0, -1.0):
+            xi = PI3 / 4.0 * (1.0 + side * 10.0 ** -j)
+            mu = effective_mu(xi, p0_ball(), "+")
+            want = effective_mu_ball(xi, "+")
+            assert np.max(np.abs(mu - want)) \
+                <= 10.0 ** (j - 15) * abs(want[0, 0])
+
+
 def test_effective_eps_is_identity():
     assert np.array_equal(effective_eps(), np.eye(3, dtype=complex))
 

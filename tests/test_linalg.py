@@ -204,7 +204,7 @@ def test_solve_coupled_reports_the_gmres_exit_residual_without_an_apply():
     right-hand side reports residual 0.0."""
     grid = VolumeGrid(unit_box(), 4)
     kernel = CountedKernel(tensors.LatticeOperator(
-        grid.ijk, grid.side, "dyadic", 1.1, grid.weight, 0.2))
+        grid.ijk, grid.d, "dyadic", 1.1, grid.weight, 0.2))
     P = 0.3 * np.eye(3) + 0.05j
     rng = np.random.default_rng(4)
     b = rng.normal(size=(grid.count, 3)) + 1j * rng.normal(

@@ -50,7 +50,7 @@ def test_lattice_operators_commute_with_the_cube_group(geometry, kind, k):
     centre, (P_g F)(R x) = R F(x): R K(R^-1 x) R^T = K(x) for every kernel
     kind, and g maps the grid's cells onto themselves."""
     grid = EQUIVARIANCE_GRIDS[geometry]
-    op = LatticeOperator(grid.ijk, grid.side, kind, k, grid.weight, 0.25)
+    op = LatticeOperator(grid.ijk, grid.d, kind, k, grid.weight, 0.25)
     A = op.dense()
     C = grid.count
     images = cell_images(grid.ijk)
@@ -80,7 +80,7 @@ def box_112_grid():
     grid.domain = DomainShape("box", (1.0, 1.0, 2.0), center=(0.5, 0.5, 1.0))
     grid.ijk = np.stack(np.unravel_index(np.arange(128), (4, 4, 8)), axis=1)
     grid.count = 128
-    grid.centers = (grid.ijk + 0.5) * grid.side
+    grid.centers = (grid.ijk + 0.5) * grid.d
     return grid
 
 

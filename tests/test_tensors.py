@@ -157,8 +157,8 @@ def lattice_geometries():
     ball = VolumeGrid(unit_ball(), 5)
     slab = generate_cluster(DomainShape("box", (1.0, 1.0, 0.5),
                                         center=(0.5, 0.5, 0.25)), 0.25)
-    return {"box": (box.ijk, box.side, box.centers, box.weight),
-            "ball": (ball.ijk, ball.side, ball.centers, ball.weight),
+    return {"box": (box.ijk, box.d, box.centers, box.weight),
+            "ball": (ball.ijk, ball.d, ball.centers, ball.weight),
             "slab": (slab.ijk, slab.d, slab.centers, 1.0)}
 
 
@@ -185,7 +185,7 @@ def test_lattice_operator_matches_pointwise_kernel(geometry, kind, k):
 
 def test_lattice_operator_real_in_real_out():
     grid = VolumeGrid(unit_ball(), 6)
-    op = LatticeOperator(grid.ijk, grid.side, "scalar", 0.0, grid.weight, 0.5)
+    op = LatticeOperator(grid.ijk, grid.d, "scalar", 0.0, grid.weight, 0.5)
     v = np.random.default_rng(3).normal(size=grid.count)
     out = op.apply(v)
     assert out.dtype == np.float64 and out.shape == v.shape
@@ -263,8 +263,8 @@ def test_a_static_spectrum_is_real(kind):
     table, whose imaginary parts are round-off, to 1e-13 of its largest
     entry."""
     grid = VolumeGrid(unit_ball(), 12)
-    op = LatticeOperator(grid.ijk, grid.side, kind, 0.0, -grid.weight)
-    want = offset_spectrum(tuple(op.extent), grid.side, kind, 0.0,
+    op = LatticeOperator(grid.ijk, grid.d, kind, 0.0, -grid.weight)
+    want = offset_spectrum(tuple(op.extent), grid.d, kind, 0.0,
                            -grid.weight)
     scale = np.max(np.abs(want))
     assert op.spectrum.dtype == np.float64
@@ -320,8 +320,8 @@ def test_apply_matches_the_numpy_fft_convolution(domain, n, kind):
     rng = np.random.default_rng(n)
     F = rng.normal(size=(grid.count, 3)) + 1j * rng.normal(
         size=(grid.count, 3))
-    op = LatticeOperator(grid.ijk, grid.side, kind, 1.3, grid.weight, 0.2)
-    want = fft_lattice_apply(grid.ijk, grid.side, kind, 1.3, grid.weight,
+    op = LatticeOperator(grid.ijk, grid.d, kind, 1.3, grid.weight, 0.2)
+    want = fft_lattice_apply(grid.ijk, grid.d, kind, 1.3, grid.weight,
                              0.2, F)
     assert np.linalg.norm(op.apply(F) - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -332,7 +332,7 @@ def test_spectrum_is_built_in_place_and_kept_alone(k):
     than 1.5 times its bytes of traced allocations, and the operator
     keeps no octant."""
     grid = VolumeGrid(unit_box(), 12)
-    op = LatticeOperator(grid.ijk, grid.side, "dyadic", k, grid.weight)
+    op = LatticeOperator(grid.ijk, grid.d, "dyadic", k, grid.weight)
     tracemalloc.start()
     try:
         spectrum = op.spectrum
@@ -427,7 +427,7 @@ def test_lattice_operator_checks_its_memory_before_allocating(
     checked = []
     monkeypatch.setattr(tensors, "require_memory",
                         lambda nbytes, what: checked.append(nbytes))
-    op = LatticeOperator(grid.ijk, grid.side, kind, 1.3, grid.weight, 0.2)
+    op = LatticeOperator(grid.ijk, grid.d, kind, 1.3, grid.weight, 0.2)
     F = np.ones((grid.count, 3), dtype=complex)
     tracemalloc.start()
     try:
@@ -442,9 +442,9 @@ def test_lattice_operator_checks_its_memory_before_allocating(
     monkeypatch.setattr(tensors, "physical_memory", lambda: need - 1)
     with pytest.raises(ValueError, match="on a %d x %d x %d extent needs %d "
                        "bytes" % (tuple(op.extent) + (need,))):
-        LatticeOperator(grid.ijk, grid.side, kind, 1.3, grid.weight, 0.2)
+        LatticeOperator(grid.ijk, grid.d, kind, 1.3, grid.weight, 0.2)
     monkeypatch.setattr(tensors, "physical_memory", lambda: need)
-    LatticeOperator(grid.ijk, grid.side, kind, 1.3, grid.weight, 0.2)
+    LatticeOperator(grid.ijk, grid.d, kind, 1.3, grid.weight, 0.2)
 
 
 def test_a_sparse_cluster_is_refused_before_its_offset_table():
