@@ -15,7 +15,8 @@ from .geometry import (boundary_counting_statistic, boundary_grid_counts,
                        boundary_table, counting_lattice, generate_cluster,
                        max_counting_sum, unit_ball, unit_box)
 from .lse import (VolumeGrid, effective_far_field, magnetization_eigensystem,
-                  select_resonant_eigenvalue, solve_effective_lse)
+                  require_resolved, select_resonant_eigenvalue,
+                  solve_effective_lse)
 from .tensors import direction_grid
 
 
@@ -46,7 +47,9 @@ def polarization_angle_deg(v, p):
 def _compare(cluster, sc, p0, wave, grid, xi, dirs, log):
     """Row fields comparing the cluster's far field with the effective
     medium's at one particle scale; the two solves' paths and matvec counts
-    go to the timing row `log`."""
+    go to the timing row `log`.  A grid that does not resolve k fails the
+    row before the cluster is solved."""
+    require_resolved(grid, wave.k)
     sol = assemble_and_solve(cluster, sc, p0, wave)
     far = cluster_far_field(sol, cluster, sc, dirs)
     mu = effective_mu(xi, p0, sc.sign)

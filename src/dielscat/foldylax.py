@@ -9,9 +9,10 @@ from .tensors import LatticeOperator, cis, spectral_norm
 
 GMRES_TOL = 1e-10
 GMRES_RESTART = 100
-# the matvec budget, in restart cycles: 100 iterations, at least 10x the 8
-# matvecs of the slowest solve in the tests and benchmark workloads
-# (converge-box, N=343 and N=1331)
+# the matvec budget, in restart cycles: 100 iterations, 12x the 8 matvecs of
+# the converge-box solves (N=343 and N=1331) and 6x the 17 of the README's
+# foldylax config (N=512); a solve not converged within it takes the dense
+# LU up to linalg.DENSE_LIMIT particles
 GMRES_MAXITER = 1
 
 # perfbench/probes.py still wraps these names, and perfbench's tests need
@@ -51,8 +52,9 @@ def incident_magnetic_many(wave, points):
 
 class FoldyLaxSolution:
     """Per-particle solution vectors Q_m plus the achieved relative residual,
-    and how they were found: path "dense" (LU) or "gmres", with the GMRES
-    matvec count (0 on the dense path)."""
+    and how they were found: path "gmres" or "dense" (the LU after a failed
+    GMRES), with the GMRES matvec count, on the dense path the matvecs that
+    GMRES spent before it failed."""
 
     def __init__(self, vectors, residual, margin=None, margin_warning=False,
                  path=None, matvecs=0):
@@ -119,14 +121,15 @@ def assemble_and_solve(cluster, scales, p0, wave):
     B = coupling * P0.Y_k between distinct particles.  linalg.solve_coupled
     solves the rescaled system U - coupling * Y_k.(P0 U) = ik H_inc, and
     Q_m = (a^{5-h} / sign c0) P0.U_m solves the Q-form system for every P0.
-    solve_coupled chooses between the dense (3N)^2 LU and matrix-free
-    restarted GMRES, which applies the kernel by FFT on the particle
-    lattice, so memory stays O(count).  The invertibility margin, the
-    paper's bound on |B|_2 (below 1: a Neumann-series contraction), is
-    reported with the solution and flagged from 1 up.  The solution
-    records its path, its matvec count and the relative residual of the
-    rescaled system; a failed GMRES solve raises RuntimeError naming its
-    matvec count, residual and margin.
+    solve_coupled runs matrix-free restarted GMRES, which applies the
+    kernel by FFT on the particle lattice, so memory stays O(count), and
+    solves by the dense (3N)^2 LU only when GMRES fails within its budget
+    at N <= linalg.DENSE_LIMIT.  The invertibility margin, the paper's
+    bound on |B|_2 (below 1: a Neumann-series contraction), is reported
+    with the solution and flagged from 1 up.  The solution records its
+    path, its matvec count and the relative residual of the rescaled
+    system; a failed GMRES solve above DENSE_LIMIT raises RuntimeError
+    naming its matvec count, residual and margin.
     """
     if abs(wave.k - scales.k) > 1e-10 * scales.k:
         raise ValueError("wave.k inconsistent with the derived scales")

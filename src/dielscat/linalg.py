@@ -4,10 +4,8 @@
 
 import numpy as np
 
-from .tensors import spectral_norm
-
 # the largest site count solved by a dense (3n)^2 LU, and then only when
-# GMRES has no convergence guarantee
+# GMRES has failed
 DENSE_LIMIT = 1500
 
 
@@ -140,62 +138,56 @@ def solve_coupled(kernel, c, P, b, *, rtol, restart, maxiter, psolve=None,
     """Solve x - c K(x P^T) = b for an (n, 3) field x.
 
     K is a 3x3 kernel operator on n sites that carries its own self term,
-    with apply(F), dense() and norm_bound (tensors.LatticeOperator); P is a
-    3x3 tensor acting on each site.  This is the coupled-dipole system of
-    the discrete-dipole approximation (Purcell & Pennypacker, ApJ 186
-    (1973) 705; Draine & Flatau, JOSA A 11 (1994) 1491): the
-    point-interaction system with K = Y_k between distinct particles and
-    P = P0, and the effective-medium LSE with K its voxel kernel plus self
-    scalar, c = 1 and P = mu - I, mu the effective relative permeability.
+    with apply(F) and dense() (tensors.LatticeOperator); P is a 3x3 tensor
+    acting on each site.  This is the coupled-dipole system of the
+    discrete-dipole approximation (Purcell & Pennypacker, ApJ 186 (1973)
+    705; Draine & Flatau, JOSA A 11 (1994) 1491): the point-interaction
+    system with K = Y_k between distinct particles and P = P0, and the
+    effective-medium LSE with K its voxel kernel plus self scalar, c = 1
+    and P = mu - I, mu the effective relative permeability.
 
-    The path is chosen here alone: restarted GMRES on the matrix-free
-    apply (relative tolerance rtol, at most maxiter cycles of restart
-    iterations, from x0 and left-preconditioned by psolve if given) when a
-    psolve is given, when n > DENSE_LIMIT, or when its budget is sure to
-    suffice, else np.linalg.solve on the dense matrix.  B = c K (I x P)
-    has |B|_2 <= beta = |c| |P|_2 K.norm_bound, and GMRES on I - B has
-    |r_m| <= |B|^m |r_0| after m iterations of a cycle (take the residual
-    polynomial (1 - z)^m), so from a zero start it meets rtol within its
-    budget whenever beta ** (restart * maxiter) <= rtol.  A GMRES solve
-    that is not converged within its budget, or not finite, raises
-    RuntimeError naming its matvec count and relative residual.
+    The path is chosen here alone, by what the solve observes: restarted
+    GMRES on the matrix-free apply first (relative tolerance rtol, at most
+    maxiter cycles of restart iterations, from x0 and left-preconditioned
+    by psolve if given), which tests the true residual at its exit.  Only
+    if it is not converged within that budget, or its x is not finite, and
+    n <= DENSE_LIMIT, is the system solved by np.linalg.solve on the dense
+    matrix; above DENSE_LIMIT the failure raises RuntimeError naming the
+    matvec count and relative residual.
 
     Returns (x, relative residual |x - c K(x P^T) - b| / |b| (0.0 for a
-    zero b), path "dense" or "gmres", GMRES matvec count, 0 on the dense
-    path).  GMRES reports the residual it tested at exit, so no further
-    apply is spent on it.
+    zero b), path "gmres" or "dense", GMRES matvec count, on the dense
+    path the matvecs of the failed GMRES).  GMRES reports the residual it
+    tested at exit; the dense path checks its x with one more apply, not
+    counted in the matvecs, so its residual is that of the operator the
+    rest of the code applies, not of the matrix it factorised.
     """
     n = b.shape[0]
     bnorm = np.linalg.norm(b)
+    matvecs = 0
 
     def apply(x):
         return x - c * kernel.apply(x @ P.T)
-
-    def relative(rnorm):
-        return float(rnorm / bnorm) if bnorm else 0.0
-
-    if psolve is None and n <= DENSE_LIMIT and (
-            abs(c) * spectral_norm(P) * kernel.norm_bound
-            > rtol ** (1.0 / (restart * maxiter))):
-        # per-site P: (K Pbig)[:, 3j+b] = sum_a K[:, 3j+a] P_ab
-        A = (kernel.dense().reshape(3 * n, n, 3) @ P).reshape(3 * n, 3 * n)
-        A *= -c
-        A[np.arange(3 * n), np.arange(3 * n)] += 1.0
-        x = np.linalg.solve(A, b.reshape(-1)).reshape(n, 3)
-        return x, relative(np.linalg.norm(apply(x) - b)), "dense", 0
-    matvecs = 0
 
     def matvec(v):
         nonlocal matvecs
         matvecs += 1
         return apply(v.reshape(n, 3)).reshape(-1)
 
+    def relative(rnorm):
+        return float(rnorm / bnorm) if bnorm else 0.0
+
     x, info, rnorm = gmres(matvec, b.reshape(-1), x0=x0, psolve=psolve,
                            rtol=rtol, restart=restart, maxiter=maxiter)
-    x = x.reshape(n, 3)
-    residual = relative(rnorm)
-    if info != 0 or not np.all(np.isfinite(x)):
+    if info == 0 and np.all(np.isfinite(x)):
+        return x.reshape(n, 3), relative(rnorm), "gmres", matvecs
+    if n > DENSE_LIMIT:
         raise RuntimeError("GMRES failed after %d matvecs (budget %d restarts "
                            "of %d), relative residual %.3g"
-                           % (matvecs, maxiter, restart, residual))
-    return x, residual, "gmres", matvecs
+                           % (matvecs, maxiter, restart, relative(rnorm)))
+    # per-site P: (K Pbig)[:, 3j+b] = sum_a K[:, 3j+a] P_ab
+    A = (kernel.dense().reshape(3 * n, n, 3) @ P).reshape(3 * n, 3 * n)
+    A *= -c
+    A[np.arange(3 * n), np.arange(3 * n)] += 1.0
+    x = np.linalg.solve(A, b.reshape(-1)).reshape(n, 3)
+    return x, relative(np.linalg.norm(apply(x) - b)), "dense", matvecs

@@ -17,10 +17,11 @@ from .tensors import (FOUR_PI, LatticeOperator, direction_grid,
 
 LSE_GMRES_TOL = 1e-8
 LSE_GMRES_RESTART = 100
-# the matvec budget, in restart cycles: 1,100 iterations, at least 10x the
-# 106 matvecs of the slowest solve in the tests and benchmark workloads
-# (ball n=10 preconditioned at eta0 = 1, k ~ 1.6; the resonance-ball
-# workload needs 3 per detuning and 1 for its off-resonance row)
+# the matvec budget, in restart cycles: 1,100 iterations, 10x the 106
+# matvecs of the slowest preconditioned solve in the tests and benchmark
+# workloads (ball n=10 at eta0 = 1, k ~ 1.6; the resonance-ball workload
+# needs 3 per detuning and 1 for its off-resonance row); a solve not
+# converged within it takes the dense LU up to linalg.DENSE_LIMIT cells
 LSE_GMRES_MAXITER = 11
 
 # perfbench/probes.py still wraps these names, and perfbench's tests need
@@ -155,6 +156,14 @@ def lse_self_scalar(grid, k):
             + 1j * k ** 3 * grid.weight / FOUR_PI)
 
 
+def require_resolved(grid, k):
+    """Raise ValueError, naming k and the cell side, if the grid does not
+    resolve k: k d >= pi, fewer than two cells per wavelength."""
+    if k * grid.d >= np.pi:
+        raise ValueError("k = %.6g is not resolved by cells of side %.6g "
+                         "(k side = %.3g >= pi)" % (k, grid.d, k * grid.d))
+
+
 def solve_effective_lse(grid, mu, wave, eigensystem=None):
     """Solve the discretized Lippmann-Schwinger system A(k) H = ik H_inc.
 
@@ -162,8 +171,9 @@ def solve_effective_lse(grid, mu, wave, eigensystem=None):
     permeability, a 3x3 tensor, and the wave its incident field, of
     wavenumber k = wave.k.  A(k) H = H - (G_k + sigma_k I)((mu - I) H),
     with G_k + sigma_k I the LSE kernel DyadicVolumeOperator, is solved by
-    linalg.solve_coupled (c = 1, P = mu - I), which chooses between the
-    dense LU and GMRES on the FFT kernel operator.
+    linalg.solve_coupled (c = 1, P = mu - I): GMRES on the FFT kernel
+    operator, and the dense LU only when GMRES fails within its budget at
+    C <= linalg.DENSE_LIMIT cells.
 
     With eigensystem = magnetization_eigensystem(grid) (only for a scalar
     mu = m I; any other mu raises ValueError), GMRES is preconditioned by
@@ -178,22 +188,19 @@ def solve_effective_lse(grid, mu, wave, eigensystem=None):
     and it still converges, in more, at k ~ 1.  linalg.gmres applies the
     preconditioner on the left, minimizing the preconditioned residual, and
     tests convergence on the true residual b - A x.  A k=0 operator that
-    is singular at this mu raises RuntimeError, and so does a GMRES solve
-    that is not converged within LSE_GMRES_MAXITER restarts of
-    LSE_GMRES_RESTART iterations or is not finite, naming its matvec count
-    and relative residual.
+    is singular at this mu raises RuntimeError.  A GMRES solve, with or
+    without the preconditioner, that is not converged within
+    LSE_GMRES_MAXITER restarts of LSE_GMRES_RESTART iterations or is not
+    finite falls back to the dense LU, and above DENSE_LIMIT raises
+    RuntimeError naming its matvec count and relative residual.
 
-    A grid that does not resolve k, k d >= pi (fewer than two cells per
-    wavelength), raises ValueError naming k and the cell side before
-    anything is solved.
+    A grid that does not resolve k (require_resolved) raises ValueError
+    naming k and the cell side before anything is solved.
 
     Returns (H, relative residual, path "dense" or "gmres", GMRES matvec
     count), as solve_coupled does.
     """
-    if wave.k * grid.d >= np.pi:
-        raise ValueError("k = %.6g is not resolved by cells of side %.6g "
-                         "(k side = %.3g >= pi)"
-                         % (wave.k, grid.d, wave.k * grid.d))
+    require_resolved(grid, wave.k)
     contrast = np.asarray(mu, dtype=complex) - np.eye(3)
     rhs = 1j * wave.k * incident_magnetic_many(wave, grid.centers)
     precond = x0 = None
@@ -515,9 +522,12 @@ def resonance_amplification_scan(grid, system, lam_target, betas, config):
     permeability mu = effective_mu_ball(xi, "-").  Each LSE is solved by
     GMRES on the FFT operator, preconditioned with the exact inverse of its
     k=0 operator I + (mu - 1) M from system = magnetization_eigensystem(grid)
-    (see solve_effective_lse); no dense matrix is built per detuning.  A
-    detuning whose solve fails, as one at a k that the grid does not
-    resolve does, keeps its row with status "failed: ..." and the error.
+    (see solve_effective_lse).  A detuning whose GMRES misses its budget
+    is solved by the dense LU of linalg.solve_coupled instead, if the grid
+    has at most linalg.DENSE_LIMIT cells, and its row is ok.  A detuning
+    whose solve fails keeps its row with status "failed: ..." and the
+    error: one at a singular k=0 operator, at a k that the grid does not
+    resolve, or whose GMRES fails on a grid above linalg.DENSE_LIMIT.
     Returns one row per beta, in order: beta, xi, k and the status, and
     for an ok row the field norm, the far-field sup, the back-scattered
     far field, the ratio to the incident field's norm and the residual.

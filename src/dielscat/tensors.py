@@ -171,8 +171,8 @@ class LatticeOperator:
     discrete-dipole method of Goodman, Draine & Flatau, Opt. Lett. 16
     (1991) 1198).  The spectrum is taken from the octant by per-axis
     2 cos / -2i sin matrices, one component at a time, and kept alone;
-    norm_bound reads a bound on the operator's 2-norm off it, and dense()
-    gathers the matrix from the octant.  All are built on first use.
+    dense() gathers the matrix from the octant.  The spectrum and the
+    octant are built on first use.
 
     The transforms are products with small DFT matrices (Van Loan,
     Computational Frameworks for the Fast Fourier Transform, SIAM 1992),
@@ -302,17 +302,6 @@ class LatticeOperator:
         if np.result_type(self.dtype, F.dtype) == float:
             out = out.real
         return (out + self.self_term * cols).reshape(F.shape)
-
-    @functools.cached_property
-    def norm_bound(self):
-        """A 3x3 kind's bound on its 2-norm: the largest absolute row sum of
-        the symbol K(w) + self_term I over the spectrum's frequencies w.
-        The operator compresses the block circulant that apply multiplies
-        by, of 2-norm max_w |K(w) + self_term I|_2, and a complex-symmetric
-        M has |M|_2^2 <= |M|_1 |M|_inf = |M|_inf^2."""
-        K = self.spectrum
-        return float(max(np.max(np.abs(K[a] + self.self_term) + sum(
-            np.abs(K[c]) for c in SYM[a] if c != a)) for a in range(3)))
 
     def dense(self, cells=None):
         """The (m C)x(m C) matrix of the operator, or only its rows at the

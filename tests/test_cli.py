@@ -157,18 +157,22 @@ def test_cli_foldylax_end_to_end_and_determinism(tmp_path):
     assert sum(1 for ln in header if not ln.startswith("#")) == 27  # 26 + head
 
 
-@pytest.mark.parametrize("overrides, path", [
-    ([], "dense"),                          # N = 512, margin 0.90
-    (["--set", "a=0.02", "--set", "c_r=2"], "gmres"),   # N = 343
+@pytest.mark.parametrize("overrides, path, matvecs", [
+    ([], "gmres", 17),                      # N = 512, margin 0.90
+    (["--set", "a=0.1", "--set", "c_r=0.6"], "dense", 101),  # margin 3.9
+    (["--set", "a=0.02", "--set", "c_r=2"], "gmres", 8),     # N = 343
 ])
-def test_cli_foldylax_reports_path_and_matvecs(tmp_path, overrides, path):
+def test_cli_foldylax_reports_path_and_matvecs(tmp_path, overrides, path,
+                                               matvecs):
+    """The meta records the path and the GMRES matvecs, on the dense path
+    those of the GMRES that failed before the LU."""
     cfg = write_config(tmp_path, FOLDYLAX_DOC)
     out = str(tmp_path / "out")
     assert main(["foldylax", "--config", cfg, "--out", out,
                  "--format", "json"] + overrides) == 0
     meta = json.load(open(os.path.join(out, "foldylax_results.json")))["meta"]
     assert meta["path"] == path
-    assert (meta["matvecs"] == 0) == (path == "dense")
+    assert meta["matvecs"] == matvecs
 
 
 def test_cli_lse_json_output(tmp_path):
@@ -182,17 +186,24 @@ def test_cli_lse_json_output(tmp_path):
     assert len(doc["rows"]) == 26
 
 
-@pytest.mark.parametrize("grid_n, path", [(6, "dense"), (12, "gmres")])
-def test_cli_lse_reports_path_and_matvecs(tmp_path, grid_n, path):
-    """216 cells take the dense LU, 1728 (above the dense limit) GMRES: the
-    lse meta says which, with the matvec count, as foldylax's does."""
+@pytest.mark.parametrize("overrides, path, matvecs", [
+    (["grid_n=6"], "gmres", 14),                # 216 cells
+    (["grid_n=12"], "gmres", 14),               # 1728, above the dense limit
+    (["c_r=0.7", "grid_n=8"], "dense", 1111),   # GMRES fails on 512 cells
+])
+def test_cli_lse_reports_path_and_matvecs(tmp_path, overrides, path,
+                                          matvecs):
+    """The lse meta says which path the LSE took, with the matvec count,
+    as foldylax's does: the whole GMRES budget, 11 restart cycles of 100
+    iterations and one true-residual matvec each, before the dense LU."""
     cfg = write_config(tmp_path, FOLDYLAX_DOC)
     out = str(tmp_path / "out")
-    assert main(["lse", "--config", cfg, "--out", out, "--format", "json",
-                 "--set", "grid_n=%d" % grid_n]) == 0
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert main(["lse", "--config", cfg, "--out", out, "--format", "json"]
+                + sets) == 0
     meta = json.load(open(os.path.join(out, "lse_results.json")))["meta"]
     assert meta["path"] == path
-    assert (meta["matvecs"] == 0) == (path == "dense")
+    assert meta["matvecs"] == matvecs
 
 
 def test_cli_counting(tmp_path):

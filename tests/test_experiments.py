@@ -36,8 +36,8 @@ def test_run_convergence_rows_and_logs():
         assert row["lse_residual"] <= 1e-6
         assert "wall_time" not in row and "fl_path" not in row
     assert np.isfinite(slope)
-    # N = 64 and 125 particles, C = 512 cells: the kernels' norm bounds
-    # guarantee GMRES for both solves
+    # N = 64 and 125 particles, C = 512 cells: GMRES converges for both
+    # solves
     for timing in timings:
         assert timing["wall_time"] > 0
         assert timing["fl_path"] == timing["lse_path"] == "gmres"
@@ -66,6 +66,31 @@ def test_run_convergence_records_row_failures():
         a_list=[0.04, 0.03], c_r=400.0))
     assert all(r["status"].startswith("failed:") for r in rows)
     assert len(rows) == 2
+
+
+def test_run_convergence_refuses_an_unresolved_grid_before_the_cluster(
+        monkeypatch):
+    """At eta0 = 1e-3 (k about 48) cells of side 1/6 do not resolve k:
+    each row fails with the LSE's refusal, keeping its scales, and no
+    cluster is solved for it (the N = 1331 row used to take 3.6 s)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        raise AssertionError("a cluster was solved")
+
+    monkeypatch.setattr(experiments, "assemble_and_solve", counted)
+    rows, _, timings = run_convergence(small_converge_config(
+        a_list=[0.03, 0.02, 0.012], eta0=1e-3, grid_n=6))
+    assert not calls
+    assert [r["count"] for r in rows] == [125, 343, 1331]
+    for row in rows:
+        assert set(row) == {"a", "d", "count", "k", "xi", "margin",
+                            "status"}
+        assert row["status"] == (
+            "failed: k = %.6g is not resolved by cells of side 0.166667 "
+            "(k side = %.3g >= pi)" % (row["k"], row["k"] / 6.0))
+    assert all("fl_path" not in t for t in timings)
 
 
 def test_run_regime_map():

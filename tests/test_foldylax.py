@@ -102,17 +102,21 @@ def test_u_form_consistency():
     assert u_form_residual(cluster, scales, p0, wave, U) <= 1e-9
 
 
-def test_anisotropic_p0_solves_the_q_form_system():
+def test_anisotropic_p0_solves_the_q_form_system(monkeypatch):
     """The solver works on the rescaled system U - c Y.(P0 U) = ik H_inc
     and returns Q = (a^{5-h} / sign c0) P0.U, which solves the Q-form
     system Q - c P0.Y.Q = rhs for any P0, not only for the ball's multiple
     of I.  Checked against the Q-form matrix assembled here, for a generic
     symmetric positive definite P0 of the ball's norm, on the dense path
-    (N = 512) and on the GMRES path (N = 343)."""
+    (N = 512, where a GMRES budget of two iterations fails) and on the
+    GMRES path (N = 343)."""
     rng = np.random.default_rng(12)
     R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     p0 = (R * np.array([1.0, 0.8, 0.6])) @ R.T * (12.0 / np.pi ** 3)
-    for a, c_r, path in [(0.05, 1.0, "dense"), (0.02, 2.0, "gmres")]:
+    for a, c_r, restart, path in [
+            (0.05, 1.0, 2, "dense"),
+            (0.02, 2.0, foldylax.GMRES_RESTART, "gmres")]:
+        monkeypatch.setattr(foldylax, "GMRES_RESTART", restart)
         scales, cluster, wave = small_setup(a=a, c_r=c_r)
         sol = assemble_and_solve(cluster, scales, p0, wave)
         assert sol.path == path
@@ -163,8 +167,10 @@ MARGIN_CONFIGS = [(0.02, 2.0), (0.03, 3.0), (0.05, 1.0), (0.05, 0.8),
 
 @pytest.mark.parametrize("a, c_r", MARGIN_CONFIGS)
 def test_margin_bounds_the_coupling_norm(a, c_r):
-    """|B|_2 <= invertibility margin, the bound the solver's path rule rests
-    on, for margins from 0.03 to 3.9 and counts from 27 to 1000.
+    """|B|_2 <= invertibility margin, the bound that GMRES's convergence
+    within its budget rests on where the margin is small
+    (test_every_cluster_whose_margin_guarantees_gmres_takes_gmres), for
+    margins from 0.03 to 3.9 and counts from 27 to 1000.
 
     |B|_2 <= m exactly when m^2 I - B^H B is positive semi-definite, so a
     Cholesky factorization of it certifies the bound at a fraction of the
@@ -182,32 +188,32 @@ def test_margin_bounds_the_coupling_norm(a, c_r):
             np.linalg.norm(B, 2), margin))
 
 
-class DensePath(Exception):
-    """Raised in place of a dense matrix, to see the path without its LU."""
-
-
-@pytest.mark.parametrize("a, c_r", MARGIN_CONFIGS)
-def test_the_kernel_norm_bound_picks_the_path_of_the_paper_margin(
-        a, c_r, monkeypatch):
-    """On every cluster above, the two of the CLI's path tests among them
-    (a = 0.05, c_r = 1 and a = 0.02, c_r = 2), solve_coupled's rule, read
-    off the kernel's norm bound, takes GMRES exactly where the paper's
-    invertibility margin guarantees it: margin ** (GMRES_RESTART *
-    GMRES_MAXITER) <= GMRES_TOL.  Bound / margin: 0.97, 0.80, 1.01, 1.01
-    and 0.99."""
-    def dense(self, cells=None):
-        raise DensePath
-
-    monkeypatch.setattr(LatticeOperator, "dense", dense)
+@pytest.mark.parametrize("a, c_r, guaranteed, path, matvecs", [
+    (0.02, 2.0, True, "gmres", 8), (0.03, 3.0, True, "gmres", 6),
+    (0.05, 1.0, False, "gmres", 17), (0.05, 0.8, False, "gmres", 32),
+    (0.1, 0.6, False, "dense", 101)])
+def test_every_cluster_whose_margin_guarantees_gmres_takes_gmres(
+        a, c_r, guaranteed, path, matvecs):
+    """GMRES on I - B has |r_m| <= |B|_2^m |r_0| within a restart cycle
+    (take the residual polynomial (1 - z)^m), and the invertibility margin
+    bounds |B|_2 (test_margin_bounds_the_coupling_norm), so a cluster with
+    margin ** (GMRES_RESTART * GMRES_MAXITER) <= GMRES_TOL converges within
+    the budget: of the clusters above, a = 0.02, c_r = 2 (margin 0.12) and
+    a = 0.03, c_r = 3 (margin 0.03) take "gmres".  Without the guarantee
+    the path is the one GMRES observes: margins 0.90 and 1.76 converge all
+    the same, and margin 3.9 fails its budget of 101 matvecs and goes to
+    the dense LU."""
+    budget = foldylax.GMRES_RESTART * foldylax.GMRES_MAXITER
     scales, cluster, wave = small_setup(a=a, c_r=c_r)
     margin = invertibility_margin(scales, p0_ball())
-    budget = foldylax.GMRES_RESTART * foldylax.GMRES_MAXITER
-    try:
-        path = assemble_and_solve(cluster, scales, p0_ball(), wave).path
-    except DensePath:
-        path = "dense"
-    assert path == ("gmres" if margin ** budget <= foldylax.GMRES_TOL
-                    else "dense")
+    assert (margin ** budget <= foldylax.GMRES_TOL) == guaranteed
+    sol = assemble_and_solve(cluster, scales, p0_ball(), wave)
+    assert sol.path == path and sol.matvecs == matvecs
+    if path == "gmres":
+        assert 0 < sol.matvecs <= budget
+        assert sol.residual <= foldylax.GMRES_TOL
+    else:
+        assert sol.residual <= 1e-12
 
 
 def test_weakly_coupled_cluster_takes_gmres_within_the_neumann_bound():
@@ -230,30 +236,38 @@ def test_weakly_coupled_cluster_takes_gmres_within_the_neumann_bound():
 
 
 def test_strongly_coupled_cluster_takes_the_dense_lu(monkeypatch):
-    """a = 0.1, c_r = 0.6 (N = 512, margin 3.9): no GMRES guarantee, and
-    GMRES indeed fails within its budget, so the dense LU solves it."""
+    """a = 0.1, c_r = 0.6 (N = 512, margin 3.9): GMRES fails within its
+    budget of 100 iterations and one true-residual matvec, so the dense LU
+    solves it and the solution reports those 101 matvecs."""
     scales, cluster, wave = small_setup(a=0.1, c_r=0.6)
     assert cluster.count <= linalg.DENSE_LIMIT
     sol = assemble_and_solve(cluster, scales, p0_ball(), wave)
     assert sol.margin > 1.0
-    assert sol.path == "dense" and sol.matvecs == 0
+    assert sol.path == "dense" and sol.matvecs == 101
     assert sol.residual <= 1e-12
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
     with pytest.raises(RuntimeError, match="GMRES failed after 101 matvecs"):
         assemble_and_solve(cluster, scales, p0_ball(), wave)
 
 
-def test_margin_below_one_without_the_gmres_guarantee_takes_dense():
+def test_margin_below_one_without_the_gmres_guarantee_still_takes_gmres(
+        monkeypatch):
     """a = 0.05, c_r = 1 (N = 512): margin 0.90 is below 1 but above
-    GMRES_TOL ** (1 / (GMRES_RESTART * GMRES_MAXITER)) ~ 0.794, and so is
-    the bound solve_coupled reads off the kernel (0.91)."""
+    GMRES_TOL ** (1 / (GMRES_RESTART * GMRES_MAXITER)) ~ 0.794, so it
+    guarantees nothing within the budget; GMRES converges all the same, in
+    17 matvecs, and matches the dense LU, which a budget of two iterations
+    forces."""
     scales, cluster, wave = small_setup(a=0.05, c_r=1.0)
     sol = assemble_and_solve(cluster, scales, p0_ball(), wave)
     budget = foldylax.GMRES_RESTART * foldylax.GMRES_MAXITER
     assert foldylax.GMRES_TOL ** (1.0 / budget) < sol.margin < 1.0
-    assert cluster.count <= linalg.DENSE_LIMIT
-    assert sol.path == "dense" and sol.matvecs == 0
-    assert sol.residual <= 1e-12
+    assert sol.path == "gmres" and sol.matvecs == 17
+    assert sol.residual <= foldylax.GMRES_TOL
+    monkeypatch.setattr(foldylax, "GMRES_RESTART", 2)
+    dense = assemble_and_solve(cluster, scales, p0_ball(), wave)
+    assert dense.path == "dense" and dense.residual <= 1e-12
+    assert np.linalg.norm(sol.vectors - dense.vectors) \
+        <= 1e-9 * np.linalg.norm(dense.vectors)
 
 
 @settings(max_examples=20)

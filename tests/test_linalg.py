@@ -15,7 +15,8 @@ from dielscat.effective import (detuned_xi, effective_mu_ball, p0_ball,
 from dielscat.foldylax import IncidentWave, assemble_and_solve
 from dielscat.geometry import derive_scales, generate_cluster, unit_ball, \
     unit_box
-from dielscat.lse import (VolumeGrid, magnetization_eigensystem,
+from dielscat.lse import (DyadicVolumeOperator, VolumeGrid,
+                          magnetization_eigensystem, magnetization_operator,
                           select_resonant_eigenvalue, solve_effective_lse)
 
 
@@ -190,7 +191,7 @@ class CountedKernel:
 
     def __init__(self, op):
         self.op = op
-        self.norm_bound = op.norm_bound
+        self.dense = op.dense
         self.applies = 0
 
     def apply(self, F):
@@ -198,10 +199,9 @@ class CountedKernel:
         return self.op.apply(F)
 
 
-def test_solve_coupled_reports_the_gmres_exit_residual_without_an_apply():
-    """The residual of a GMRES solve is the one GMRES tested at exit: no
-    apply beyond its matvecs, and the value an apply would give.  A zero
-    right-hand side reports residual 0.0."""
+def coupled_system():
+    """A CountedKernel on the n = 4 box grid (C = 64), a P and a random b
+    for the system x - c K(x P^T) = b."""
     grid = VolumeGrid(unit_box(), 4)
     kernel = CountedKernel(tensors.LatticeOperator(
         grid.ijk, grid.d, "dyadic", 1.1, grid.weight, 0.2))
@@ -209,11 +209,103 @@ def test_solve_coupled_reports_the_gmres_exit_residual_without_an_apply():
     rng = np.random.default_rng(4)
     b = rng.normal(size=(grid.count, 3)) + 1j * rng.normal(
         size=(grid.count, 3))
+    return kernel, P, b
+
+
+def dense_solution(kernel, c, P, b):
+    """x of x - c K(x P^T) = b by an LU of the matrix built here."""
+    n = b.shape[0]
+    K = kernel.op.dense()
+    A = np.eye(3 * n) - c * K @ np.kron(np.eye(n), P)
+    return np.linalg.solve(A, b.reshape(-1)).reshape(n, 3)
+
+
+def test_solve_coupled_reports_the_gmres_exit_residual_without_an_apply():
+    """A weakly coupled system takes GMRES, which converges within its
+    budget, so no dense matrix is built.  The residual is the one GMRES
+    tested at exit: no apply beyond its matvecs, and the value an apply
+    would give.  A zero right-hand side reports residual 0.0."""
+    kernel, P, b = coupled_system()
+
+    def dense():
+        raise AssertionError("dense matrix built")
+
+    kernel.dense = dense
     x, res, path, matvecs = linalg.solve_coupled(
         kernel, 0.8, P, b, rtol=1e-10, restart=20, maxiter=2)
     assert path == "gmres" and kernel.applies == matvecs > 0
     direct = x - 0.8 * kernel.op.apply(x @ P.T) - b
     assert res == np.linalg.norm(direct) / np.linalg.norm(b) <= 1e-10
+    assert np.allclose(x, dense_solution(kernel, 0.8, P, b), rtol=0,
+                       atol=1e-8 * np.abs(x).max())
     x, res, path, matvecs = linalg.solve_coupled(
         kernel, 0.8, P, 0 * b, rtol=1e-10, restart=20, maxiter=2)
     assert res == 0.0 and not x.any() and matvecs == 0
+
+
+def test_solve_coupled_falls_back_to_the_dense_lu_when_gmres_fails(
+        monkeypatch):
+    """At c = 8 GMRES is not converged after its whole budget, restart
+    iterations and one true-residual matvec per cycle, so the LU solves
+    the system, and the matvecs GMRES spent are reported; the LU's x is
+    checked by one more apply, not counted, whose residual is reported.
+    With DENSE_LIMIT = 0 the same failure raises."""
+    kernel, P, b = coupled_system()
+    x, res, path, matvecs = linalg.solve_coupled(
+        kernel, 8.0, P, b, rtol=1e-10, restart=20, maxiter=2)
+    assert path == "dense" and matvecs == 20 * 2 + 2 == kernel.applies - 1
+    direct = x - 8.0 * kernel.op.apply(x @ P.T) - b
+    assert res == np.linalg.norm(direct) / np.linalg.norm(b) <= 1e-12
+    assert np.allclose(x, dense_solution(kernel, 8.0, P, b), rtol=0,
+                       atol=1e-10 * np.abs(x).max())
+    monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
+    with pytest.raises(RuntimeError, match="GMRES failed after 42 matvecs"):
+        linalg.solve_coupled(kernel, 8.0, P, b, rtol=1e-10, restart=20,
+                             maxiter=2)
+
+
+@pytest.mark.parametrize("domain, n", [(unit_box(), 6), (unit_ball(), 8)])
+@pytest.mark.parametrize("operator", [DyadicVolumeOperator,
+                                      magnetization_operator])
+@pytest.mark.parametrize("k", [0.0, 1.3])
+def test_solve_coupled_dense_fallback_matches_gmres_on_volume_grids(
+        domain, n, operator, k):
+    """The LSE (dyadic) and Magnetization (hessian) operators of box n = 6
+    and ball n = 8 grids, P = diag(0.5, 0.4, 0.3): GMRES converges (12-16
+    matvecs), a budget of one iteration sends the same system to the LU of
+    dense(), after that iteration and its true-residual matvec, and the two
+    solutions agree.  The LU's x also solves the system through the FFT
+    apply, so dense() is the matrix that apply multiplies by."""
+    op = operator(VolumeGrid(domain, n), k)
+    P = np.diag([0.5, 0.4, 0.3])
+    b = np.random.default_rng(7).normal(size=(op.count, 3)) + 0j
+    x, res, path, _ = linalg.solve_coupled(op, 1.0, P, b, rtol=1e-10,
+                                           restart=30, maxiter=5)
+    assert path == "gmres" and res <= 1e-10
+    xd, res, path, matvecs = linalg.solve_coupled(op, 1.0, P, b, rtol=1e-10,
+                                                  restart=1, maxiter=1)
+    assert path == "dense" and matvecs == 2 and res <= 1e-12
+    direct = xd - op.apply(xd @ P.T) - b
+    assert np.linalg.norm(direct) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(x - xd) <= 1e-9 * np.linalg.norm(xd)
+
+
+def test_solve_coupled_falls_back_to_the_dense_lu_on_a_non_finite_gmres():
+    """A kernel whose apply returns NaN leaves GMRES without a finite x,
+    and the LU of the kernel's dense matrix solves the system.  The
+    residual is measured through that apply, so it reads NaN and shows the
+    fault.  NaN's invalid-value warnings are expected here."""
+    kernel, P, b = coupled_system()
+
+    def apply(F):
+        kernel.applies += 1
+        return np.full_like(F, np.nan)
+
+    kernel.apply = apply
+    with np.errstate(invalid="ignore"):
+        x, res, path, matvecs = linalg.solve_coupled(
+            kernel, 0.8, P, b, rtol=1e-10, restart=20, maxiter=2)
+    assert path == "dense" and matvecs == kernel.applies - 1 > 0
+    assert np.isnan(res)
+    assert np.allclose(x, dense_solution(kernel, 0.8, P, b), rtol=0,
+                       atol=1e-10 * np.abs(x).max())

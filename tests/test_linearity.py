@@ -22,13 +22,16 @@ PSI = 0.7
 DENSE_TOL = 1e-12
 
 
-def foldylax_problem(a, c_r, path):
+def foldylax_problem(monkeypatch, a, c_r, path):
     """Foldy-Lax on the unit-box cluster: solve(p) -> (Q, residual), the
     path's stopping tolerance and a bound on the condition number of
     I - B.  The invertibility margin m bounds |B|_2
     (test_margin_bounds_the_coupling_norm), so cond <= (1 + m) / (1 - m)."""
     scales = derive_scales(a, 0.9, 1.0, 1.0, "+", c_r, 0.4)
     cluster = generate_cluster(unit_box(), scales.d)
+    if path == "dense":
+        # GMRES fails within two iterations, and the LU follows
+        monkeypatch.setattr(foldylax, "GMRES_RESTART", 2)
     margin = foldylax.invertibility_margin(scales, p0_ball())
     assert margin < 1.0
 
@@ -66,14 +69,18 @@ def ball10():
 
 
 def lse_problem(monkeypatch, method):
-    """The LSE solved by method "dense" (its 552 cells are within the dense
-    limit), "gmres" (the limit set to 0) or "preconditioned" (GMRES with the
-    k=0 eigensystem inverse): solve(p) -> (H, residual), the stopping
-    tolerance and the condition number."""
+    """The LSE solved by method "dense" (a GMRES budget of two iterations,
+    which fails, and the LU of its 552 cells), "gmres" (the dense limit
+    set to 0) or "preconditioned" (GMRES with the k=0 eigensystem
+    inverse): solve(p) -> (H, residual), the stopping tolerance and the
+    condition number."""
     grid = ball10()
     mu, k = effective_mu_ball(LSE_XI, "-"), LSE_K
     kwargs = {}
-    if method == "gmres":
+    if method == "dense":
+        monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 2)
+        monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    elif method == "gmres":
         monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
     elif method == "preconditioned":
         kwargs = {"eigensystem": magnetization_eigensystem(grid)}
@@ -87,8 +94,8 @@ def lse_problem(monkeypatch, method):
 
 
 @pytest.mark.parametrize("problem", [
-    lambda mp: foldylax_problem(0.05, 1.0, "dense"),  # N = 512, margin 0.90
-    lambda mp: foldylax_problem(0.02, 2.0, "gmres"),  # N = 343, margin 0.12
+    lambda mp: foldylax_problem(mp, 0.05, 1.0, "dense"),  # N = 512, m 0.90
+    lambda mp: foldylax_problem(mp, 0.02, 2.0, "gmres"),  # N = 343, m 0.12
     lambda mp: lse_problem(mp, "dense"),
     lambda mp: lse_problem(mp, "gmres"),
     lambda mp: lse_problem(mp, "preconditioned"),

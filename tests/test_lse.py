@@ -352,12 +352,11 @@ def test_solve_effective_lse_refuses_an_unresolved_grid():
 
 
 def test_solve_effective_lse_dense_vs_gmres(monkeypatch):
-    """216 cells at xi = 2, "-": the kernel's norm bound guarantees GMRES
-    (|mu - I|_2 norm_bound = 0.77), which stops after 14 matvecs.  The
-    FOLDYLAX_DOC scales (a = 0.05, c_r = 1, "+") couple above the bound
-    (1.63), so the same grid takes the dense LU; with the dense limit at 0
-    that system goes to GMRES and matches it.  Each solve reports its path
-    and matvec count."""
+    """216 cells at xi = 2, "-": GMRES stops after 14 matvecs.  The
+    FOLDYLAX_DOC scales (a = 0.05, c_r = 1, "+") couple more strongly, and
+    GMRES still converges on the same grid in 14; with a budget of two
+    iterations it fails after 3 matvecs, the dense LU solves that system,
+    and the two match.  Each solve reports its path and matvec count."""
     grid = VolumeGrid(unit_box(), 6)
     wave = IncidentWave(1.2, (0, 0, 1), (1, 0, 0))
     _, rg, path, matvecs = solve_effective_lse(
@@ -368,11 +367,12 @@ def test_solve_effective_lse_dense_vs_gmres(monkeypatch):
     xi = coupling_xi(sc.eta0, sc.k, sc.c0, sc.c_r)
     mu = effective_mu(xi, p0_ball(), sc.sign)
     wave = IncidentWave(sc.k, (0, 0, 1), (1, 0, 0))
-    Hd, rd, path, matvecs = solve_effective_lse(grid, mu, wave)
-    assert (path, matvecs) == ("dense", 0)
-    monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
     Hg, rg, path, matvecs = solve_effective_lse(grid, mu, wave)
-    assert path == "gmres" and matvecs > 0
+    assert (path, matvecs) == ("gmres", 14)
+    monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 2)
+    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    Hd, rd, path, matvecs = solve_effective_lse(grid, mu, wave)
+    assert (path, matvecs) == ("dense", 3)
     assert rd <= 1e-10
     assert rg <= 1e-7
     assert np.linalg.norm(Hd - Hg) / np.linalg.norm(Hd) <= 1e-6
@@ -653,7 +653,9 @@ def test_resonance_scan_matches_dense_solve(ball10, monkeypatch):
     """Every detuning's preconditioned GMRES solve against the dense LU.
 
     At the quasi-static k the exact k=0 inverse leaves GMRES one iteration
-    to do, so five are allowed."""
+    to do, so five are allowed: each solve takes the GMRES path in three
+    matvecs (the start's residual, one iteration and the true residual),
+    and not the LU that a failed GMRES falls back to."""
     grid, system, lam = ball10
     monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 5)
     monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
@@ -662,7 +664,7 @@ def test_resonance_scan_matches_dense_solve(ball10, monkeypatch):
 
     def recording_solve(*args, **kwargs):
         H, res, path, matvecs = solve(*args, **kwargs)
-        solves.append((args, H, res))
+        solves.append((args, H, res, path, matvecs))
         return H, res, path, matvecs
 
     monkeypatch.setattr(lse, "solve_effective_lse", recording_solve)
@@ -671,7 +673,8 @@ def test_resonance_scan_matches_dense_solve(ball10, monkeypatch):
                                         SCAN_CONFIG)
     assert [r["status"] for r in rows] == ["ok"] * len(betas)
     assert len(solves) == len(betas)
-    for args, H, res in solves:
+    for args, H, res, path, matvecs in solves:
+        assert (path, matvecs) == ("gmres", 3)
         Hd, _, _, _ = solve(*args)
         assert res <= 1e-9
         assert np.linalg.norm(H - Hd) <= 1e-8 * np.linalg.norm(Hd)
@@ -683,24 +686,31 @@ def test_resonance_scan_matches_dense_solve(ball10, monkeypatch):
 def test_preconditioned_lse_converges_off_the_quasistatic_limit(ball10,
                                                                 monkeypatch):
     """eta0 = 1 gives k ~ 1.6, where A(k) is far from A(0): GMRES needs
-    about a hundred iterations (three restart cycles are allowed).  It stops
-    at relative residual 1e-8, which near the resonance A's conditioning
-    amplifies in the field by well under 100."""
+    about a hundred iterations (three restart cycles are allowed), and it
+    converges within two cycles, on the GMRES path and not the LU that a
+    failed GMRES falls back to.  It stops at relative residual 1e-8, which
+    near the resonance A's conditioning amplifies in the field by well
+    under 100."""
     grid, system, lam = ball10
     monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 3)
     mu, wave = _resonance_problem(lam, 1e-3, eta0=1.0)
     assert wave.k > 1.5
-    H, res, _, _ = solve_effective_lse(grid, mu, wave, eigensystem=system)
+    H, res, path, matvecs = solve_effective_lse(grid, mu, wave,
+                                                eigensystem=system)
+    assert path == "gmres" and matvecs <= 1 + 2 * 101
     Hd, _, _, _ = solve_effective_lse(grid, mu, wave)
     assert res <= 1e-8
     assert np.linalg.norm(H - Hd) <= 1e-6 * np.linalg.norm(Hd)
 
 
 def test_resonance_scan_marks_the_exact_root_failed(ball10, monkeypatch):
-    """At beta = 0 the k=0 operator is singular: the row fails, no NaN."""
+    """At beta = 0 the k=0 operator is singular: the row fails, no NaN.
+    With the dense limit at 0 no LU stands behind GMRES, so the ok row at
+    beta = 1e-3 is one that the preconditioned GMRES solved."""
     grid, system, lam = ball10
     monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 5)
     monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
     rows = resonance_amplification_scan(grid, system, lam, [0.0, 1e-3],
                                         SCAN_CONFIG)
     assert rows[0]["status"].startswith("failed: ")
@@ -709,10 +719,18 @@ def test_resonance_scan_marks_the_exact_root_failed(ball10, monkeypatch):
 
 
 def test_preconditioned_lse_raises_on_gmres_failure(ball10, monkeypatch):
+    """A preconditioned GMRES that fails falls back to the dense LU on the
+    552 cells, as an unpreconditioned one does; with the dense limit at 0
+    the failure raises, and so does a GMRES that returns a NaN x."""
     grid, eigensystem, lam = ball10
     mu, wave = _resonance_problem(lam, 1e-3, eta0=1.0)
     monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 2)
     monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    _, res, path, matvecs = solve_effective_lse(grid, mu, wave,
+                                                eigensystem=eigensystem)
+    # the start's residual, two iterations and the cycle's true residual
+    assert (path, matvecs) == ("dense", 4) and res <= 1e-12
+    monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
     with pytest.raises(RuntimeError, match="GMRES failed"):
         solve_effective_lse(grid, mu, wave, eigensystem=eigensystem)
     monkeypatch.setattr(linalg, "gmres",
@@ -817,11 +835,14 @@ class WrongSignEigensystem:
         return self.system.inverse(-c)
 
 
-def test_wrong_preconditioner_fails_within_the_matvec_budget(eigensystems):
-    """A wrong-sign k=0 preconditioner stalls GMRES: the solve raises,
-    naming its matvecs and residual, in seconds instead of running ~10^6
-    matvecs (ball n=8: about 2.5 ms a matvec on 2 cores)."""
+def test_wrong_preconditioner_fails_within_the_matvec_budget(eigensystems,
+                                                            monkeypatch):
+    """A wrong-sign k=0 preconditioner stalls GMRES: with the dense limit
+    at 0, so that no LU follows, the solve raises, naming its matvecs and
+    residual, in seconds instead of running ~10^6 matvecs (ball n=8: about
+    2.5 ms a matvec on 2 cores)."""
     grid, system = eigensystems(unit_ball(), 8)
+    monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
     lam = select_resonant_eigenvalue(system)[0]
     mu, wave = _resonance_problem(lam, 1e-3, eta0=1e9)
     t0 = time.perf_counter()
@@ -835,16 +856,16 @@ def test_wrong_preconditioner_fails_within_the_matvec_budget(eigensystems):
 def test_k0_preconditioner_fails_where_the_dense_lu_solves(eigensystems):
     """The exact k=0 inverse does not carry GMRES to every k and mu: at
     ball n=8, k = 2.5 and mu = 100 the preconditioned solve exhausts its
-    1,112-matvec budget (about 1.3 s), while the same system, unaided,
-    takes the dense LU to a residual of rounding size.  So the dense LU
-    cannot be retired on the preconditioner's account."""
+    1,112-matvec budget (the start's residual, then 11 cycles of 100
+    iterations and one true residual each; about 1.1 s), and the dense LU
+    that follows solves the system to a residual of rounding size.  So
+    the dense LU cannot be retired on the preconditioner's account."""
     grid, system = eigensystems(unit_ball(), 8)
     wave = IncidentWave(2.5, (0, 0, 1), (1, 0, 0))
     mu = 100.0 * np.eye(3)
-    _, res, path, _ = solve_effective_lse(grid, mu, wave)
-    assert path == "dense" and res <= 1e-12
-    with pytest.raises(RuntimeError, match=r"GMRES failed after \d+ matvecs"):
-        solve_effective_lse(grid, mu, wave, eigensystem=system)
+    _, res, path, matvecs = solve_effective_lse(grid, mu, wave,
+                                                eigensystem=system)
+    assert (path, matvecs) == ("dense", 1112) and res <= 1e-12
 
 
 SYMMETRY_OPS = [np.array(R) for R in (

@@ -20,13 +20,16 @@ Q = np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)
 DENSE_TOL = 1e-12
 
 
-def foldylax_problem(a, c_r, path):
+def foldylax_problem(monkeypatch, a, c_r, path):
     """Foldy-Lax on the unit-box cluster of particle size a and contrast
     c_r: returns solve(theta, p) -> (q . E_inf(xhat), solution vector,
     residual) and the tolerance of the solver's path, the far-field factor
     |c| and the particle count.  Each solve must take the given path."""
     scales = derive_scales(a, 0.9, 1.0, 1.0, "+", c_r, 0.4)
     cluster = generate_cluster(unit_box(), scales.d)
+    if path == "dense":
+        # GMRES fails within two iterations, and the LU follows
+        monkeypatch.setattr(foldylax, "GMRES_RESTART", 2)
 
     def solve(theta, p, xhat, q):
         sol = assemble_and_solve(cluster, scales, p0_ball(),
@@ -42,11 +45,14 @@ def foldylax_problem(a, c_r, path):
 
 def lse_problem(monkeypatch, method):
     """The LSE on the ball n=10 (C = 552 cells) at xi = 2, k = 1.2, solved
-    by method "dense" (within the dense limit) or "gmres" (the limit set to
-    0)."""
+    by method "dense" (a GMRES budget of two iterations, which fails, and
+    the LU of its cells) or "gmres" (the dense limit set to 0)."""
     grid = VolumeGrid(unit_ball(), 10)
     mu, k = effective_mu_ball(2.0, "-"), 1.2
-    if method == "gmres":
+    if method == "dense":
+        monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 2)
+        monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    elif method == "gmres":
         monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
 
     def solve(theta, p, xhat, q):
@@ -61,9 +67,9 @@ def lse_problem(monkeypatch, method):
 
 
 @pytest.mark.parametrize("problem", [
-    lambda mp: foldylax_problem(0.05, 1.0, "dense"),     # N = 512
-    lambda mp: foldylax_problem(0.02, 2.0, "gmres"),     # N = 343
-    lambda mp: foldylax_problem(0.012, 2.0, "gmres"),    # N = 1331
+    lambda mp: foldylax_problem(mp, 0.05, 1.0, "dense"),     # N = 512
+    lambda mp: foldylax_problem(mp, 0.02, 2.0, "gmres"),     # N = 343
+    lambda mp: foldylax_problem(mp, 0.012, 2.0, "gmres"),    # N = 1331
     lambda mp: lse_problem(mp, "dense"),
     lambda mp: lse_problem(mp, "gmres"),
 ], ids=["foldylax-dense", "foldylax-gmres-343", "foldylax-gmres",

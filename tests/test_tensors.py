@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dielscat import tensors
-from dielscat.geometry import Cluster, DomainShape, derive_scales, \
-    generate_cluster, unit_ball, unit_box
-from dielscat.lse import (DyadicVolumeOperator, VolumeGrid,
-                          magnetization_operator)
+from dielscat.geometry import Cluster, DomainShape, generate_cluster, \
+    unit_ball, unit_box
+from dielscat.lse import VolumeGrid
 from dielscat.tensors import (SYM, LatticeOperator, cis, direction_grid,
                               kernel_components, kernel_scalars)
 from oracles import (DirectSumOperator, dyadic_green, dyadic_green_fd,
@@ -341,33 +340,6 @@ def test_spectrum_is_built_in_place_and_kept_alone(k):
         tracemalloc.stop()
     assert peak <= 1.5 * spectrum.nbytes
     assert "octant" not in vars(op)
-
-
-@pytest.mark.parametrize("domain, n", [(unit_box(), 6), (unit_ball(), 8)])
-@pytest.mark.parametrize("operator", [DyadicVolumeOperator,
-                                      magnetization_operator])
-@pytest.mark.parametrize("k", [0.0, 1.3])
-def test_norm_bound_bounds_the_dense_2_norm_on_volume_grids(domain, n,
-                                                           operator, k):
-    """|dense()|_2 <= norm_bound for the LSE (dyadic) and Magnetization
-    (hessian) operators of box n = 6 and ball n = 8 grids.  Measured
-    |dense()|_2 / norm_bound: 0.80-0.83 at k = 0, 0.82 (box) and 0.40 (ball
-    dyadic) to 0.67 (ball hessian) at k = 1.3."""
-    op = operator(VolumeGrid(domain, n), k)
-    norm = np.linalg.norm(op.dense(), 2)
-    assert 0.35 * op.norm_bound <= norm <= op.norm_bound
-
-
-@pytest.mark.parametrize("a, c_r", [(0.03, 3.0), (0.02, 2.0)])
-def test_norm_bound_bounds_the_dense_2_norm_on_cluster_lattices(a, c_r):
-    """The Foldy-Lax kernel Y_k of the unit-box clusters of N = 27 and 343
-    particles: |dense()|_2 <= norm_bound, measured at 0.74 and 0.75 of it
-    (0.73-0.74 at N = 512)."""
-    scales = derive_scales(a, 0.9, 1.0, 1.0, "+", c_r, 0.4)
-    cluster = generate_cluster(unit_box(), scales.d)
-    op = LatticeOperator(cluster.ijk, cluster.d, "dyadic", scales.k)
-    norm = np.linalg.norm(op.dense(), 2)
-    assert 0.7 * op.norm_bound <= norm <= op.norm_bound
 
 
 def test_cluster_lattice_fft_matches_direct_sum():
