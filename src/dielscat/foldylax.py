@@ -7,16 +7,15 @@ import numpy as np
 from .linalg import solve_coupled
 from .tensors import LatticeOperator, cis, spectral_norm
 
-GMRES_TOL = 1e-10
-GMRES_RESTART = 100
-# the matvec budget, in restart cycles: 100 iterations, 12x the 8 matvecs of
-# the converge-box solves (N=343 and N=1331) and 6x the 17 of the README's
-# foldylax config (N=512); a solve not converged within it takes the dense
-# LU up to linalg.DENSE_LIMIT particles
-GMRES_MAXITER = 1
+KRYLOV_TOL = 1e-10
+# the matvec budget: 101, 12x the 8 matvecs of the converge-box solves
+# (N=343 and N=1331) and 6x the 17 of the README's foldylax config (N=512);
+# a solve not converged within it takes the dense LU up to
+# linalg.DENSE_LIMIT particles
+KRYLOV_BUDGET = 101
 
 # perfbench/probes.py still wraps these names, and perfbench's tests need
-# every probe target to resolve.  The solve runs GMRES inside
+# every probe target to resolve.  The solve runs its Krylov method inside
 # linalg.solve_coupled and applies its kernel by LatticeOperator, so they
 # hold None until the probes are refreshed.
 gmres = _apply_offdiag = dyadic_sum_chunked = dyadic_kernel_scalars = None
@@ -52,9 +51,9 @@ def incident_magnetic_many(wave, points):
 
 class FoldyLaxSolution:
     """Per-particle solution vectors Q_m plus the achieved relative residual,
-    and how they were found: path "gmres" or "dense" (the LU after a failed
-    GMRES), with the GMRES matvec count, on the dense path the matvecs that
-    GMRES spent before it failed."""
+    and how they were found: path "cocg", "gmres" or "dense" (the LU after
+    a failed Krylov solve), with the Krylov matvec count, on the dense path
+    the matvecs spent before the Krylov solve failed."""
 
     def __init__(self, vectors, residual, margin=None, margin_warning=False,
                  path=None, matvecs=0):
@@ -121,15 +120,18 @@ def assemble_and_solve(cluster, scales, p0, wave):
     B = coupling * P0.Y_k between distinct particles.  linalg.solve_coupled
     solves the rescaled system U - coupling * Y_k.(P0 U) = ik H_inc, and
     Q_m = (a^{5-h} / sign c0) P0.U_m solves the Q-form system for every P0.
-    solve_coupled runs matrix-free restarted GMRES, which applies the
-    kernel by FFT on the particle lattice, so memory stays O(count), and
-    solves by the dense (3N)^2 LU only when GMRES fails within its budget
-    at N <= linalg.DENSE_LIMIT.  The invertibility margin, the paper's
-    bound on |B|_2 (below 1: a Neumann-series contraction), is reported
-    with the solution and flagged from 1 up.  The solution records its
-    path, its matvec count and the relative residual of the rescaled
-    system; a failed GMRES solve above DENSE_LIMIT raises RuntimeError
-    naming its matvec count, residual and margin.
+    solve_coupled runs a matrix-free Krylov method within KRYLOV_BUDGET
+    matvecs: COCG for a scalar P0 such as the ball's, whose system is
+    complex symmetric, and restarted GMRES for any other P0.  It applies
+    the kernel by FFT on the particle lattice, so memory stays O(count),
+    and solves by the dense (3N)^2 LU only when the Krylov solve fails
+    within its budget at N <= linalg.DENSE_LIMIT.  The invertibility
+    margin, the paper's bound on |B|_2 (below 1: a Neumann-series
+    contraction), is reported with the solution and flagged from 1 up.
+    The solution records its path, its matvec count and the relative
+    residual of the rescaled system; a failed Krylov solve above
+    DENSE_LIMIT raises RuntimeError naming its method, matvec count,
+    residual and margin.
     """
     if abs(wave.k - scales.k) > 1e-10 * scales.k:
         raise ValueError("wave.k inconsistent with the derived scales")
@@ -138,8 +140,8 @@ def assemble_and_solve(cluster, scales, p0, wave):
     try:
         U, res, path, matvecs = solve_coupled(
             LatticeOperator(cluster.ijk, cluster.d, "dyadic", scales.k),
-            coupling_constant(scales), p0, b, rtol=GMRES_TOL,
-            restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
+            coupling_constant(scales), p0, b, rtol=KRYLOV_TOL,
+            budget=KRYLOV_BUDGET)
     except RuntimeError as exc:
         raise RuntimeError("point-interaction %s, invertibility margin=%.3g"
                            % (exc, margin)) from exc

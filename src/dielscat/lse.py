@@ -15,20 +15,20 @@ from .symmetry import REDUCE_CHUNK_BYTES, SymmetryBasis
 from .tensors import (FOUR_PI, LatticeOperator, direction_grid,
                       require_memory)
 
-LSE_GMRES_TOL = 1e-8
-LSE_GMRES_RESTART = 100
-# the matvec budget, in restart cycles: 1,100 iterations, 10x the 106
-# matvecs of the slowest preconditioned solve in the tests and benchmark
-# workloads (ball n=10 at eta0 = 1, k ~ 1.6; the resonance-ball workload
-# needs 3 per detuning and 1 for its off-resonance row); a solve not
-# converged within it takes the dense LU up to linalg.DENSE_LIMIT cells
-LSE_GMRES_MAXITER = 11
+LSE_KRYLOV_TOL = 1e-8
+# the matvec budget: 1,111, 13x the 86 matvecs of the slowest
+# preconditioned solve in the tests and benchmark workloads (ball n=10 at
+# eta0 = 1, k ~ 1.6; the resonance-ball workload needs 3 per detuning and 1
+# for its off-resonance row) and 2.3x the 477 of the strongly coupled box
+# of lse c_r=0.7, grid_n=8; a solve not converged within it takes the dense
+# LU up to linalg.DENSE_LIMIT cells
+LSE_KRYLOV_BUDGET = 1111
 
 # perfbench/probes.py still wraps these names, and perfbench's tests need
-# every probe target to resolve.  The solve runs GMRES and the dense LU
-# inside linalg.solve_coupled, and the dense k=0 Magnetization matrix is
-# magnetization_operator(grid).dense(), so they hold None until the probes
-# are refreshed.
+# every probe target to resolve.  The solve runs its Krylov method and the
+# dense LU inside linalg.solve_coupled, and the dense k=0 Magnetization
+# matrix is magnetization_operator(grid).dense(), so they hold None until
+# the probes are refreshed.
 gmres = lu_factor = lu_solve = magnetization_matrix = None
 
 # discrete eigenvalues this close to 0 or 1 are treated as the images of the
@@ -171,34 +171,36 @@ def solve_effective_lse(grid, mu, wave, eigensystem=None):
     permeability, a 3x3 tensor, and the wave its incident field, of
     wavenumber k = wave.k.  A(k) H = H - (G_k + sigma_k I)((mu - I) H),
     with G_k + sigma_k I the LSE kernel DyadicVolumeOperator, is solved by
-    linalg.solve_coupled (c = 1, P = mu - I): GMRES on the FFT kernel
-    operator, and the dense LU only when GMRES fails within its budget at
+    linalg.solve_coupled (c = 1, P = mu - I) within LSE_KRYLOV_BUDGET
+    matvecs of the FFT kernel operator: by COCG for a scalar mu, whose
+    system is complex symmetric, and by restarted GMRES for any other; the
+    dense LU follows only when that solve fails within its budget at
     C <= linalg.DENSE_LIMIT cells.
 
     With eigensystem = magnetization_eigensystem(grid) (only for a scalar
-    mu = m I; any other mu raises ValueError), GMRES is preconditioned by
+    mu = m I; any other mu raises ValueError), COCG is preconditioned by
     the exact inverse of A(0) and started from A(0)^-1 b.  A(0) is exact to
     invert: Y_0 is the Magnetization kernel grad grad Phi_0 with weight -w
     and sigma_0 = -1/3 is minus its self term, so G_0 + sigma_0 I = -M and
     A(0) = I + (m - 1) M, which the eigensystem inverts block by block
     under the cube symmetry (MagnetizationEigensystem.inverse: per orbit
     gather, V_G diag(1 / (1 + (m - 1) lambda)) V_G^T per irrep block G,
-    scatter back; no 3C x 3C product).  A(k) - A(0) = O(k^2), so at the
-    quasi-static k of the resonance study GMRES stops after one iteration,
-    and it still converges, in more, at k ~ 1.  linalg.gmres applies the
-    preconditioner on the left, minimizing the preconditioned residual, and
-    tests convergence on the true residual b - A x.  A k=0 operator that
-    is singular at this mu raises RuntimeError.  A GMRES solve, with or
-    without the preconditioner, that is not converged within
-    LSE_GMRES_MAXITER restarts of LSE_GMRES_RESTART iterations or is not
-    finite falls back to the dense LU, and above DENSE_LIMIT raises
-    RuntimeError naming its matvec count and relative residual.
+    scatter back; no 3C x 3C product).  That inverse is complex symmetric,
+    as COCG's preconditioner must be.  A(k) - A(0) = O(k^2), so at the
+    quasi-static k of the resonance study COCG stops after one iteration,
+    and it still converges, in more, at k ~ 1.  COCG tests convergence on
+    the true residual b - A x.  A k=0 operator that is singular at this mu
+    raises RuntimeError.  A Krylov solve, with or without the
+    preconditioner, that is not converged within LSE_KRYLOV_BUDGET matvecs
+    or is not finite falls back to the dense LU, and above DENSE_LIMIT
+    raises RuntimeError naming its method, matvec count and relative
+    residual.
 
     A grid that does not resolve k (require_resolved) raises ValueError
     naming k and the cell side before anything is solved.
 
-    Returns (H, relative residual, path "dense" or "gmres", GMRES matvec
-    count), as solve_coupled does.
+    Returns (H, relative residual, path "cocg", "gmres" or "dense",
+    Krylov matvec count), as solve_coupled does.
     """
     require_resolved(grid, wave.k)
     contrast = np.asarray(mu, dtype=complex) - np.eye(3)
@@ -209,14 +211,15 @@ def solve_effective_lse(grid, mu, wave, eigensystem=None):
             raise ValueError("the k=0 preconditioner needs a scalar mu = m I")
         precond = eigensystem.inverse(contrast[0, 0])
         x0 = precond(rhs.reshape(-1))
-        # a NaN start would run GMRES through its whole budget
+        # a NaN start fails the Krylov solve at once and sends it to the
+        # dense LU, which would hide this fault
         if not np.all(np.isfinite(x0)):
             raise RuntimeError("the k=0 preconditioned start is not finite")
     try:
         return solve_coupled(
             DyadicVolumeOperator(grid, wave.k), 1.0, contrast, rhs,
-            rtol=LSE_GMRES_TOL, restart=LSE_GMRES_RESTART,
-            maxiter=LSE_GMRES_MAXITER, psolve=precond, x0=x0)
+            rtol=LSE_KRYLOV_TOL, budget=LSE_KRYLOV_BUDGET, psolve=precond,
+            x0=x0)
     except RuntimeError as exc:
         raise RuntimeError("effective-medium %s" % exc) from exc
 
@@ -520,14 +523,14 @@ def resonance_amplification_scan(grid, system, lam_target, betas, config):
     config's eta0 and lambda_b; the incident wave has config's theta and p.
     The lower sign branch is used throughout, so the medium is the ball
     permeability mu = effective_mu_ball(xi, "-").  Each LSE is solved by
-    GMRES on the FFT operator, preconditioned with the exact inverse of its
+    COCG on the FFT operator, preconditioned with the exact inverse of its
     k=0 operator I + (mu - 1) M from system = magnetization_eigensystem(grid)
-    (see solve_effective_lse).  A detuning whose GMRES misses its budget
+    (see solve_effective_lse).  A detuning whose COCG misses its budget
     is solved by the dense LU of linalg.solve_coupled instead, if the grid
     has at most linalg.DENSE_LIMIT cells, and its row is ok.  A detuning
     whose solve fails keeps its row with status "failed: ..." and the
     error: one at a singular k=0 operator, at a k that the grid does not
-    resolve, or whose GMRES fails on a grid above linalg.DENSE_LIMIT.
+    resolve, or whose COCG fails on a grid above linalg.DENSE_LIMIT.
     Returns one row per beta, in order: beta, xi, k and the status, and
     for an ok row the field norm, the far-field sup, the back-scattered
     far field, the ratio to the incident field's norm and the residual.

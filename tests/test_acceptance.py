@@ -326,7 +326,7 @@ def test_criterion_11_determinism(tmp_path, monkeypatch):
     grid = VolumeGrid(unit_box(), 6)
     mu = effective_mu_ball(2.0, "-")
     wave = IncidentWave(1.2, (0, 0, 1), (1, 0, 0))
-    # with the dense limit at 0 the 216 cells go to GMRES
+    # with the dense limit at 0 the 216 cells go to COCG
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
     Ha, _, _, _ = solve_effective_lse(grid, mu, wave)
     Hb, _, _, _ = solve_effective_lse(grid, mu, wave)

@@ -158,14 +158,14 @@ def test_cli_foldylax_end_to_end_and_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("overrides, path, matvecs", [
-    ([], "gmres", 17),                      # N = 512, margin 0.90
+    ([], "cocg", 17),                       # N = 512, margin 0.90
     (["--set", "a=0.1", "--set", "c_r=0.6"], "dense", 101),  # margin 3.9
-    (["--set", "a=0.02", "--set", "c_r=2"], "gmres", 8),     # N = 343
+    (["--set", "a=0.02", "--set", "c_r=2"], "cocg", 8),      # N = 343
 ])
 def test_cli_foldylax_reports_path_and_matvecs(tmp_path, overrides, path,
                                                matvecs):
-    """The meta records the path and the GMRES matvecs, on the dense path
-    those of the GMRES that failed before the LU."""
+    """The meta records the path and the Krylov matvecs, on the dense path
+    those of the COCG that failed before the LU."""
     cfg = write_config(tmp_path, FOLDYLAX_DOC)
     out = str(tmp_path / "out")
     assert main(["foldylax", "--config", cfg, "--out", out,
@@ -187,15 +187,16 @@ def test_cli_lse_json_output(tmp_path):
 
 
 @pytest.mark.parametrize("overrides, path, matvecs", [
-    (["grid_n=6"], "gmres", 14),                # 216 cells
-    (["grid_n=12"], "gmres", 14),               # 1728, above the dense limit
-    (["c_r=0.7", "grid_n=8"], "dense", 1111),   # GMRES fails on 512 cells
+    (["grid_n=6"], "cocg", 14),                 # 216 cells
+    (["grid_n=12"], "cocg", 14),                # 1728, above the dense limit
+    (["c_r=0.7", "grid_n=8"], "cocg", 477),     # mu = 22.4, 512 cells
 ])
 def test_cli_lse_reports_path_and_matvecs(tmp_path, overrides, path,
                                           matvecs):
     """The lse meta says which path the LSE took, with the matvec count,
-    as foldylax's does: the whole GMRES budget, 11 restart cycles of 100
-    iterations and one true-residual matvec each, before the dense LU."""
+    as foldylax's does.  The strongly coupled box (c_r = 0.7) converges by
+    COCG within the budget of 1,111 matvecs, where GMRES(100) spent them
+    all and the dense LU followed."""
     cfg = write_config(tmp_path, FOLDYLAX_DOC)
     out = str(tmp_path / "out")
     sets = [arg for o in overrides for arg in ("--set", o)]
@@ -308,7 +309,7 @@ def test_counting_config_with_a_huge_refine_is_checked_at_once():
 def test_cli_resonance_keeps_the_rows_when_every_detuning_fails(tmp_path):
     """At eta0 = 1e-3 the scan's k is about 50, which cells of side 0.25
     do not resolve (k side = 12.5 >= pi): every detuning fails at once,
-    naming k and the side, instead of spending the GMRES budget; the rows
+    naming k and the side, instead of spending the Krylov budget; the rows
     are written with their failure, the peak fields of the report are
     null, and the exit code is 1."""
     cfg = write_config(tmp_path, {"eta0": 1e-3, "lambda_b": 0.4,

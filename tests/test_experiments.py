@@ -36,11 +36,11 @@ def test_run_convergence_rows_and_logs():
         assert row["lse_residual"] <= 1e-6
         assert "wall_time" not in row and "fl_path" not in row
     assert np.isfinite(slope)
-    # N = 64 and 125 particles, C = 512 cells: GMRES converges for both
+    # N = 64 and 125 particles, C = 512 cells: COCG converges for both
     # solves
     for timing in timings:
         assert timing["wall_time"] > 0
-        assert timing["fl_path"] == timing["lse_path"] == "gmres"
+        assert timing["fl_path"] == timing["lse_path"] == "cocg"
         assert timing["fl_matvecs"] > 0 and timing["lse_matvecs"] > 0
 
 

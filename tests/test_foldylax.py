@@ -108,15 +108,16 @@ def test_anisotropic_p0_solves_the_q_form_system(monkeypatch):
     system Q - c P0.Y.Q = rhs for any P0, not only for the ball's multiple
     of I.  Checked against the Q-form matrix assembled here, for a generic
     symmetric positive definite P0 of the ball's norm, on the dense path
-    (N = 512, where a GMRES budget of two iterations fails) and on the
-    GMRES path (N = 343)."""
+    (N = 512, where a budget of two iterations and a true residual fails)
+    and on the GMRES path (N = 343) that a P0 other than a multiple of I
+    takes."""
     rng = np.random.default_rng(12)
     R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     p0 = (R * np.array([1.0, 0.8, 0.6])) @ R.T * (12.0 / np.pi ** 3)
-    for a, c_r, restart, path in [
-            (0.05, 1.0, 2, "dense"),
-            (0.02, 2.0, foldylax.GMRES_RESTART, "gmres")]:
-        monkeypatch.setattr(foldylax, "GMRES_RESTART", restart)
+    for a, c_r, budget, path in [
+            (0.05, 1.0, 3, "dense"),
+            (0.02, 2.0, foldylax.KRYLOV_BUDGET, "gmres")]:
+        monkeypatch.setattr(foldylax, "KRYLOV_BUDGET", budget)
         scales, cluster, wave = small_setup(a=a, c_r=c_r)
         sol = assemble_and_solve(cluster, scales, p0, wave)
         assert sol.path == path
@@ -169,7 +170,7 @@ MARGIN_CONFIGS = [(0.02, 2.0), (0.03, 3.0), (0.05, 1.0), (0.05, 0.8),
 def test_margin_bounds_the_coupling_norm(a, c_r):
     """|B|_2 <= invertibility margin, the bound that GMRES's convergence
     within its budget rests on where the margin is small
-    (test_every_cluster_whose_margin_guarantees_gmres_takes_gmres), for
+    (test_every_cluster_whose_margin_guarantees_gmres_takes_cocg), for
     margins from 0.03 to 3.9 and counts from 27 to 1000.
 
     |B|_2 <= m exactly when m^2 I - B^H B is positive semi-definite, so a
@@ -189,46 +190,49 @@ def test_margin_bounds_the_coupling_norm(a, c_r):
 
 
 @pytest.mark.parametrize("a, c_r, guaranteed, path, matvecs", [
-    (0.02, 2.0, True, "gmres", 8), (0.03, 3.0, True, "gmres", 6),
-    (0.05, 1.0, False, "gmres", 17), (0.05, 0.8, False, "gmres", 32),
+    (0.02, 2.0, True, "cocg", 8), (0.03, 3.0, True, "cocg", 6),
+    (0.05, 1.0, False, "cocg", 17), (0.05, 0.8, False, "cocg", 33),
     (0.1, 0.6, False, "dense", 101)])
-def test_every_cluster_whose_margin_guarantees_gmres_takes_gmres(
+def test_every_cluster_whose_margin_guarantees_gmres_takes_cocg(
         a, c_r, guaranteed, path, matvecs):
     """GMRES on I - B has |r_m| <= |B|_2^m |r_0| within a restart cycle
     (take the residual polynomial (1 - z)^m), and the invertibility margin
     bounds |B|_2 (test_margin_bounds_the_coupling_norm), so a cluster with
-    margin ** (GMRES_RESTART * GMRES_MAXITER) <= GMRES_TOL converges within
+    margin ** (KRYLOV_BUDGET - 1) <= KRYLOV_TOL is one GMRES solves within
     the budget: of the clusters above, a = 0.02, c_r = 2 (margin 0.12) and
-    a = 0.03, c_r = 3 (margin 0.03) take "gmres".  Without the guarantee
-    the path is the one GMRES observes: margins 0.90 and 1.76 converge all
-    the same, and margin 3.9 fails its budget of 101 matvecs and goes to
-    the dense LU."""
-    budget = foldylax.GMRES_RESTART * foldylax.GMRES_MAXITER
+    a = 0.03, c_r = 3 (margin 0.03).  COCG, which solves these complex-
+    symmetric systems, minimizes no norm and has no such bound; it takes
+    the matvecs GMRES took on these clusters, guaranteed or not, but at
+    margin 1.76 one more (33 against 32): margins 0.90 and 1.76 converge
+    all the same, and margin 3.9 fails its budget of 101 matvecs and goes
+    to the dense LU."""
+    budget = foldylax.KRYLOV_BUDGET - 1
     scales, cluster, wave = small_setup(a=a, c_r=c_r)
     margin = invertibility_margin(scales, p0_ball())
-    assert (margin ** budget <= foldylax.GMRES_TOL) == guaranteed
+    assert (margin ** budget <= foldylax.KRYLOV_TOL) == guaranteed
     sol = assemble_and_solve(cluster, scales, p0_ball(), wave)
     assert sol.path == path and sol.matvecs == matvecs
-    if path == "gmres":
+    if path == "cocg":
         assert 0 < sol.matvecs <= budget
-        assert sol.residual <= foldylax.GMRES_TOL
+        assert sol.residual <= foldylax.KRYLOV_TOL
     else:
         assert sol.residual <= 1e-12
 
 
-def test_weakly_coupled_cluster_takes_gmres_within_the_neumann_bound():
+def test_weakly_coupled_cluster_takes_cocg_within_the_neumann_bound():
     """The converge-box cluster at a = 0.02 (N = 343, margin 0.117): GMRES
     has |r_m| <= margin^m |b|, so it stops within ln(tol) / ln(margin)
-    iterations (11); its matvec count, one more than its iterations, stays
-    within that too.  It matches the dense LU solve."""
+    iterations (11).  COCG, which has no such bound, stops within it too:
+    its matvec count, one more than its iterations, is 8.  It matches the
+    dense LU solve."""
     scales, cluster, wave = small_setup(a=0.02, c_r=2.0)
     p0 = p0_ball()
     sol = assemble_and_solve(cluster, scales, p0, wave)
-    bound = math.ceil(math.log(foldylax.GMRES_TOL) / math.log(sol.margin))
+    bound = math.ceil(math.log(foldylax.KRYLOV_TOL) / math.log(sol.margin))
     assert cluster.count == 343 and bound == 11
-    assert sol.path == "gmres"
+    assert sol.path == "cocg"
     assert 0 < sol.matvecs <= bound
-    assert sol.residual <= foldylax.GMRES_TOL
+    assert sol.residual <= foldylax.KRYLOV_TOL
     A = np.eye(3 * cluster.count) - offdiag_matrix(cluster, scales, p0)
     rhs = q_form_rhs(cluster, scales, p0, wave)
     Q = np.linalg.solve(A, rhs.reshape(-1)).reshape(-1, 3)
@@ -236,7 +240,7 @@ def test_weakly_coupled_cluster_takes_gmres_within_the_neumann_bound():
 
 
 def test_strongly_coupled_cluster_takes_the_dense_lu(monkeypatch):
-    """a = 0.1, c_r = 0.6 (N = 512, margin 3.9): GMRES fails within its
+    """a = 0.1, c_r = 0.6 (N = 512, margin 3.9): COCG fails within its
     budget of 100 iterations and one true-residual matvec, so the dense LU
     solves it and the solution reports those 101 matvecs."""
     scales, cluster, wave = small_setup(a=0.1, c_r=0.6)
@@ -246,24 +250,24 @@ def test_strongly_coupled_cluster_takes_the_dense_lu(monkeypatch):
     assert sol.path == "dense" and sol.matvecs == 101
     assert sol.residual <= 1e-12
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
-    with pytest.raises(RuntimeError, match="GMRES failed after 101 matvecs"):
+    with pytest.raises(RuntimeError, match="COCG failed after 101 matvecs"):
         assemble_and_solve(cluster, scales, p0_ball(), wave)
 
 
-def test_margin_below_one_without_the_gmres_guarantee_still_takes_gmres(
+def test_margin_below_one_without_the_gmres_guarantee_still_takes_cocg(
         monkeypatch):
     """a = 0.05, c_r = 1 (N = 512): margin 0.90 is below 1 but above
-    GMRES_TOL ** (1 / (GMRES_RESTART * GMRES_MAXITER)) ~ 0.794, so it
-    guarantees nothing within the budget; GMRES converges all the same, in
-    17 matvecs, and matches the dense LU, which a budget of two iterations
+    KRYLOV_TOL ** (1 / (KRYLOV_BUDGET - 1)) ~ 0.794, so it guarantees
+    GMRES nothing within the budget; COCG converges all the same, in 17
+    matvecs, and matches the dense LU, which a budget of 3 matvecs
     forces."""
     scales, cluster, wave = small_setup(a=0.05, c_r=1.0)
     sol = assemble_and_solve(cluster, scales, p0_ball(), wave)
-    budget = foldylax.GMRES_RESTART * foldylax.GMRES_MAXITER
-    assert foldylax.GMRES_TOL ** (1.0 / budget) < sol.margin < 1.0
-    assert sol.path == "gmres" and sol.matvecs == 17
-    assert sol.residual <= foldylax.GMRES_TOL
-    monkeypatch.setattr(foldylax, "GMRES_RESTART", 2)
+    budget = foldylax.KRYLOV_BUDGET - 1
+    assert foldylax.KRYLOV_TOL ** (1.0 / budget) < sol.margin < 1.0
+    assert sol.path == "cocg" and sol.matvecs == 17
+    assert sol.residual <= foldylax.KRYLOV_TOL
+    monkeypatch.setattr(foldylax, "KRYLOV_BUDGET", 3)
     dense = assemble_and_solve(cluster, scales, p0_ball(), wave)
     assert dense.path == "dense" and dense.residual <= 1e-12
     assert np.linalg.norm(sol.vectors - dense.vectors) \
@@ -281,8 +285,9 @@ def test_lattice_cluster_matches_the_direct_sum_oracles(kind, sizes, center,
     """On a box or ball cluster of any centre and size (2 to 6 pitches an
     axis, or a radius of 1.75 to 5.75 pitches), at the pitch of the drawn
     scales: Foldy-Lax's lattice kernel applies as the direct sum does, to
-    1e-12, and at a margin that guarantees GMRES the solve matches the
-    Neumann series summed by the direct sum, to the series' remainder."""
+    1e-12, and at a margin that guarantees GMRES's convergence the solve
+    (by COCG) matches the Neumann series summed by the direct sum, to the
+    series' remainder."""
     scales = derive_scales(a, 0.9, 1.0, 1.0, sign, c_r, 0.4)
     d = scales.d
     if kind == "box":
@@ -299,8 +304,8 @@ def test_lattice_cluster_matches_the_direct_sum_oracles(kind, sizes, center,
     p0 = p0_ball()
     wave = IncidentWave(scales.k, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
     margin = invertibility_margin(scales, p0)
-    budget = foldylax.GMRES_RESTART * foldylax.GMRES_MAXITER
-    assert margin <= foldylax.GMRES_TOL ** (1.0 / budget)
+    budget = foldylax.KRYLOV_BUDGET - 1
+    assert margin <= foldylax.KRYLOV_TOL ** (1.0 / budget)
     sol = assemble_and_solve(cluster, scales, p0, wave)
     series = neumann_series_solution(cluster, scales, p0, wave, terms=30)
     rel = np.linalg.norm(sol.vectors - series) / np.linalg.norm(sol.vectors)

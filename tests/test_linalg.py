@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import gmres as scipy_gmres
 
 import dielscat
-from dielscat import linalg, tensors
+from dielscat import foldylax, linalg, lse, tensors
 from dielscat.effective import (detuned_xi, effective_mu_ball, p0_ball,
                                 plasmonic_frequency)
 from dielscat.foldylax import IncidentWave, assemble_and_solve
@@ -20,8 +21,9 @@ from dielscat.lse import (DyadicVolumeOperator, VolumeGrid,
                           select_resonant_eigenvalue, solve_effective_lse)
 
 
-# the numpy GMRES itself, kept for ScipyOracle while linalg.gmres is patched
+# the numpy solvers themselves, kept while linalg's names are patched
 NUMPY_GMRES = linalg.gmres
+NUMPY_COCG = linalg.cocg
 
 
 def counted(fn, counts, i):
@@ -32,8 +34,8 @@ def counted(fn, counts, i):
 
 
 class ScipyOracle:
-    """A stand-in for linalg.gmres that runs scipy's gmres on the same
-    system too and records both results and matvec counts."""
+    """Runs the numpy gmres and scipy's gmres on the same system and
+    records both results and matvec counts."""
 
     def __init__(self):
         self.runs = []
@@ -60,6 +62,36 @@ class ScipyOracle:
         return [counts[0] for *_, counts in self.runs]
 
 
+class CapturedCocg:
+    """A stand-in for linalg.cocg that runs it and records each system it
+    solves, (matvec, b, x0, psolve), with the solution and matvec count."""
+
+    def __init__(self):
+        self.runs = []
+
+    def __call__(self, matvec, b, x0=None, psolve=None, **kw):
+        counts = [0]
+        x, info, rnorm = NUMPY_COCG(counted(matvec, counts, 0), b, x0=x0,
+                                    psolve=psolve, **kw)
+        assert info == 0
+        self.runs.append(((matvec, b, x0, psolve), x, counts[0]))
+        return x, info, rnorm
+
+
+def gmres_oracle_on(captured, rtol, budget):
+    """The one system COCG solved, solved again by the numpy GMRES and by
+    scipy's with the cycles the budget holds: (COCG's x and matvecs,
+    GMRES's x and matvecs)."""
+    (system, x, matvecs), = captured.runs
+    matvec, b, x0, psolve = system
+    oracle = ScipyOracle()
+    want = oracle(matvec, b, x0=x0, psolve=psolve, rtol=rtol,
+                  restart=linalg.GMRES_RESTART,
+                  maxiter=budget // (linalg.GMRES_RESTART + 1))[0]
+    gmres_matvecs, = oracle.check()
+    return x, matvecs, want, gmres_matvecs
+
+
 @pytest.fixture(scope="module")
 def ball10():
     """The ball n=10 grid, its k=0 eigensystem and resonant eigenvalue."""
@@ -68,33 +100,47 @@ def ball10():
     return grid, system, select_resonant_eigenvalue(system)[0]
 
 
-@pytest.mark.parametrize("eta0", [1e9, 1.0])
+@pytest.mark.parametrize("eta0, cocg_matvecs", [(1e9, 3), (1.0, 86)])
 def test_gmres_matches_scipy_on_the_preconditioned_lse(ball10, eta0,
+                                                       cocg_matvecs,
                                                        monkeypatch):
-    """The resonance study's solve at k ~ 1e-4 (one iteration) and at
-    k ~ 1.6, where it takes over a hundred matvecs and one restart."""
+    """The resonance study's system at k ~ 1e-4 and at k ~ 1.6, as COCG
+    solves it (3 and 86 matvecs), solved again by GMRES (one iteration, and
+    over a hundred matvecs and one restart): the numpy GMRES matches
+    scipy's, and COCG's solution matches GMRES's within what the stopping
+    tolerance 1e-8 allows near the resonance (test_preconditioned_lse_
+    converges_off_the_quasistatic_limit)."""
     grid, system, lam = ball10
     xi = detuned_xi(lam, 1e-3)
     k = float(np.sqrt(plasmonic_frequency(eta0, 0.4, lam, 1e-3)[0]))
     wave = IncidentWave(k, (0, 0, 1), (1, 0, 0))
-    oracle = ScipyOracle()
-    monkeypatch.setattr(linalg, "gmres", oracle)
+    captured = CapturedCocg()
+    monkeypatch.setattr(linalg, "cocg", captured)
     solve_effective_lse(grid, effective_mu_ball(xi, "-"), wave,
                         eigensystem=system)
-    matvecs, = oracle.check()
-    assert matvecs > 100 if eta0 == 1.0 else matvecs <= 3
+    x, matvecs, want, gmres_matvecs = gmres_oracle_on(
+        captured, lse.LSE_KRYLOV_TOL, lse.LSE_KRYLOV_BUDGET)
+    assert matvecs == cocg_matvecs
+    assert gmres_matvecs > 100 if eta0 == 1.0 else gmres_matvecs <= 3
+    assert np.linalg.norm(x - want) <= 1e-6 * np.linalg.norm(want)
 
 
 def test_gmres_matches_scipy_on_foldylax(monkeypatch):
-    """The converge-box Foldy-Lax solve on its GMRES path (N = 1331)."""
+    """The converge-box Foldy-Lax system (N = 1331, margin 0.03) as COCG
+    solves it, solved again by GMRES: the numpy GMRES matches scipy's, and
+    at this weak coupling COCG and GMRES take the same 8 matvecs and agree
+    to 1e-9."""
     scales = derive_scales(0.012, 0.9, 1.0, 1.0, "+", 2.0, 0.4)
     cluster = generate_cluster(unit_box(), scales.d)
     assert cluster.count == 1331
     wave = IncidentWave(scales.k, (0, 0, 1), (1, 0, 0))
-    oracle = ScipyOracle()
-    monkeypatch.setattr(linalg, "gmres", oracle)
+    captured = CapturedCocg()
+    monkeypatch.setattr(linalg, "cocg", captured)
     assemble_and_solve(cluster, scales, p0_ball(), wave)
-    oracle.check()
+    x, matvecs, want, gmres_matvecs = gmres_oracle_on(
+        captured, foldylax.KRYLOV_TOL, foldylax.KRYLOV_BUDGET)
+    assert matvecs == gmres_matvecs == 8
+    assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def random_system(n, seed):
@@ -105,19 +151,27 @@ def random_system(n, seed):
     return A, b
 
 
-def test_gmres_zero_rhs_returns_zero():
+# each solver's keywords for one short solve
+KRYLOV = {"gmres": (linalg.gmres, {"restart": 4, "maxiter": 1}),
+          "cocg": (linalg.cocg, {"budget": 10})}
+
+
+@pytest.mark.parametrize("solver", KRYLOV)
+def test_krylov_zero_rhs_returns_zero(solver):
+    solve, kw = KRYLOV[solver]
     A, b = random_system(8, 0)
-    x, info, rnorm = linalg.gmres(lambda v: A @ v, 0 * b, x0=b, rtol=1e-10,
-                                  restart=4, maxiter=1)
+    x, info, rnorm = solve(lambda v: A @ v, 0 * b, x0=b, rtol=1e-10, **kw)
     assert info == 0 and not x.any() and rnorm == 0.0
 
 
-def test_gmres_returns_a_converged_start_after_one_matvec():
+@pytest.mark.parametrize("solver", KRYLOV)
+def test_krylov_returns_a_converged_start_after_one_matvec(solver):
+    solve, kw = KRYLOV[solver]
     A, b = random_system(8, 1)
     x0 = np.linalg.solve(A, b)
     counts = [0]
-    x, info, rnorm = linalg.gmres(counted(lambda v: A @ v, counts, 0), b,
-                                  x0=x0, rtol=1e-10, restart=4, maxiter=1)
+    x, info, rnorm = solve(counted(lambda v: A @ v, counts, 0), b, x0=x0,
+                           rtol=1e-10, **kw)
     assert info == 0 and counts == [1]
     assert rnorm == np.linalg.norm(b - A @ x0)
     assert np.array_equal(x, x0) and x is not x0
@@ -138,6 +192,95 @@ def test_gmres_reports_a_spent_budget_like_scipy():
     assert counts[0] == counts[1] == 2 * 4
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     assert rnorm == np.linalg.norm(b - A @ x) > 1e-12 * np.linalg.norm(b)
+
+
+def random_symmetric_system(n, seed, scale=0.3):
+    """A complex-symmetric (not Hermitian) A = I + scale (S + S^T) / 2
+    and a random b."""
+    rng = np.random.default_rng(seed)
+    S = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+    A = np.eye(n) + scale * (S + S.T) / 2
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return A, b
+
+
+@pytest.mark.parametrize("preconditioned, matvecs", [(False, 24),
+                                                     (True, 23)])
+def test_cocg_matches_the_dense_lu(preconditioned, matvecs):
+    """A 60 x 60 complex-symmetric system, with no preconditioner and with
+    the complex-symmetric Jacobi one, diag(A)^-1: COCG converges in a
+    pinned number of matvecs, its iterations and one true residual, which
+    it reports, and matches the LU to 1e-9."""
+    A, b = random_symmetric_system(60, 2)
+    assert np.array_equal(A, A.T) and not np.allclose(A, A.conj().T)
+    psolve = (lambda v: v / np.diag(A)) if preconditioned else None
+    counts = [0]
+    x, info, rnorm = linalg.cocg(counted(lambda v: A @ v, counts, 0), b,
+                                 psolve=psolve, rtol=1e-12, budget=200)
+    assert info == 0 and counts == [matvecs]
+    assert rnorm == np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    want = np.linalg.solve(A, b)
+    assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_cocg_reports_a_spent_budget():
+    """A budget of 6 matvecs cannot solve a strongly coupled 40 x 40
+    system: COCG runs five iterations and the true residual of the sixth
+    matvec, which it reports, and returns info 1."""
+    A, b = random_symmetric_system(40, 3, scale=1.5)
+    counts = [0]
+    x, info, rnorm = linalg.cocg(counted(lambda v: A @ v, counts, 0), b,
+                                 rtol=1e-12, budget=6)
+    assert info == 1 and counts == [6]
+    assert rnorm == np.linalg.norm(b - A @ x) > 1e-12 * np.linalg.norm(b)
+
+
+def test_cocg_stops_at_once_on_a_breakdown():
+    """b = (1, i) has b^T b = 0, so rho is 0 before the first iteration:
+    COCG returns the zero start, info 1 and |b|, after no matvec; an
+    operator that returns NaN stops it after one, with the last finite x
+    and residual."""
+    b = np.array([1.0, 1j])
+    counts = [0]
+    x, info, rnorm = linalg.cocg(counted(lambda v: v, counts, 0), b,
+                                 rtol=1e-10, budget=10)
+    assert (info, counts) == (1, [0]) and not x.any()
+    assert rnorm == np.linalg.norm(b)
+    A, b = random_symmetric_system(8, 4)
+    with np.errstate(invalid="ignore"):
+        x, info, rnorm = linalg.cocg(
+            counted(lambda v: np.full_like(v, np.nan), counts, 0), b,
+            rtol=1e-10, budget=10)
+    assert (info, counts) == (1, [1]) and not x.any()
+    assert rnorm == np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("solver", ["cocg", "gmres"])
+def test_krylov_peak_memory_is_the_checked_vector_count(solver):
+    """Preconditioned and from a nonzero start, on n = 30,000 unknowns with
+    a matvec that allocates only its result, each method's traced peak
+    stays within the n-vectors that solve_coupled checks: COCG_VECTORS,
+    or the restart + 1 basis vectors and GMRES_VECTORS."""
+    n, restart = 30_000, 10
+    rng = np.random.default_rng(6)
+    d = 1.0 + 0.5 * rng.random(n) + 0.1j
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x0 = 0.5 * b
+    kw = {"psolve": lambda v: v / d.real, "x0": x0, "rtol": 1e-14}
+    tracemalloc.start()
+    try:
+        if solver == "cocg":
+            info = linalg.cocg(lambda v: d * v, b, budget=30, **kw)[1]
+            vectors = linalg.COCG_VECTORS
+        else:
+            info = linalg.gmres(lambda v: d * v, b, restart=restart,
+                                maxiter=2, **kw)[1]
+            vectors = restart + 1 + linalg.GMRES_VECTORS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info == 0
+    assert peak <= vectors * 16 * n
 
 
 def test_studies_run_without_importing_scipy(tmp_path):
@@ -199,103 +342,146 @@ class CountedKernel:
         return self.op.apply(F)
 
 
+# a P that is symmetric but not a multiple of I, so that the coupled
+# matrix is not symmetric and GMRES solves it, and a scalar P, for COCG
+GENERIC_P = 0.3 * np.eye(3) + 0.05j
+SCALAR_P = (0.3 + 0.05j) * np.eye(3)
+
+
 def coupled_system():
-    """A CountedKernel on the n = 4 box grid (C = 64), a P and a random b
-    for the system x - c K(x P^T) = b."""
+    """A CountedKernel on the n = 4 box grid (C = 64) and a random b for
+    the system x - c K(x P^T) = b."""
     grid = VolumeGrid(unit_box(), 4)
     kernel = CountedKernel(tensors.LatticeOperator(
         grid.ijk, grid.d, "dyadic", 1.1, grid.weight, 0.2))
-    P = 0.3 * np.eye(3) + 0.05j
     rng = np.random.default_rng(4)
     b = rng.normal(size=(grid.count, 3)) + 1j * rng.normal(
         size=(grid.count, 3))
-    return kernel, P, b
+    return kernel, b
+
+
+def coupled_matrix(kernel, c, P, n):
+    """The matrix of x - c K(x P^T) = b, built here."""
+    return np.eye(3 * n) - c * kernel.op.dense() @ np.kron(np.eye(n), P)
 
 
 def dense_solution(kernel, c, P, b):
     """x of x - c K(x P^T) = b by an LU of the matrix built here."""
     n = b.shape[0]
-    K = kernel.op.dense()
-    A = np.eye(3 * n) - c * K @ np.kron(np.eye(n), P)
+    A = coupled_matrix(kernel, c, P, n)
     return np.linalg.solve(A, b.reshape(-1)).reshape(n, 3)
 
 
-def test_solve_coupled_reports_the_gmres_exit_residual_without_an_apply():
-    """A weakly coupled system takes GMRES, which converges within its
-    budget, so no dense matrix is built.  The residual is the one GMRES
-    tested at exit: no apply beyond its matvecs, and the value an apply
-    would give.  A zero right-hand side reports residual 0.0."""
-    kernel, P, b = coupled_system()
+def test_only_a_scalar_p_makes_the_coupled_matrix_symmetric():
+    """K is symmetric, so I - c K (I x P) is for a scalar P; for a
+    symmetric P that is not a multiple of I it is not, since its transpose
+    is I - c (I x P) K.  solve_coupled's path follows: COCG only for the
+    scalar P."""
+    kernel, b = coupled_system()
+    K = kernel.op.dense()
+    assert np.array_equal(K, K.T)
+    A = coupled_matrix(kernel, 0.8, SCALAR_P, b.shape[0])
+    assert np.allclose(A, A.T, rtol=0, atol=1e-14)
+    assert np.array_equal(GENERIC_P, GENERIC_P.T)
+    A = coupled_matrix(kernel, 0.8, GENERIC_P, b.shape[0])
+    assert np.abs(A - A.T).max() > 1e-3 * np.abs(A).max()
+    for P, path in [(SCALAR_P, "cocg"), (GENERIC_P, "gmres")]:
+        assert linalg.solve_coupled(kernel, 0.8, P, b, rtol=1e-10,
+                                    budget=42)[2] == path
+
+
+@pytest.mark.parametrize("P, path, matvecs", [(GENERIC_P, "gmres", 10),
+                                              (SCALAR_P, "cocg", 11)])
+def test_solve_coupled_reports_the_krylov_exit_residual_without_an_apply(
+        P, path, matvecs):
+    """A weakly coupled system takes COCG (scalar P) or GMRES (any other
+    P), which converges within its budget, so no dense matrix is built.
+    The residual is the one the method tested at exit: no apply beyond its
+    matvecs, and the value an apply would give.  A zero right-hand side
+    reports residual 0.0."""
+    kernel, b = coupled_system()
 
     def dense():
         raise AssertionError("dense matrix built")
 
     kernel.dense = dense
-    x, res, path, matvecs = linalg.solve_coupled(
-        kernel, 0.8, P, b, rtol=1e-10, restart=20, maxiter=2)
-    assert path == "gmres" and kernel.applies == matvecs > 0
+    x, res, got, count = linalg.solve_coupled(kernel, 0.8, P, b, rtol=1e-10,
+                                              budget=42)
+    assert (got, count) == (path, matvecs) and kernel.applies == matvecs
     direct = x - 0.8 * kernel.op.apply(x @ P.T) - b
     assert res == np.linalg.norm(direct) / np.linalg.norm(b) <= 1e-10
     assert np.allclose(x, dense_solution(kernel, 0.8, P, b), rtol=0,
                        atol=1e-8 * np.abs(x).max())
-    x, res, path, matvecs = linalg.solve_coupled(
-        kernel, 0.8, P, 0 * b, rtol=1e-10, restart=20, maxiter=2)
-    assert res == 0.0 and not x.any() and matvecs == 0
+    x, res, got, count = linalg.solve_coupled(kernel, 0.8, P, 0 * b,
+                                              rtol=1e-10, budget=42)
+    assert res == 0.0 and not x.any() and count == 0
 
 
-def test_solve_coupled_falls_back_to_the_dense_lu_when_gmres_fails(
-        monkeypatch):
-    """At c = 8 GMRES is not converged after its whole budget, restart
-    iterations and one true-residual matvec per cycle, so the LU solves
-    the system, and the matvecs GMRES spent are reported; the LU's x is
-    checked by one more apply, not counted, whose residual is reported.
-    With DENSE_LIMIT = 0 the same failure raises."""
-    kernel, P, b = coupled_system()
-    x, res, path, matvecs = linalg.solve_coupled(
-        kernel, 8.0, P, b, rtol=1e-10, restart=20, maxiter=2)
-    assert path == "dense" and matvecs == 20 * 2 + 2 == kernel.applies - 1
+@pytest.mark.parametrize("P, method", [(GENERIC_P, "GMRES"),
+                                       (SCALAR_P, "COCG")])
+def test_solve_coupled_falls_back_to_the_dense_lu_when_the_krylov_solve_fails(
+        P, method, monkeypatch):
+    """At c = 8 neither method converges within a budget of 42 matvecs:
+    GMRES's two cycles of 20 iterations and one true-residual matvec each
+    (GMRES_RESTART set to 20), or COCG's 41 iterations and one true
+    residual.  So the LU solves the system, and the matvecs spent are
+    reported; the LU's x is checked by one more apply, not counted, whose
+    residual is reported.  With DENSE_LIMIT = 0 the same failure raises,
+    naming the method."""
+    monkeypatch.setattr(linalg, "GMRES_RESTART", 20)
+    kernel, b = coupled_system()
+    x, res, path, matvecs = linalg.solve_coupled(kernel, 8.0, P, b,
+                                                 rtol=1e-10, budget=42)
+    assert path == "dense" and matvecs == 42 == kernel.applies - 1
     direct = x - 8.0 * kernel.op.apply(x @ P.T) - b
     assert res == np.linalg.norm(direct) / np.linalg.norm(b) <= 1e-12
     assert np.allclose(x, dense_solution(kernel, 8.0, P, b), rtol=0,
                        atol=1e-10 * np.abs(x).max())
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
-    with pytest.raises(RuntimeError, match="GMRES failed after 42 matvecs"):
-        linalg.solve_coupled(kernel, 8.0, P, b, rtol=1e-10, restart=20,
-                             maxiter=2)
+    with pytest.raises(RuntimeError, match=r"%s failed after 42 matvecs "
+                       r"\(budget 42\)" % method):
+        linalg.solve_coupled(kernel, 8.0, P, b, rtol=1e-10, budget=42)
 
 
 @pytest.mark.parametrize("domain, n", [(unit_box(), 6), (unit_ball(), 8)])
 @pytest.mark.parametrize("operator", [DyadicVolumeOperator,
                                       magnetization_operator])
 @pytest.mark.parametrize("k", [0.0, 1.3])
-def test_solve_coupled_dense_fallback_matches_gmres_on_volume_grids(
-        domain, n, operator, k):
+@pytest.mark.parametrize("P, path", [(np.diag([0.5, 0.4, 0.3]), "gmres"),
+                                     (0.4 * np.eye(3), "cocg")])
+def test_solve_coupled_dense_fallback_matches_the_krylov_solve_on_volume_grids(
+        domain, n, operator, k, P, path):
     """The LSE (dyadic) and Magnetization (hessian) operators of box n = 6
-    and ball n = 8 grids, P = diag(0.5, 0.4, 0.3): GMRES converges (12-16
-    matvecs), a budget of one iteration sends the same system to the LU of
-    dense(), after that iteration and its true-residual matvec, and the two
-    solutions agree.  The LU's x also solves the system through the FFT
-    apply, so dense() is the matrix that apply multiplies by."""
+    and ball n = 8 grids, P = diag(0.5, 0.4, 0.3) or 0.4 I: GMRES or COCG
+    converges (10-16 matvecs), a budget of 2 sends the same system to the
+    LU of dense(), after one iteration and its true-residual matvec, and
+    the two solutions agree to 1e-9.  The LU's x also solves the system
+    through the FFT apply, so dense() is the matrix that apply multiplies
+    by."""
     op = operator(VolumeGrid(domain, n), k)
-    P = np.diag([0.5, 0.4, 0.3])
     b = np.random.default_rng(7).normal(size=(op.count, 3)) + 0j
-    x, res, path, _ = linalg.solve_coupled(op, 1.0, P, b, rtol=1e-10,
-                                           restart=30, maxiter=5)
-    assert path == "gmres" and res <= 1e-10
-    xd, res, path, matvecs = linalg.solve_coupled(op, 1.0, P, b, rtol=1e-10,
-                                                  restart=1, maxiter=1)
-    assert path == "dense" and matvecs == 2 and res <= 1e-12
+    x, res, got, _ = linalg.solve_coupled(op, 1.0, P, b, rtol=1e-10,
+                                          budget=155)
+    assert got == path and res <= 1e-10
+    xd, res, got, matvecs = linalg.solve_coupled(op, 1.0, P, b, rtol=1e-10,
+                                                 budget=2)
+    assert got == "dense" and matvecs == 2 and res <= 1e-12
     direct = xd - op.apply(xd @ P.T) - b
     assert np.linalg.norm(direct) <= 1e-12 * np.linalg.norm(b)
     assert np.linalg.norm(x - xd) <= 1e-9 * np.linalg.norm(xd)
 
 
-def test_solve_coupled_falls_back_to_the_dense_lu_on_a_non_finite_gmres():
-    """A kernel whose apply returns NaN leaves GMRES without a finite x,
-    and the LU of the kernel's dense matrix solves the system.  The
-    residual is measured through that apply, so it reads NaN and shows the
-    fault.  NaN's invalid-value warnings are expected here."""
-    kernel, P, b = coupled_system()
+@pytest.mark.parametrize("P, matvecs", [(GENERIC_P, 2), (SCALAR_P, 1)])
+def test_solve_coupled_falls_back_to_the_dense_lu_on_a_non_finite_gmres(
+        P, matvecs):
+    """A kernel whose apply returns NaN stops the Krylov solve at once,
+    without a solution, and the LU of the kernel's dense matrix solves the
+    system.  GMRES ends its cycle at the first non-finite Arnoldi norm and
+    tests its x by the cycle's true residual, 2 matvecs in all (the whole
+    budget, 42, before); COCG stops at its first non-finite p^T A p, after
+    1.  The residual is measured through that apply, so it reads NaN and
+    shows the fault.  NaN's invalid-value warnings are expected here."""
+    kernel, b = coupled_system()
 
     def apply(F):
         kernel.applies += 1
@@ -303,9 +489,32 @@ def test_solve_coupled_falls_back_to_the_dense_lu_on_a_non_finite_gmres():
 
     kernel.apply = apply
     with np.errstate(invalid="ignore"):
-        x, res, path, matvecs = linalg.solve_coupled(
-            kernel, 0.8, P, b, rtol=1e-10, restart=20, maxiter=2)
-    assert path == "dense" and matvecs == kernel.applies - 1 > 0
+        x, res, path, count = linalg.solve_coupled(kernel, 0.8, P, b,
+                                                   rtol=1e-10, budget=42)
+    assert (path, count) == ("dense", matvecs) == ("dense",
+                                                  kernel.applies - 1)
     assert np.isnan(res)
     assert np.allclose(x, dense_solution(kernel, 0.8, P, b), rtol=0,
                        atol=1e-10 * np.abs(x).max())
+
+
+@pytest.mark.parametrize("P, method, vectors", [
+    (SCALAR_P, "COCG", linalg.COCG_VECTORS),
+    (GENERIC_P, "GMRES", 41 + 1 + linalg.GMRES_VECTORS)])
+def test_solve_coupled_checks_the_krylov_workspace_before_a_matvec(
+        P, method, vectors, monkeypatch):
+    """The chosen method's vectors, of 3 n complex values each (COCG's
+    COCG_VECTORS, or GMRES's basis of 42, its restart of 41 and one, and
+    GMRES_VECTORS), are checked against physical memory before the first
+    matvec: a host one byte short of them refuses the solve by name, with
+    no apply run, and a host that holds them solves it."""
+    kernel, b = coupled_system()
+    need = vectors * 3 * b.shape[0] * 16
+    monkeypatch.setattr(tensors, "physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"^%s workspace of %d vectors on 64 "
+                       r"sites needs %d bytes" % (method, vectors, need)):
+        linalg.solve_coupled(kernel, 0.8, P, b, rtol=1e-10, budget=42)
+    assert kernel.applies == 0
+    monkeypatch.setattr(tensors, "physical_memory", lambda: need)
+    assert linalg.solve_coupled(kernel, 0.8, P, b, rtol=1e-10,
+                                budget=42)[2] == method.lower()

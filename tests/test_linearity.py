@@ -30,8 +30,8 @@ def foldylax_problem(monkeypatch, a, c_r, path):
     scales = derive_scales(a, 0.9, 1.0, 1.0, "+", c_r, 0.4)
     cluster = generate_cluster(unit_box(), scales.d)
     if path == "dense":
-        # GMRES fails within two iterations, and the LU follows
-        monkeypatch.setattr(foldylax, "GMRES_RESTART", 2)
+        # the Krylov solve fails within two iterations, and the LU follows
+        monkeypatch.setattr(foldylax, "KRYLOV_BUDGET", 3)
     margin = foldylax.invertibility_margin(scales, p0_ball())
     assert margin < 1.0
 
@@ -41,7 +41,7 @@ def foldylax_problem(monkeypatch, a, c_r, path):
         assert sol.path == path
         return sol.vectors, sol.residual
 
-    tol = DENSE_TOL if path == "dense" else foldylax.GMRES_TOL
+    tol = DENSE_TOL if path == "dense" else foldylax.KRYLOV_TOL
     return solve, tol, (1.0 + margin) / (1.0 - margin)
 
 
@@ -69,18 +69,17 @@ def ball10():
 
 
 def lse_problem(monkeypatch, method):
-    """The LSE solved by method "dense" (a GMRES budget of two iterations,
-    which fails, and the LU of its 552 cells), "gmres" (the dense limit
-    set to 0) or "preconditioned" (GMRES with the k=0 eigensystem
-    inverse): solve(p) -> (H, residual), the stopping tolerance and the
-    condition number."""
+    """The LSE solved by method "dense" (a budget of two iterations and a
+    true residual, which fails, and the LU of its 552 cells), "cocg" (the
+    dense limit set to 0) or "preconditioned" (COCG with the k=0
+    eigensystem inverse): solve(p) -> (H, residual), the stopping
+    tolerance and the condition number."""
     grid = ball10()
     mu, k = effective_mu_ball(LSE_XI, "-"), LSE_K
     kwargs = {}
     if method == "dense":
-        monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 2)
-        monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
-    elif method == "gmres":
+        monkeypatch.setattr(lse, "LSE_KRYLOV_BUDGET", 3)
+    elif method == "cocg":
         monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
     elif method == "preconditioned":
         kwargs = {"eigensystem": magnetization_eigensystem(grid)}
@@ -89,17 +88,17 @@ def lse_problem(monkeypatch, method):
         return solve_effective_lse(grid, mu, IncidentWave(k, THETA, p),
                                    **kwargs)[:2]
 
-    tol = DENSE_TOL if method == "dense" else lse.LSE_GMRES_TOL
+    tol = DENSE_TOL if method == "dense" else lse.LSE_KRYLOV_TOL
     return solve, tol, lse_condition(grid)
 
 
 @pytest.mark.parametrize("problem", [
     lambda mp: foldylax_problem(mp, 0.05, 1.0, "dense"),  # N = 512, m 0.90
-    lambda mp: foldylax_problem(mp, 0.02, 2.0, "gmres"),  # N = 343, m 0.12
+    lambda mp: foldylax_problem(mp, 0.02, 2.0, "cocg"),  # N = 343, m 0.12
     lambda mp: lse_problem(mp, "dense"),
-    lambda mp: lse_problem(mp, "gmres"),
+    lambda mp: lse_problem(mp, "cocg"),
     lambda mp: lse_problem(mp, "preconditioned"),
-], ids=["foldylax-dense", "foldylax-gmres", "lse-dense", "lse-gmres",
+], ids=["foldylax-dense", "foldylax-cocg", "lse-dense", "lse-cocg",
         "lse-preconditioned"])
 def test_solution_is_linear_in_the_polarization(problem, monkeypatch):
     """X(cos psi p1 + sin psi p2) = cos psi X(p1) + sin psi X(p2).

@@ -309,7 +309,7 @@ def test_quasistatic_ball_field_tends_to_clausius_mossotti(mu, bound):
     for n in (8, 12, 16, 20):
         grid = VolumeGrid(unit_ball(), n)
         H, res, _, _ = solve_effective_lse(grid, mu * np.eye(3), wave)
-        assert res <= lse.LSE_GMRES_TOL
+        assert res <= lse.LSE_KRYLOV_TOL
         errors.append(abs(np.mean(H[:, 1]) / (1j * k) - want) / want)
     assert max(errors) <= bound
     assert all(b < a for a, b in zip(errors, errors[1:]))
@@ -348,29 +348,29 @@ def test_solve_effective_lse_refuses_an_unresolved_grid():
         solve_effective_lse(grid, mu, IncidentWave(k, (0, 0, 1), (1, 0, 0)))
     _, res, _, _ = solve_effective_lse(
         grid, mu, IncidentWave(0.99 * k, (0, 0, 1), (1, 0, 0)))
-    assert res <= lse.LSE_GMRES_TOL
+    assert res <= lse.LSE_KRYLOV_TOL
 
 
-def test_solve_effective_lse_dense_vs_gmres(monkeypatch):
-    """216 cells at xi = 2, "-": GMRES stops after 14 matvecs.  The
+def test_solve_effective_lse_dense_vs_cocg(monkeypatch):
+    """216 cells at xi = 2, "-": COCG stops after 14 matvecs.  The
     FOLDYLAX_DOC scales (a = 0.05, c_r = 1, "+") couple more strongly, and
-    GMRES still converges on the same grid in 14; with a budget of two
-    iterations it fails after 3 matvecs, the dense LU solves that system,
-    and the two match.  Each solve reports its path and matvec count."""
+    COCG still converges on the same grid in 14; with a budget of 3
+    matvecs, two iterations and a true residual, it fails, the dense LU
+    solves that system, and the two match.  Each solve reports its path
+    and matvec count."""
     grid = VolumeGrid(unit_box(), 6)
     wave = IncidentWave(1.2, (0, 0, 1), (1, 0, 0))
     _, rg, path, matvecs = solve_effective_lse(
         grid, effective_mu_ball(2.0, "-"), wave)
-    assert (path, matvecs) == ("gmres", 14)
+    assert (path, matvecs) == ("cocg", 14)
     assert rg <= 1e-7
     sc = derive_scales(0.05, 0.9, 1.0, 1.0, "+", 1.0, 0.4)
     xi = coupling_xi(sc.eta0, sc.k, sc.c0, sc.c_r)
     mu = effective_mu(xi, p0_ball(), sc.sign)
     wave = IncidentWave(sc.k, (0, 0, 1), (1, 0, 0))
     Hg, rg, path, matvecs = solve_effective_lse(grid, mu, wave)
-    assert (path, matvecs) == ("gmres", 14)
-    monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 2)
-    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    assert (path, matvecs) == ("cocg", 14)
+    monkeypatch.setattr(lse, "LSE_KRYLOV_BUDGET", 3)
     Hd, rd, path, matvecs = solve_effective_lse(grid, mu, wave)
     assert (path, matvecs) == ("dense", 3)
     assert rd <= 1e-10
@@ -650,15 +650,14 @@ def _resonance_problem(lam, beta, eta0):
 
 
 def test_resonance_scan_matches_dense_solve(ball10, monkeypatch):
-    """Every detuning's preconditioned GMRES solve against the dense LU.
+    """Every detuning's preconditioned COCG solve against the dense LU.
 
-    At the quasi-static k the exact k=0 inverse leaves GMRES one iteration
-    to do, so five are allowed: each solve takes the GMRES path in three
-    matvecs (the start's residual, one iteration and the true residual),
-    and not the LU that a failed GMRES falls back to."""
+    At the quasi-static k the exact k=0 inverse leaves COCG one iteration
+    to do, so a budget of 7 matvecs is allowed: each solve takes the COCG
+    path in three matvecs (the start's residual, one iteration and the
+    true residual), and not the LU that a failed COCG falls back to."""
     grid, system, lam = ball10
-    monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 5)
-    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    monkeypatch.setattr(lse, "LSE_KRYLOV_BUDGET", 7)
     solve = lse.solve_effective_lse
     solves = []
 
@@ -674,7 +673,7 @@ def test_resonance_scan_matches_dense_solve(ball10, monkeypatch):
     assert [r["status"] for r in rows] == ["ok"] * len(betas)
     assert len(solves) == len(betas)
     for args, H, res, path, matvecs in solves:
-        assert (path, matvecs) == ("gmres", 3)
+        assert (path, matvecs) == ("cocg", 3)
         Hd, _, _, _ = solve(*args)
         assert res <= 1e-9
         assert np.linalg.norm(H - Hd) <= 1e-8 * np.linalg.norm(Hd)
@@ -685,19 +684,19 @@ def test_resonance_scan_matches_dense_solve(ball10, monkeypatch):
 
 def test_preconditioned_lse_converges_off_the_quasistatic_limit(ball10,
                                                                 monkeypatch):
-    """eta0 = 1 gives k ~ 1.6, where A(k) is far from A(0): GMRES needs
-    about a hundred iterations (three restart cycles are allowed), and it
-    converges within two cycles, on the GMRES path and not the LU that a
-    failed GMRES falls back to.  It stops at relative residual 1e-8, which
-    near the resonance A's conditioning amplifies in the field by well
-    under 100."""
+    """eta0 = 1 gives k ~ 1.6, where A(k) is far from A(0): COCG needs 86
+    matvecs (GMRES needed over a hundred), and it converges within a
+    budget of 303, on the COCG path and not the LU that a failed COCG
+    falls back to.  It stops at relative residual 1e-8, which near the
+    resonance A's conditioning amplifies in the field by well under
+    100."""
     grid, system, lam = ball10
-    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 3)
+    monkeypatch.setattr(lse, "LSE_KRYLOV_BUDGET", 303)
     mu, wave = _resonance_problem(lam, 1e-3, eta0=1.0)
     assert wave.k > 1.5
     H, res, path, matvecs = solve_effective_lse(grid, mu, wave,
                                                 eigensystem=system)
-    assert path == "gmres" and matvecs <= 1 + 2 * 101
+    assert (path, matvecs) == ("cocg", 86)
     Hd, _, _, _ = solve_effective_lse(grid, mu, wave)
     assert res <= 1e-8
     assert np.linalg.norm(H - Hd) <= 1e-6 * np.linalg.norm(Hd)
@@ -705,11 +704,10 @@ def test_preconditioned_lse_converges_off_the_quasistatic_limit(ball10,
 
 def test_resonance_scan_marks_the_exact_root_failed(ball10, monkeypatch):
     """At beta = 0 the k=0 operator is singular: the row fails, no NaN.
-    With the dense limit at 0 no LU stands behind GMRES, so the ok row at
-    beta = 1e-3 is one that the preconditioned GMRES solved."""
+    With the dense limit at 0 no LU stands behind COCG, so the ok row at
+    beta = 1e-3 is one that the preconditioned COCG solved."""
     grid, system, lam = ball10
-    monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 5)
-    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    monkeypatch.setattr(lse, "LSE_KRYLOV_BUDGET", 7)
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
     rows = resonance_amplification_scan(grid, system, lam, [0.0, 1e-3],
                                         SCAN_CONFIG)
@@ -718,31 +716,30 @@ def test_resonance_scan_marks_the_exact_root_failed(ball10, monkeypatch):
     assert rows[1]["status"] == "ok"
 
 
-def test_preconditioned_lse_raises_on_gmres_failure(ball10, monkeypatch):
-    """A preconditioned GMRES that fails falls back to the dense LU on the
+def test_preconditioned_lse_raises_on_cocg_failure(ball10, monkeypatch):
+    """A preconditioned COCG that fails falls back to the dense LU on the
     552 cells, as an unpreconditioned one does; with the dense limit at 0
-    the failure raises, and so does a GMRES that returns a NaN x."""
+    the failure raises, and so does a COCG that returns a NaN x."""
     grid, eigensystem, lam = ball10
     mu, wave = _resonance_problem(lam, 1e-3, eta0=1.0)
-    monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 2)
-    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    monkeypatch.setattr(lse, "LSE_KRYLOV_BUDGET", 4)
     _, res, path, matvecs = solve_effective_lse(grid, mu, wave,
                                                 eigensystem=eigensystem)
-    # the start's residual, two iterations and the cycle's true residual
+    # the start's residual, two iterations and the true residual
     assert (path, matvecs) == ("dense", 4) and res <= 1e-12
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
-    with pytest.raises(RuntimeError, match="GMRES failed"):
+    with pytest.raises(RuntimeError, match="COCG failed"):
         solve_effective_lse(grid, mu, wave, eigensystem=eigensystem)
-    monkeypatch.setattr(linalg, "gmres",
+    monkeypatch.setattr(linalg, "cocg",
                         lambda op, b, **kw: (np.full_like(b, np.nan), 0,
                                              np.nan))
-    with pytest.raises(RuntimeError, match="GMRES failed"):
+    with pytest.raises(RuntimeError, match="COCG failed"):
         solve_effective_lse(grid, mu, wave, eigensystem=eigensystem)
 
 
 def test_preconditioned_lse_needs_scalar_mu(ball10, monkeypatch):
     grid, system, lam = ball10
-    monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
+    monkeypatch.setattr(lse, "LSE_KRYLOV_BUDGET", 3)
     mu, wave = _resonance_problem(lam, 1e-3, eta0=1e9)
     mu = mu.copy()
     mu[0, 0] *= 1.5
@@ -825,47 +822,89 @@ def test_block_inverse_refuses_a_singular_coupling(ball10):
         system.inverse(-1.0 / lam)
 
 
-class WrongSignEigensystem:
-    """The k=0 preconditioner with the sign of its coupling flipped."""
+def test_block_inverse_is_complex_symmetric(ball10):
+    """COCG's preconditioner must be complex symmetric: u^T M^-1 v =
+    v^T M^-1 u for the k=0 inverse at a complex contrast, on random
+    complex u and v, since M^-1 = V diag(1 / (1 + c lambda)) V^T with a
+    real V."""
+    grid, system, _ = ball10
+    rng = np.random.default_rng(5)
+    u, v = (rng.normal(size=3 * grid.count)
+            + 1j * rng.normal(size=3 * grid.count) for _ in range(2))
+    inverse = system.inverse(0.7 - 0.2j)
+    uv, vu = u @ inverse(v), v @ inverse(u)
+    assert abs(uv - vu) <= 1e-12 * abs(uv)
+
+
+class WrongContrastEigensystem:
+    """The k=0 preconditioner built for ten times its contrast."""
 
     def __init__(self, system):
         self.system = system
 
     def inverse(self, c):
-        return self.system.inverse(-c)
+        return self.system.inverse(10.0 * c)
 
 
 def test_wrong_preconditioner_fails_within_the_matvec_budget(eigensystems,
                                                             monkeypatch):
-    """A wrong-sign k=0 preconditioner stalls GMRES: with the dense limit
-    at 0, so that no LU follows, the solve raises, naming its matvecs and
-    residual, in seconds instead of running ~10^6 matvecs (ball n=8: about
-    2.5 ms a matvec on 2 cores)."""
+    """A k=0 preconditioner for ten times the contrast stalls COCG: with
+    the dense limit at 0, so that no LU follows, the solve raises after
+    its budget of 1,111 matvecs, naming them and its residual, in seconds
+    instead of running ~10^6 matvecs (ball n=8: about 0.4 ms a matvec on 2
+    cores).  A wrong-sign preconditioner, which stalled GMRES, only slows
+    COCG, to 385 matvecs."""
     grid, system = eigensystems(unit_ball(), 8)
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
     lam = select_resonant_eigenvalue(system)[0]
     mu, wave = _resonance_problem(lam, 1e-3, eta0=1e9)
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match=r"GMRES failed after \d+ matvecs "
-                       r".*relative residual"):
+    with pytest.raises(RuntimeError, match=r"COCG failed after 1111 matvecs "
+                       r"\(budget 1111\), relative residual"):
         solve_effective_lse(grid, mu, wave,
-                            eigensystem=WrongSignEigensystem(system))
+                            eigensystem=WrongContrastEigensystem(system))
     assert time.perf_counter() - t0 < 5.0
 
 
-def test_k0_preconditioner_fails_where_the_dense_lu_solves(eigensystems):
-    """The exact k=0 inverse does not carry GMRES to every k and mu: at
-    ball n=8, k = 2.5 and mu = 100 the preconditioned solve exhausts its
-    1,112-matvec budget (the start's residual, then 11 cycles of 100
-    iterations and one true residual each; about 1.1 s), and the dense LU
-    that follows solves the system to a residual of rounding size.  So
-    the dense LU cannot be retired on the preconditioner's account."""
+def test_k0_preconditioned_cocg_solves_where_gmres_failed(eigensystems,
+                                                          monkeypatch):
+    """The exact k=0 inverse does not help at every k and mu: at ball n=8,
+    k = 2.5 and mu = 100, where the preconditioned GMRES(100) exhausted
+    its budget and the dense LU followed, the preconditioned COCG
+    converges in 794 matvecs, about twice the 408 that COCG takes without
+    the preconditioner.  Both match the dense LU, which a budget of 2
+    matvecs forces, to the stopping tolerance 1e-8."""
     grid, system = eigensystems(unit_ball(), 8)
     wave = IncidentWave(2.5, (0, 0, 1), (1, 0, 0))
     mu = 100.0 * np.eye(3)
-    _, res, path, matvecs = solve_effective_lse(grid, mu, wave,
+    H, res, path, matvecs = solve_effective_lse(grid, mu, wave,
                                                 eigensystem=system)
-    assert (path, matvecs) == ("dense", 1112) and res <= 1e-12
+    assert (path, matvecs) == ("cocg", 794) and res <= lse.LSE_KRYLOV_TOL
+    Hu, res, path, matvecs = solve_effective_lse(grid, mu, wave)
+    assert (path, matvecs) == ("cocg", 408) and res <= lse.LSE_KRYLOV_TOL
+    monkeypatch.setattr(lse, "LSE_KRYLOV_BUDGET", 2)
+    Hd, res, path, _ = solve_effective_lse(grid, mu, wave)
+    assert path == "dense" and res <= 1e-12
+    for got in (H, Hu):
+        assert np.linalg.norm(got - Hd) <= 1e-8 * np.linalg.norm(Hd)
+
+
+def test_strongly_coupled_box_lse_converges_without_the_lu(monkeypatch):
+    """The lse study at c_r = 0.7 on box grid_n = 8 (512 cells, mu = 22.4,
+    k = 1.53): GMRES(100) spent its 1,111 matvecs there and the dense LU
+    followed; COCG converges in 477, and matches the LU, which a budget of
+    2 matvecs forces, within the stopping tolerance 1e-8 (7.9e-9)."""
+    sc = derive_scales(0.05, 0.9, 1.0, 1.0, "+", 0.7, 0.4)
+    xi = coupling_xi(sc.eta0, sc.k, sc.c0, sc.c_r)
+    mu = effective_mu(xi, p0_ball(), sc.sign)
+    grid = VolumeGrid(unit_box(), 8)
+    wave = IncidentWave(sc.k, (0, 0, 1), (1, 0, 0))
+    H, res, path, matvecs = solve_effective_lse(grid, mu, wave)
+    assert (path, matvecs) == ("cocg", 477) and res <= lse.LSE_KRYLOV_TOL
+    monkeypatch.setattr(lse, "LSE_KRYLOV_BUDGET", 2)
+    Hd, res, path, _ = solve_effective_lse(grid, mu, wave)
+    assert path == "dense" and res <= 1e-12
+    assert np.linalg.norm(H - Hd) <= 1e-8 * np.linalg.norm(Hd)
 
 
 SYMMETRY_OPS = [np.array(R) for R in (

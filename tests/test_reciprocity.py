@@ -28,8 +28,8 @@ def foldylax_problem(monkeypatch, a, c_r, path):
     scales = derive_scales(a, 0.9, 1.0, 1.0, "+", c_r, 0.4)
     cluster = generate_cluster(unit_box(), scales.d)
     if path == "dense":
-        # GMRES fails within two iterations, and the LU follows
-        monkeypatch.setattr(foldylax, "GMRES_RESTART", 2)
+        # the Krylov solve fails within two iterations, and the LU follows
+        monkeypatch.setattr(foldylax, "KRYLOV_BUDGET", 3)
 
     def solve(theta, p, xhat, q):
         sol = assemble_and_solve(cluster, scales, p0_ball(),
@@ -38,21 +38,21 @@ def foldylax_problem(monkeypatch, a, c_r, path):
         far = cluster_far_field(sol, cluster, scales, xhat).values[0]
         return q @ far, sol.vectors, sol.residual
 
-    tol = DENSE_TOL if path == "dense" else foldylax.GMRES_TOL
+    tol = DENSE_TOL if path == "dense" else foldylax.KRYLOV_TOL
     return solve, tol, scales.k ** 3 * scales.eta / (4 * np.pi), \
         cluster.count
 
 
 def lse_problem(monkeypatch, method):
     """The LSE on the ball n=10 (C = 552 cells) at xi = 2, k = 1.2, solved
-    by method "dense" (a GMRES budget of two iterations, which fails, and
-    the LU of its cells) or "gmres" (the dense limit set to 0)."""
+    by method "dense" (a budget of two iterations and a true residual,
+    which fails, and the LU of its cells) or "cocg" (the dense limit set
+    to 0)."""
     grid = VolumeGrid(unit_ball(), 10)
     mu, k = effective_mu_ball(2.0, "-"), 1.2
     if method == "dense":
-        monkeypatch.setattr(lse, "LSE_GMRES_RESTART", 2)
-        monkeypatch.setattr(lse, "LSE_GMRES_MAXITER", 1)
-    elif method == "gmres":
+        monkeypatch.setattr(lse, "LSE_KRYLOV_BUDGET", 3)
+    elif method == "cocg":
         monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
 
     def solve(theta, p, xhat, q):
@@ -61,19 +61,19 @@ def lse_problem(monkeypatch, method):
         far = effective_far_field(H, grid, mu, k, xhat).values[0]
         return q @ far, H, res
 
-    tol = DENSE_TOL if method == "dense" else lse.LSE_GMRES_TOL
+    tol = DENSE_TOL if method == "dense" else lse.LSE_KRYLOV_TOL
     return solve, tol, abs(k * grid.weight * (mu[0, 0] - 1)) / (4 * np.pi), \
         grid.count
 
 
 @pytest.mark.parametrize("problem", [
     lambda mp: foldylax_problem(mp, 0.05, 1.0, "dense"),     # N = 512
-    lambda mp: foldylax_problem(mp, 0.02, 2.0, "gmres"),     # N = 343
-    lambda mp: foldylax_problem(mp, 0.012, 2.0, "gmres"),    # N = 1331
+    lambda mp: foldylax_problem(mp, 0.02, 2.0, "cocg"),     # N = 343
+    lambda mp: foldylax_problem(mp, 0.012, 2.0, "cocg"),    # N = 1331
     lambda mp: lse_problem(mp, "dense"),
-    lambda mp: lse_problem(mp, "gmres"),
-], ids=["foldylax-dense", "foldylax-gmres-343", "foldylax-gmres",
-        "lse-dense", "lse-gmres"])
+    lambda mp: lse_problem(mp, "cocg"),
+], ids=["foldylax-dense", "foldylax-cocg-343", "foldylax-cocg",
+        "lse-dense", "lse-cocg"])
 def test_far_field_reciprocity(problem, monkeypatch):
     """q . E_inf(xhat; theta, p) = p . E_inf(-theta; -xhat, q).
 
