@@ -18,10 +18,10 @@ from .foldylax import (FarFieldSamples, FoldyLaxSolution, IncidentWave,
                        invertibility_margin)
 from .effective import (amplification_f, ball_moment_vectors,
                         ball_resonance_k4, classify_regime, coercivity_window,
-                        correction_g, coupling_xi, detuned_xi, dispersion_xi,
-                        effective_eps, effective_mu, effective_mu_ball,
-                        frequency_function_c, p0_ball, p0_from_moments,
-                        plasmonic_frequency, spectral_gap_delta, tensor_T)
+                        correction_g, coupling_xi, detuned_xi, effective_mu,
+                        effective_mu_ball, frequency_function_c, p0_ball,
+                        p0_from_moments, plasmonic_frequency,
+                        spectral_gap_delta, tensor_T)
 from .lse import (VolumeGrid, effective_far_field, magnetization_operator,
                   magnetization_spectrum, newtonian_operator,
                   newtonian_operator_norm, nnprime_inner_product,

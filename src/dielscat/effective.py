@@ -74,11 +74,6 @@ def effective_mu_ball(xi, sign):
     return (PI3 + s * 8.0 * xi) / denom * np.eye(3, dtype=complex)
 
 
-def effective_eps():
-    """Relative effective permittivity: always the identity."""
-    return np.eye(3, dtype=complex)
-
-
 def classify_regime(xi, sign):
     """Sign regime of the ball permeability for the given branch.
 
@@ -99,13 +94,6 @@ def classify_regime(xi, sign):
     if abs(xi - pole) < tol:
         return "degenerate"
     return "dielectric-positive" if xi < pole else "plasmonic-negative"
-
-
-def dispersion_xi(lam):
-    """Dispersion root xi_n = pi^3 / (4 (3 lam - 1)), needs lam > 1/3."""
-    if lam <= 1.0 / 3.0:
-        raise ValueError("dispersion root requires an eigenvalue > 1/3")
-    return PI3 / (4.0 * (3.0 * lam - 1.0))
 
 
 def detuned_xi(lam, beta):

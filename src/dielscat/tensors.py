@@ -107,6 +107,11 @@ def require_memory(nbytes, what):
                          "physical memory" % (what, nbytes, limit))
 
 
+# the bytes of x-transformed (y, z) frequency columns that
+# LatticeOperator.apply holds at a time
+APPLY_SLAB_BYTES = 1 << 18
+
+
 # axes in which each component of kernel_components is odd; the others, and
 # the scalar kind's one component, are even in every axis
 ODD = ((), (), (), (0, 1), (0, 2), (1, 2))
@@ -180,15 +185,37 @@ class LatticeOperator:
     Electroacoust. 19 (1971) 305): a (2n, n) forward matrix per axis reads
     only the n^3 non-zero inputs, an (n, 2n) inverse writes only the n^3
     outputs that are read, and both act on the field in its (m, X, Y, Z)
-    layout, so no axis is transposed and the padded input is never
-    allocated.  At these axis lengths the BLAS products beat numpy.fft's
-    transforms of the same pruned lines.  Median ms per apply of the LSE
-    kernel (k = 1.3) to a (C, 3) field on box grids, 2-vCPU Xeon, OpenBLAS
-    with 2 threads (BENCH_19.json has the ball grids and the spectra):
+    layout, so no axis is transposed.  At these axis lengths the BLAS
+    products beat numpy.fft's transforms of the same pruned lines
+    (BENCH_19.json).
 
-        n                        7     12     20     40     64     96
-        numpy.fft, pruned     0.48   1.28   6.90    133    731   2682
-        DFT matrices          0.25   0.78   4.75     81    384   1683
+    apply allocates nothing but its result.  Its work arrays are made once
+    per operator, on the first apply and after the spectrum, for the
+    kind's m field components (the scalar kind takes a (C, m) field one
+    column at a time): a y-stage array of m nx 2ny 2nz values, which also
+    holds the scattered input and the result that is gathered, and one
+    array shared by the z stage (m nx ny 2nz values) and the x stage.
+    Scatter and gather go through one flat index of the cells.  The x
+    stage (the forward x transform, the 3x3 spectral product and the
+    inverse x transform) runs over slabs of the flattened (y, z)
+    frequency columns, APPLY_SLAB_BYTES of x-transformed columns at a
+    time, one output component at a time, and writes each slab's result
+    back into the y-stage array; so the x-transformed field, m (2n)^3
+    values, is never held whole.  Beyond the spectrum an operator keeps
+    m/2 complex values per (2n)^3 entry, and m/4 or the slab budget,
+    whichever is more; an apply adds only its result: 0.76 MB in all at
+    box n = 12 (3x3 kernel), 2.8 MB at n = 20 and 21.6 MB at n = 40,
+    against the 1.6, 7.6 and 60.4 MB that every apply allocated when it
+    made its work arrays afresh.  Median ms per apply of the LSE kernel
+    (k = 1.3) to a (C, 3) field on box grids, fresh processes, ten
+    alternating pairs, 2-vCPU Xeon, OpenBLAS with 1 and 2 threads
+    (BENCH_27.json):
+
+        n                                 12      20      40
+        per-call arrays, 1 thread       1.50    6.87    79.1
+        kept arrays, slabs, 1 thread    1.22    4.61    61.0
+        per-call arrays, 2 threads      1.57    7.27    70.7
+        kept arrays, slabs, 2 threads   0.99    4.93    60.1
 
     The spectrum and the work arrays of an apply to a (C, 3) field must fit
     in physical memory: ValueError, naming the extent and the byte count,
@@ -208,17 +235,22 @@ class LatticeOperator:
         self.self_term = self_term
         self.m = 1 if kind == "scalar" else 3
         self.dtype = np.result_type(complex if k else float, self_term)
-        # complex values per (2n)^3 spectrum entry held while an apply to a
-        # (C, 3) field runs, the spectrum's 6 or 1 included: traced at up to
-        # 13.75 (3x3 kinds) and 7.46 (scalar) on box and ball grids of n = 6
-        # to 20
-        per_entry = 8 if self.m == 1 else 15
+        # complex values per (2n)^3 spectrum entry held, beyond the slab
+        # budget, while the spectrum is built and an apply to a (C, 3)
+        # field runs, the spectrum's 6 or 1 and the work arrays included:
+        # traced at up to 8.7 (3x3 kinds) and 2.2 (scalar) on box and ball
+        # grids of n = 4 to 24
+        per_entry = 3 if self.m == 1 else 10
         entries = math.prod(2 * int(n) for n in self.extent)
-        require_memory(16 * entries * per_entry,
+        require_memory(16 * entries * per_entry + APPLY_SLAB_BYTES,
                        "lattice operator on a %d x %d x %d extent"
                        % tuple(self.extent))
-        occupied = np.zeros(tuple(self.extent), dtype=bool)
-        occupied[tuple(self.ijk.T)] = True
+        # flat index of each cell in the n^3 bounding box, through which
+        # apply scatters the field and gathers the result
+        self.sites = np.ravel_multi_index(tuple(self.ijk.T),
+                                          tuple(self.extent))
+        occupied = np.zeros(entries // 8, dtype=bool)
+        occupied[self.sites] = True
         if np.count_nonzero(occupied) < self.count:
             raise ValueError("two cells of the lattice operator share a site")
 
@@ -268,40 +300,88 @@ class LatticeOperator:
                 np.negative(out, out=out)
         return spec
 
+    @functools.cached_property
+    def _work(self):
+        """The apply's work arrays, made on the first apply and after the
+        spectrum, for m = 1 or 3 field components: the y-stage array of
+        m nx 2ny 2nz complex values, a shared array that holds the z
+        stage (m nx ny 2nz values) and then the x stage's slabs, the
+        number of (2nx, width) planes in a slab, and the slab width in
+        (y, z) frequency columns."""
+        # the spectrum first, so that its build's temporaries are freed
+        # before these arrays are made
+        self.spectrum
+        m = self.m
+        nx, ny, nz = (int(n) for n in self.extent)
+        # the m x-transformed components and, for a 3x3 kernel, one
+        # product and one term
+        planes = m + 2 if m == 3 else 1
+        width = min(4 * ny * nz,
+                    max(1, APPLY_SLAB_BYTES // (16 * planes * 2 * nx)))
+        ystage = np.empty(m * nx * 4 * ny * nz, dtype=complex)
+        shared = np.empty(max(m * nx * ny * 2 * nz, planes * 2 * nx * width),
+                          dtype=complex)
+        return ystage, shared, planes, width
+
     def apply(self, F):
         """A F by pruned DFT convolution; real if the kernel, self term and
-        F are."""
+        F are.  The field goes through the transforms m columns at a time,
+        so the scalar kind takes a (C, m) field one column at a time."""
         F = np.asarray(F)
         cols = F.reshape(self.count, -1)
-        m = cols.shape[1]
+        out = np.multiply(cols, self.self_term,
+                          dtype=np.result_type(self.dtype, F.dtype))
+        for j in range(0, cols.shape[1], self.m):
+            self._convolve(cols[:, j:j + self.m], out[:, j:j + self.m])
+        return out.reshape(F.shape)
+
+    def _convolve(self, cols, out):
+        """Add the convolution of the (C, m) field cols to out, in the
+        work arrays and with every product written in place."""
+        ystage, shared, planes, width = self._work
+        m = self.m
         nx, ny, nz = (int(n) for n in self.extent)
         (fx, gx), (fy, gy), (fz, gz) = (pruned_dft(n) for n in (nx, ny, nz))
-        cells = tuple(self.ijk.T)
-        grid = np.zeros((m, nx, ny, nz), dtype=complex)
-        grid[(slice(None),) + cells] = cols.T
-        # forward z, y, x: each doubles one axis
-        spec = (grid.reshape(-1, nz) @ fz.T).reshape(m, nx, ny, 2 * nz)
-        spec = fx @ (fy @ spec).reshape(m, nx, -1)
-        spec = spec.reshape(m, 2 * nx, 2 * ny, 2 * nz)
-        K = self.spectrum
-        if self.m == 1:
-            spec *= K[0]
-        else:
-            prod = np.empty_like(spec)
-            term = np.empty_like(spec[0])
+        zstage = shared[:m * nx * ny * 2 * nz]
+        grid = ystage[:m * nx * ny * nz].reshape(m, -1)
+        grid.fill(0.0)
+        grid[:, self.sites] = cols.T
+        # forward z, y: each doubles one axis
+        np.matmul(grid.reshape(-1, nz), fz.T,
+                  out=zstage.reshape(-1, 2 * nz))
+        np.matmul(fy, zstage.reshape(m * nx, ny, 2 * nz),
+                  out=ystage.reshape(m * nx, 2 * ny, 2 * nz))
+        # forward x, the spectral product and inverse x, a slab of (y, z)
+        # frequency columns at a time, the result written back in place
+        field = ystage.reshape(m, nx, -1)
+        K = self.spectrum.reshape(len(self.spectrum), 2 * nx, -1)
+        columns = field.shape[2]
+        for s in range(0, columns, width):
+            w = min(width, columns - s)
+            slab = shared[:planes * 2 * nx * w].reshape(planes, 2 * nx, w)
+            for b in range(m):
+                np.matmul(fx, field[b, :, s:s + w], out=slab[b])
+            if m == 1:
+                np.multiply(slab[0], K[0, :, s:s + w], out=slab[0])
+                np.matmul(gx, slab[0], out=field[0, :, s:s + w])
+                continue
+            prod, term = slab[3], slab[4]
             for a in range(3):
-                np.multiply(K[SYM[a][0]], spec[0], out=prod[a])
+                np.multiply(K[SYM[a][0], :, s:s + w], slab[0], out=prod)
                 for b in (1, 2):
-                    prod[a] += np.multiply(K[SYM[a][b]], spec[b], out=term)
-            spec = prod
-        # inverse x, y, z: each keeps the first half of one axis
-        spec = gx @ spec.reshape(m, 2 * nx, -1)
-        spec = gy @ spec.reshape(m, nx, 2 * ny, 2 * nz)
-        spec = spec.reshape(-1, 2 * nz) @ gz.T
-        out = spec.reshape(m, nx, ny, nz)[(slice(None),) + cells].T
-        if np.result_type(self.dtype, F.dtype) == float:
-            out = out.real
-        return (out + self.self_term * cols).reshape(F.shape)
+                    prod += np.multiply(K[SYM[a][b], :, s:s + w], slab[b],
+                                        out=term)
+                np.matmul(gx, prod, out=field[a, :, s:s + w])
+        # inverse y, z: each keeps the first half of one axis
+        np.matmul(gy, ystage.reshape(m * nx, 2 * ny, 2 * nz),
+                  out=zstage.reshape(m * nx, ny, 2 * nz))
+        result = ystage[:m * nx * ny * nz]
+        np.matmul(zstage.reshape(-1, 2 * nz), gz.T,
+                  out=result.reshape(-1, nz))
+        values = shared[:m * self.count].reshape(m, -1)
+        np.take(result.reshape(m, -1), self.sites, axis=1, out=values,
+                mode="clip")
+        out += values.real.T if out.dtype.kind == "f" else values.T
 
     def dense(self, cells=None):
         """The (m C)x(m C) matrix of the operator, or only its rows at the

@@ -552,7 +552,7 @@ def test_cli_lse_refuses_a_lattice_operator_larger_than_memory(
     physical memory as the operator is built: with the host one byte short
     of what the 8^3 grid's (2 x 8)^3 spectrum needs, the run fails at once
     (exit 1), naming the extent and the byte count."""
-    need = 16 * 16 ** 3 * 15
+    need = 16 * 16 ** 3 * 10 + tensors.APPLY_SLAB_BYTES
     monkeypatch.setattr(tensors, "physical_memory", lambda: need - 1)
     cfg = write_config(tmp_path, STUDY_DOCS["lse"])
     assert main(["lse", "--config", cfg, "--out", str(tmp_path / "out"),

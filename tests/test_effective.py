@@ -4,8 +4,7 @@ import pytest
 from dielscat.effective import (amplification_f, ball_moment_vectors,
                                 ball_resonance_k4, classify_regime,
                                 coercivity_window, correction_g, coupling_xi,
-                                detuned_xi, dispersion_xi, effective_eps,
-                                effective_mu, effective_mu_ball,
+                                detuned_xi, effective_mu, effective_mu_ball,
                                 frequency_function_c, p0_ball,
                                 p0_from_moments, plasmonic_frequency,
                                 spectral_gap_delta, tensor_T)
@@ -91,25 +90,22 @@ def test_tensor_T_refuses_only_within_the_pole_tolerance():
                 <= 10.0 ** (j - 15) * abs(want[0, 0])
 
 
-def test_effective_eps_is_identity():
-    assert np.array_equal(effective_eps(), np.eye(3, dtype=complex))
-
-
 def test_coupling_xi():
     assert coupling_xi(2.0, 3.0, 4.0, 0.5) == pytest.approx(
         2.0 * 9.0 / (4.0 * 0.125))
 
 
 def test_dispersion_and_detuning():
+    """At beta = 0 the detuned coupling is the dispersion root
+    pi^3 / (4 (3 lam - 1)), and beta shifts it by beta pi^3 / 4."""
     lam = 0.4
-    xi0 = dispersion_xi(lam)
+    xi0 = detuned_xi(lam, 0.0)
     assert xi0 == pytest.approx(PI3 / (4 * (3 * lam - 1)))
-    assert detuned_xi(lam, 0.0) == pytest.approx(xi0)
     beta = 1e-3
     assert detuned_xi(lam, beta) == pytest.approx(
         xi0 + beta * PI3 / 4, rel=1e-12)
     with pytest.raises(ValueError):
-        dispersion_xi(0.3)
+        detuned_xi(0.3, 0.0)
 
 
 def test_resonant_denominator_identity():

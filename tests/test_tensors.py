@@ -196,12 +196,12 @@ def test_lattice_operator_real_in_real_out():
 UNEVEN_EXTENTS = [(7, 3, 1), (2, 5, 4), (1, 6, 2)]
 
 
-def uneven_lattice(extent, seed):
-    """A random two-thirds of the cells of a box, keeping both corners so
-    the bounding box is the full extent."""
+def uneven_lattice(extent, seed, share=2.0 / 3.0):
+    """A random share (two-thirds) of the cells of a box, keeping both
+    corners so the bounding box is the full extent."""
     ijk = np.stack(np.unravel_index(np.arange(np.prod(extent)), extent),
                    axis=1)
-    keep = np.random.default_rng(seed).random(len(ijk)) < 2.0 / 3.0
+    keep = np.random.default_rng(seed).random(len(ijk)) < share
     keep[[0, -1]] = True
     return ijk[keep]
 
@@ -385,6 +385,63 @@ def test_lattice_operator_properties(shape, mask, kind, k, seed):
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
     want = (A @ F.reshape(-1)).reshape(-1, 3) if op.m == 3 else A @ F
     assert np.linalg.norm(op.apply(F) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# (kind, k, field columns or None for a (C,) field, real field)
+REUSE_CASES = [("dyadic", 1.3, 3, False), ("hessian", 1.3, 3, False),
+               ("scalar", 1.3, None, False), ("scalar", 1.3, 3, False),
+               ("hessian", 0.0, 3, True)]
+
+
+@pytest.mark.parametrize("lattice", ["ball", "uneven box"])
+@pytest.mark.parametrize("kind, k, columns, real", REUSE_CASES)
+def test_apply_reuses_its_work_arrays(lattice, kind, k, columns, real):
+    """Two different fields in a row through one operator, whose work
+    arrays the first apply makes and the second reuses: each result equals
+    dense() @ F to 1e-12.  The ball leaves sites of its bounding box
+    unoccupied, which the zero-padded input must keep at 0; the 13 x 17 x
+    11 box ends its x stage on a partial slab for every kind.  At k = 0 a
+    real field gives a float64 result."""
+    if lattice == "ball":
+        grid = VolumeGrid(unit_ball(), 8)
+        ijk, pitch = grid.ijk, grid.d
+    else:
+        ijk, pitch = uneven_lattice((13, 17, 11), 6, 0.1), 0.1
+    op = LatticeOperator(ijk, pitch, kind, k, 0.8, 0.1)
+    if lattice != "ball":
+        width = op._work[-1]
+        assert (4 * 17 * 11) % width and 4 * 17 * 11 > width
+    A = op.dense()
+    rng = np.random.default_rng(9)
+    shape = (len(ijk),) if columns is None else (len(ijk), columns)
+    for _ in range(2):
+        F = rng.normal(size=shape)
+        if not real:
+            F = F + 1j * rng.normal(size=shape)
+        got = op.apply(F)
+        want = (A @ F.reshape(-1)).reshape(shape) if op.m == 3 else A @ F
+        assert got.shape == shape
+        assert got.dtype == (np.float64 if real else np.complex128)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "scalar"])
+@pytest.mark.parametrize("domain", [unit_box(), unit_ball()])
+def test_a_second_apply_allocates_no_work_arrays(kind, domain):
+    """The work arrays are made once per operator: applying it again to a
+    (C, 3) field peaks at less than one (2n)^3 complex array beyond its
+    output, on the n = 12 grids."""
+    grid = VolumeGrid(domain, 12)
+    op = LatticeOperator(grid.ijk, grid.d, kind, 1.3, grid.weight, 0.2)
+    F = np.random.default_rng(2).normal(size=(grid.count, 3)) + 0j
+    op.apply(F)
+    tracemalloc.start()
+    try:
+        out = op.apply(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * np.prod(2 * op.extent) + out.nbytes
 
 
 @pytest.mark.parametrize("kind", ["dyadic", "scalar"])
