@@ -4,20 +4,20 @@
 
 import numpy as np
 
-from .linalg import solve_coupled
+from .linalg import scalar, solve_coupled
 from .tensors import LatticeOperator, cis, spectral_norm
 
 KRYLOV_TOL = 1e-10
-# the matvec budget: 101, 12x the 8 matvecs of the converge-box solves
-# (N=343 and N=1331) and 6x the 17 of the README's foldylax config (N=512);
-# a solve not converged within it takes the dense LU up to
+# the COCG matvec budget: 101, 12x the 8 matvecs of the converge-box
+# solves (N=343 and N=1331) and 6x the 17 of the README's foldylax config
+# (N=512); a solve not converged within it takes the dense LU up to
 # linalg.DENSE_LIMIT particles
 KRYLOV_BUDGET = 101
 
 # perfbench/probes.py still wraps these names, and perfbench's tests need
-# every probe target to resolve.  The solve runs its Krylov method inside
-# linalg.solve_coupled and applies its kernel by LatticeOperator, so they
-# hold None until the probes are refreshed.
+# every probe target to resolve.  The solve runs COCG inside
+# linalg.solve_coupled and applies its kernel by LatticeOperator, so
+# they hold None until the probes are refreshed.
 gmres = _apply_offdiag = dyadic_sum_chunked = dyadic_kernel_scalars = None
 
 
@@ -51,9 +51,9 @@ def incident_magnetic_many(wave, points):
 
 class FoldyLaxSolution:
     """Per-particle solution vectors Q_m plus the achieved relative residual,
-    and how they were found: path "cocg", "gmres" or "dense" (the LU after
-    a failed Krylov solve), with the Krylov matvec count, on the dense path
-    the matvecs spent before the Krylov solve failed."""
+    and how they were found: path "cocg" or "dense" (the LU after a failed
+    COCG solve), with the COCG matvec count, on the dense path the matvecs
+    spent before COCG failed."""
 
     def __init__(self, vectors, residual, margin=None, margin_warning=False,
                  path=None, matvecs=0):
@@ -117,36 +117,38 @@ def coupling_constant(scales):
 def assemble_and_solve(cluster, scales, p0, wave):
     """Solve the point-interaction system (I - B) Q = rhs for the Q_m.
 
-    B = coupling * P0.Y_k between distinct particles.  linalg.solve_coupled
-    solves the rescaled system U - coupling * Y_k.(P0 U) = ik H_inc, and
-    Q_m = (a^{5-h} / sign c0) P0.U_m solves the Q-form system for every P0.
-    solve_coupled runs a matrix-free Krylov method within KRYLOV_BUDGET
-    matvecs: COCG for a scalar P0 such as the ball's, whose system is
-    complex symmetric, and restarted GMRES for any other P0.  It applies
-    the kernel by FFT on the particle lattice, so memory stays O(count),
-    and solves by the dense (3N)^2 LU only when the Krylov solve fails
-    within its budget at N <= linalg.DENSE_LIMIT.  The invertibility
-    margin, the paper's bound on |B|_2 (below 1: a Neumann-series
-    contraction), is reported with the solution and flagged from 1 up.
-    The solution records its path, its matvec count and the relative
-    residual of the rescaled system; a failed Krylov solve above
-    DENSE_LIMIT raises RuntimeError naming its method, matvec count,
+    B = coupling * P0.Y_k between distinct particles, for P0 = p I, a
+    scalar polarization tensor such as the ball's (and any particle's
+    with cube symmetry); any other P0 raises ValueError before a solve
+    (linalg.scalar), since only a scalar one makes the system complex
+    symmetric.  linalg.solve_coupled solves the rescaled system
+    U - coupling * Y_k.(p U) = ik H_inc, and Q_m = (a^{5-h} / sign c0) p U_m
+    solves the Q-form system.  solve_coupled runs COCG matrix-free within
+    KRYLOV_BUDGET matvecs, applying the kernel by FFT on the particle
+    lattice, so memory stays O(count), and solves by the dense (3N)^2 LU
+    only when COCG fails within its budget at N <= linalg.DENSE_LIMIT.
+    The invertibility margin, the paper's bound on |B|_2 (below 1: a
+    Neumann-series contraction), is reported with the solution and flagged
+    from 1 up.  The solution records its path, its matvec count and the
+    relative residual of the rescaled system; a failed COCG solve above
+    DENSE_LIMIT raises RuntimeError naming COCG, its matvec count,
     residual and margin.
     """
     if abs(wave.k - scales.k) > 1e-10 * scales.k:
         raise ValueError("wave.k inconsistent with the derived scales")
+    p = scalar(p0, "P0")
     margin = invertibility_margin(scales, p0)
     b = 1j * scales.k * incident_magnetic_many(wave, cluster.centers)
     try:
         U, res, path, matvecs = solve_coupled(
             LatticeOperator(cluster.ijk, cluster.d, "dyadic", scales.k),
-            coupling_constant(scales), p0, b, rtol=KRYLOV_TOL,
+            coupling_constant(scales), p, b, rtol=KRYLOV_TOL,
             budget=KRYLOV_BUDGET)
     except RuntimeError as exc:
         raise RuntimeError("point-interaction %s, invertibility margin=%.3g"
                            % (exc, margin)) from exc
     s = scales
-    Q = s.a ** (5.0 - s.h) / (s.sign * s.c0) * U @ p0.T
+    Q = s.a ** (5.0 - s.h) / (s.sign * s.c0) * U * p
     return FoldyLaxSolution(Q, res, margin=margin,
                             margin_warning=margin >= 1.0, path=path,
                             matvecs=matvecs)

@@ -10,13 +10,13 @@ from .effective import detuned_xi, effective_mu_ball, plasmonic_frequency
 from .foldylax import (IncidentWave, incident_magnetic_many,
                        source_far_field)
 from .geometry import lattice_cluster
-from .linalg import solve_coupled
+from .linalg import scalar, solve_coupled
 from .symmetry import REDUCE_CHUNK_BYTES, SymmetryBasis
 from .tensors import (FOUR_PI, LatticeOperator, direction_grid,
                       require_memory)
 
 LSE_KRYLOV_TOL = 1e-8
-# the matvec budget: 1,111, 13x the 86 matvecs of the slowest
+# the COCG matvec budget: 1,111, 13x the 86 matvecs of the slowest
 # preconditioned solve in the tests and benchmark workloads (ball n=10 at
 # eta0 = 1, k ~ 1.6; the resonance-ball workload needs 3 per detuning and 1
 # for its off-resonance row) and 2.3x the 477 of the strongly coupled box
@@ -25,10 +25,10 @@ LSE_KRYLOV_TOL = 1e-8
 LSE_KRYLOV_BUDGET = 1111
 
 # perfbench/probes.py still wraps these names, and perfbench's tests need
-# every probe target to resolve.  The solve runs its Krylov method and the
-# dense LU inside linalg.solve_coupled, and the dense k=0 Magnetization
-# matrix is magnetization_operator(grid).dense(), so they hold None until
-# the probes are refreshed.
+# every probe target to resolve.  The solve runs COCG and the dense LU
+# inside linalg.solve_coupled, and the dense k=0 Magnetization matrix is
+# magnetization_operator(grid).dense(), so they hold None until the probes
+# are refreshed.
 gmres = lu_factor = lu_solve = magnetization_matrix = None
 
 # discrete eigenvalues this close to 0 or 1 are treated as the images of the
@@ -168,51 +168,50 @@ def solve_effective_lse(grid, mu, wave, eigensystem=None):
     """Solve the discretized Lippmann-Schwinger system A(k) H = ik H_inc.
 
     The effective medium alters the permeability alone: mu is its relative
-    permeability, a 3x3 tensor, and the wave its incident field, of
-    wavenumber k = wave.k.  A(k) H = H - (G_k + sigma_k I)((mu - I) H),
-    with G_k + sigma_k I the LSE kernel DyadicVolumeOperator, is solved by
-    linalg.solve_coupled (c = 1, P = mu - I) within LSE_KRYLOV_BUDGET
-    matvecs of the FFT kernel operator: by COCG for a scalar mu, whose
-    system is complex symmetric, and by restarted GMRES for any other; the
-    dense LU follows only when that solve fails within its budget at
-    C <= linalg.DENSE_LIMIT cells.
+    permeability, a 3x3 tensor that must be a scalar m I (linalg.scalar:
+    any other mu raises ValueError before anything is built, since only a
+    scalar one makes the system complex symmetric), and the wave its
+    incident field, of wavenumber k = wave.k.  The system
+    A(k) H = H - (G_k + sigma_k I)((m - 1) H), with G_k + sigma_k I the
+    LSE kernel DyadicVolumeOperator, is solved by linalg.solve_coupled
+    (c = 1, p = m - 1): by COCG within LSE_KRYLOV_BUDGET matvecs of the
+    FFT kernel operator, and by the dense LU only when COCG fails within
+    its budget at C <= linalg.DENSE_LIMIT cells.
 
-    With eigensystem = magnetization_eigensystem(grid) (only for a scalar
-    mu = m I; any other mu raises ValueError), COCG is preconditioned by
-    the exact inverse of A(0) and started from A(0)^-1 b.  A(0) is exact to
-    invert: Y_0 is the Magnetization kernel grad grad Phi_0 with weight -w
-    and sigma_0 = -1/3 is minus its self term, so G_0 + sigma_0 I = -M and
-    A(0) = I + (m - 1) M, which the eigensystem inverts block by block
-    under the cube symmetry (MagnetizationEigensystem.inverse: per orbit
-    gather, V_G diag(1 / (1 + (m - 1) lambda)) V_G^T per irrep block G,
-    scatter back; no 3C x 3C product).  That inverse is complex symmetric,
+    With eigensystem = magnetization_eigensystem(grid), COCG is
+    preconditioned by the exact inverse of A(0) and started from
+    A(0)^-1 b.  A(0) is exact to invert: Y_0 is the Magnetization kernel
+    grad grad Phi_0 with weight -w and sigma_0 = -1/3 is minus its self
+    term, so G_0 + sigma_0 I = -M and A(0) = I + (m - 1) M, which the
+    eigensystem inverts block by block under the cube symmetry
+    (MagnetizationEigensystem.inverse: per orbit gather,
+    V_G diag(1 / (1 + (m - 1) lambda)) V_G^T per irrep block G, scatter
+    back; no 3C x 3C product).  That inverse is complex symmetric,
     as COCG's preconditioner must be.  A(k) - A(0) = O(k^2), so at the
     quasi-static k of the resonance study COCG stops after one iteration,
     and it still converges, in more, at k ~ 1.  COCG tests convergence on
     the true residual b - A x.  A k=0 operator that is singular at this mu
-    raises RuntimeError.  A Krylov solve, with or without the
+    raises RuntimeError.  A COCG solve, with or without the
     preconditioner, that is not converged within LSE_KRYLOV_BUDGET matvecs
     or is not finite falls back to the dense LU, and above DENSE_LIMIT
-    raises RuntimeError naming its method, matvec count and relative
+    raises RuntimeError naming COCG, its matvec count and relative
     residual.
 
     A grid that does not resolve k (require_resolved) raises ValueError
     naming k and the cell side before anything is solved.
 
-    Returns (H, relative residual, path "cocg", "gmres" or "dense",
-    Krylov matvec count), as solve_coupled does.
+    Returns (H, relative residual, path "cocg" or "dense", COCG matvec
+    count), as solve_coupled does.
     """
     require_resolved(grid, wave.k)
-    contrast = np.asarray(mu, dtype=complex) - np.eye(3)
+    contrast = scalar(np.asarray(mu, dtype=complex) - np.eye(3), "mu - I")
     rhs = 1j * wave.k * incident_magnetic_many(wave, grid.centers)
     precond = x0 = None
     if eigensystem is not None:
-        if not np.array_equal(contrast, contrast[0, 0] * np.eye(3)):
-            raise ValueError("the k=0 preconditioner needs a scalar mu = m I")
-        precond = eigensystem.inverse(contrast[0, 0])
+        precond = eigensystem.inverse(contrast)
         x0 = precond(rhs.reshape(-1))
-        # a NaN start fails the Krylov solve at once and sends it to the
-        # dense LU, which would hide this fault
+        # a NaN start fails COCG at once and sends it to the dense LU,
+        # which would hide this fault
         if not np.all(np.isfinite(x0)):
             raise RuntimeError("the k=0 preconditioned start is not finite")
     try:

@@ -102,30 +102,25 @@ def test_u_form_consistency():
     assert u_form_residual(cluster, scales, p0, wave, U) <= 1e-9
 
 
-def test_anisotropic_p0_solves_the_q_form_system(monkeypatch):
-    """The solver works on the rescaled system U - c Y.(P0 U) = ik H_inc
-    and returns Q = (a^{5-h} / sign c0) P0.U, which solves the Q-form
-    system Q - c P0.Y.Q = rhs for any P0, not only for the ball's multiple
-    of I.  Checked against the Q-form matrix assembled here, for a generic
-    symmetric positive definite P0 of the ball's norm, on the dense path
-    (N = 512, where a budget of two iterations and a true residual fails)
-    and on the GMRES path (N = 343) that a P0 other than a multiple of I
-    takes."""
+def test_anisotropic_p0_is_refused_before_a_solve(monkeypatch):
+    """Only a scalar P0 = p I, such as the ball's, makes the coupled system
+    complex symmetric, as COCG needs it (test_linalg's
+    test_only_a_scalar_p_makes_the_coupled_matrix_symmetric): a generic
+    symmetric positive definite P0 of the ball's norm raises ValueError
+    naming P0, with no kernel apply run."""
     rng = np.random.default_rng(12)
     R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     p0 = (R * np.array([1.0, 0.8, 0.6])) @ R.T * (12.0 / np.pi ** 3)
-    for a, c_r, budget, path in [
-            (0.05, 1.0, 3, "dense"),
-            (0.02, 2.0, foldylax.KRYLOV_BUDGET, "gmres")]:
-        monkeypatch.setattr(foldylax, "KRYLOV_BUDGET", budget)
-        scales, cluster, wave = small_setup(a=a, c_r=c_r)
-        sol = assemble_and_solve(cluster, scales, p0, wave)
-        assert sol.path == path
-        n = cluster.count
-        A = np.eye(3 * n) - offdiag_matrix(cluster, scales, p0)
-        rhs = q_form_rhs(cluster, scales, p0, wave).reshape(-1)
-        defect = A @ sol.vectors.reshape(-1) - rhs
-        assert np.linalg.norm(defect) <= 1e-10 * np.linalg.norm(rhs)
+
+    def refuse(self, *args):
+        raise AssertionError("kernel applied")
+
+    monkeypatch.setattr(LatticeOperator, "apply", refuse)
+    monkeypatch.setattr(LatticeOperator, "dense", refuse)
+    scales, cluster, wave = small_setup(a=0.05)
+    with pytest.raises(ValueError,
+                       match=r"^P0 must be a scalar multiple of I$"):
+        assemble_and_solve(cluster, scales, p0, wave)
 
 
 def test_far_field_transversality():
