@@ -128,19 +128,28 @@ def random_system(n, seed):
     return A, b
 
 
-def test_cocg_zero_rhs_returns_zero():
+def jacobi(A, preconditioned):
+    """The Jacobi preconditioner diag(A)^-1 as a psolve, or None."""
+    return (lambda v: v / np.diag(A)) if preconditioned else None
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_cocg_zero_rhs_returns_zero(preconditioned):
     A, b = random_system(8, 0)
-    x, info, rnorm = linalg.cocg(lambda v: A @ v, 0 * b, x0=b, rtol=1e-10,
-                                 budget=10)
+    x, info, rnorm = linalg.cocg(lambda v: A @ v, 0 * b, x0=b,
+                                 psolve=jacobi(A, preconditioned),
+                                 rtol=1e-10, budget=10)
     assert info == 0 and not x.any() and rnorm == 0.0
 
 
-def test_cocg_returns_a_converged_start_after_one_matvec():
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_cocg_returns_a_converged_start_after_one_matvec(preconditioned):
     A, b = random_system(8, 1)
     x0 = np.linalg.solve(A, b)
     counts = [0]
     x, info, rnorm = linalg.cocg(counted(lambda v: A @ v, counts, 0), b,
-                                 x0=x0, rtol=1e-10, budget=10)
+                                 x0=x0, psolve=jacobi(A, preconditioned),
+                                 rtol=1e-10, budget=10)
     assert info == 0 and counts == [1]
     assert rnorm == np.linalg.norm(b - A @ x0)
     assert np.array_equal(x, x0) and x is not x0
@@ -165,10 +174,10 @@ def test_cocg_matches_the_dense_lu(preconditioned, matvecs):
     it reports, and matches the LU to 1e-9."""
     A, b = random_symmetric_system(60, 2)
     assert np.array_equal(A, A.T) and not np.allclose(A, A.conj().T)
-    psolve = (lambda v: v / np.diag(A)) if preconditioned else None
     counts = [0]
     x, info, rnorm = linalg.cocg(counted(lambda v: A @ v, counts, 0), b,
-                                 psolve=psolve, rtol=1e-12, budget=200)
+                                 psolve=jacobi(A, preconditioned),
+                                 rtol=1e-12, budget=200)
     assert info == 0 and counts == [matvecs]
     assert rnorm == np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
     want = np.linalg.solve(A, b)
@@ -207,20 +216,22 @@ def test_cocg_stops_at_once_on_a_breakdown():
     assert rnorm == np.linalg.norm(b)
 
 
-def test_cocg_peak_memory_is_the_checked_vector_count():
-    """Preconditioned and from a nonzero start, on n = 30,000 unknowns with
-    a matvec that allocates only its result, COCG's traced peak stays
-    within the COCG_VECTORS n-vectors that solve_coupled checks."""
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_cocg_peak_memory_is_the_checked_vector_count(preconditioned):
+    """With and without a preconditioner and from a nonzero start, on
+    n = 30,000 unknowns with a matvec that allocates only its result,
+    COCG's traced peak stays within the COCG_VECTORS n-vectors that
+    solve_coupled checks."""
     n = 30_000
     rng = np.random.default_rng(6)
     d = 1.0 + 0.5 * rng.random(n) + 0.1j
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
     x0 = 0.5 * b
+    psolve = (lambda v: v / d.real) if preconditioned else None
     tracemalloc.start()
     try:
-        info = linalg.cocg(lambda v: d * v, b, x0=x0,
-                           psolve=lambda v: v / d.real, rtol=1e-14,
-                           budget=30)[1]
+        info = linalg.cocg(lambda v: d * v, b, x0=x0, psolve=psolve,
+                           rtol=1e-14, budget=30)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -292,6 +303,9 @@ class CountedKernel:
 GENERIC_P = 0.3 * np.eye(3) + 0.05j
 SCALAR = 0.3 + 0.05j
 SCALAR_P = SCALAR * np.eye(3)
+# a real p, as the ball's P0 is, and a complex one, as mu - I of a lossy
+# medium is
+SCALARS = [0.3, SCALAR]
 
 
 def coupled_system():
@@ -323,7 +337,7 @@ def test_only_a_scalar_p_makes_the_coupled_matrix_symmetric():
     symmetric P that is not a multiple of I it is not, since its transpose
     is I - c (I x P) K.  So COCG, which needs a complex-symmetric matrix,
     is the one method of solve_coupled, and linalg.scalar refuses any
-    other P by name before a solve; it returns p of P = p I."""
+    other P before a solve (test_scalar_refuses_any_other_tensor_by_name)."""
     kernel, b = coupled_system()
     K = kernel.op.dense()
     assert np.array_equal(K, K.T)
@@ -332,18 +346,32 @@ def test_only_a_scalar_p_makes_the_coupled_matrix_symmetric():
     assert np.array_equal(GENERIC_P, GENERIC_P.T)
     A = coupled_matrix(kernel, 0.8, GENERIC_P, b.shape[0])
     assert np.abs(A - A.T).max() > 1e-3 * np.abs(A).max()
-    assert linalg.scalar(SCALAR_P, "P") == SCALAR
-    for P in (GENERIC_P, np.diag([0.5, 0.4, 0.3]), SCALAR * np.eye(2)):
-        with pytest.raises(ValueError,
-                           match=r"^P must be a scalar multiple of I$"):
-            linalg.scalar(P, "P")
     assert linalg.solve_coupled(kernel, 0.8, SCALAR, b, rtol=1e-10,
                                 budget=42)[2] == "cocg"
 
 
-def test_solve_coupled_reports_the_cocg_exit_residual_without_an_apply():
-    """A weakly coupled system takes COCG, which converges within its
-    budget, so no dense matrix is built.  The residual is the one COCG
+@pytest.mark.parametrize("p", SCALARS)
+def test_scalar_returns_p_of_p_times_i(p):
+    got = linalg.scalar(p * np.eye(3), "P")
+    assert got == p and np.ndim(got) == 0
+
+
+@pytest.mark.parametrize("P", [GENERIC_P, np.diag([0.5, 0.4, 0.3]),
+                               SCALAR * np.eye(2)],
+                         ids=["symmetric", "diagonal", "2x2"])
+def test_scalar_refuses_any_other_tensor_by_name(P):
+    """A symmetric P with off-diagonal terms, a diagonal P of unequal
+    entries and a multiple of the 2 x 2 identity raise ValueError naming
+    the tensor."""
+    with pytest.raises(ValueError,
+                       match=r"^P must be a scalar multiple of I$"):
+        linalg.scalar(P, "P")
+
+
+@pytest.mark.parametrize("p", SCALARS)
+def test_solve_coupled_reports_the_cocg_exit_residual_without_an_apply(p):
+    """A weakly coupled system, for a real and a complex p, takes COCG,
+    which converges within its budget, so no dense matrix is built.  The residual is the one COCG
     tested at exit: no apply beyond its matvecs, and the value an apply
     would give.  A zero right-hand side reports residual 0.0."""
     kernel, b = coupled_system()
@@ -352,7 +380,6 @@ def test_solve_coupled_reports_the_cocg_exit_residual_without_an_apply():
         raise AssertionError("dense matrix built")
 
     kernel.dense = dense
-    p = SCALAR
     x, res, got, count = linalg.solve_coupled(kernel, 0.8, p, b, rtol=1e-10,
                                               budget=42)
     assert (got, count) == ("cocg", 11) and kernel.applies == 11
@@ -365,15 +392,15 @@ def test_solve_coupled_reports_the_cocg_exit_residual_without_an_apply():
     assert res == 0.0 and not x.any() and count == 0
 
 
+@pytest.mark.parametrize("p", SCALARS)
 def test_solve_coupled_falls_back_to_the_dense_lu_when_cocg_fails(
-        monkeypatch):
-    """At c = 8 COCG does not converge within a budget of 42 matvecs, its
+        p, monkeypatch):
+    """At c = 8, for a real and a complex p, COCG does not converge within a budget of 42 matvecs, its
     41 iterations and one true residual.  So the LU solves the system, and
     the matvecs spent are reported; the LU's x is checked by one more
     apply, not counted, whose residual is reported.  With DENSE_LIMIT = 0
     the same failure raises, naming COCG."""
     kernel, b = coupled_system()
-    p = SCALAR
     x, res, path, matvecs = linalg.solve_coupled(kernel, 8.0, p, b,
                                                  rtol=1e-10, budget=42)
     assert path == "dense" and matvecs == 42 == kernel.applies - 1
@@ -391,33 +418,35 @@ def test_solve_coupled_falls_back_to_the_dense_lu_when_cocg_fails(
 @pytest.mark.parametrize("operator", [DyadicVolumeOperator,
                                       magnetization_operator])
 @pytest.mark.parametrize("k", [0.0, 1.3])
+@pytest.mark.parametrize("p", [0.4, 0.4 + 0.1j])
 def test_solve_coupled_dense_fallback_matches_cocg_on_volume_grids(
-        domain, n, operator, k):
+        domain, n, operator, k, p):
     """The LSE (dyadic) and Magnetization (hessian) operators of box n = 6
-    and ball n = 8 grids, p = 0.4: COCG converges (10-16 matvecs), a
-    budget of 2 sends the same system to the LU of dense(), after one
-    iteration and its true-residual matvec, and the two solutions agree
-    to 1e-9.  The LU's x also solves the system through the FFT apply, so
-    dense() is the matrix that apply multiplies by."""
+    and ball n = 8 grids, p = 0.4 or 0.4 + 0.1i: COCG converges (11-15
+    matvecs), a budget of 2 sends the same system to the LU of dense(),
+    after one iteration and its true-residual matvec, and the two
+    solutions agree to 1e-9.  The LU's x also solves the system through
+    the FFT apply, so dense() is the matrix that apply multiplies by."""
     op = operator(VolumeGrid(domain, n), k)
     b = np.random.default_rng(7).normal(size=(op.count, 3)) + 0j
-    x, res, got, _ = linalg.solve_coupled(op, 1.0, 0.4, b, rtol=1e-10,
+    x, res, got, _ = linalg.solve_coupled(op, 1.0, p, b, rtol=1e-10,
                                           budget=155)
     assert got == "cocg" and res <= 1e-10
-    xd, res, got, matvecs = linalg.solve_coupled(op, 1.0, 0.4, b, rtol=1e-10,
+    xd, res, got, matvecs = linalg.solve_coupled(op, 1.0, p, b, rtol=1e-10,
                                                  budget=2)
     assert got == "dense" and matvecs == 2 and res <= 1e-12
-    direct = xd - op.apply(0.4 * xd) - b
+    direct = xd - op.apply(p * xd) - b
     assert np.linalg.norm(direct) <= 1e-12 * np.linalg.norm(b)
     assert np.linalg.norm(x - xd) <= 1e-9 * np.linalg.norm(xd)
 
 
-def test_solve_coupled_falls_back_to_the_dense_lu_on_a_non_finite_cocg():
-    """A kernel whose apply returns NaN stops COCG at its first non-finite
-    p^T A p, after 1 matvec, without a solution, and the LU of the
-    kernel's dense matrix solves the system.  The residual is measured
-    through that apply, so it reads NaN and shows the fault.  NaN's
-    invalid-value warnings are expected here."""
+@pytest.mark.parametrize("p", SCALARS)
+def test_solve_coupled_falls_back_to_the_dense_lu_on_a_non_finite_cocg(p):
+    """For a real and a complex p, a kernel whose apply returns NaN stops
+    COCG at its first non-finite p^T A p, after 1 matvec, without a
+    solution, and the LU of the kernel's dense matrix solves the system.
+    The residual is measured through that apply, so it reads NaN and shows
+    the fault.  NaN's invalid-value warnings are expected here."""
     kernel, b = coupled_system()
 
     def apply(F):
@@ -426,11 +455,11 @@ def test_solve_coupled_falls_back_to_the_dense_lu_on_a_non_finite_cocg():
 
     kernel.apply = apply
     with np.errstate(invalid="ignore"):
-        x, res, path, count = linalg.solve_coupled(kernel, 0.8, SCALAR, b,
+        x, res, path, count = linalg.solve_coupled(kernel, 0.8, p, b,
                                                    rtol=1e-10, budget=42)
     assert (path, count) == ("dense", 1) == ("dense", kernel.applies - 1)
     assert np.isnan(res)
-    assert np.allclose(x, dense_solution(kernel, 0.8, SCALAR, b), rtol=0,
+    assert np.allclose(x, dense_solution(kernel, 0.8, p, b), rtol=0,
                        atol=1e-10 * np.abs(x).max())
 
 

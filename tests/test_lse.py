@@ -738,12 +738,15 @@ def test_preconditioned_lse_raises_on_cocg_failure(ball10, monkeypatch):
         solve_effective_lse(grid, mu, wave, eigensystem=eigensystem)
 
 
-def test_preconditioned_lse_needs_scalar_mu(ball10, monkeypatch):
+@pytest.mark.parametrize("preconditioned", [True, False])
+def test_preconditioned_lse_needs_scalar_mu(ball10, preconditioned,
+                                            monkeypatch):
     """Only a scalar mu = m I makes the LSE system complex symmetric, as
     COCG needs it, and the k=0 preconditioner inverts A(0) for a scalar m:
     a mu that is not one raises ValueError naming mu - I, with or without
     the eigensystem, before any kernel is built or applied."""
     grid, system, lam = ball10
+    eigensystem = system if preconditioned else None
     mu, wave = _resonance_problem(lam, 1e-3, eta0=1e9)
     mu = mu.copy()
     mu[0, 0] *= 1.5
@@ -752,10 +755,9 @@ def test_preconditioned_lse_needs_scalar_mu(ball10, monkeypatch):
         raise AssertionError("kernel built")
 
     monkeypatch.setattr(lse, "DyadicVolumeOperator", refuse)
-    for eigensystem in (system, None):
-        with pytest.raises(ValueError,
-                           match=r"^mu - I must be a scalar multiple of I$"):
-            solve_effective_lse(grid, mu, wave, eigensystem=eigensystem)
+    with pytest.raises(ValueError,
+                       match=r"^mu - I must be a scalar multiple of I$"):
+        solve_effective_lse(grid, mu, wave, eigensystem=eigensystem)
 
 
 def test_eigensystem_memory_check_counts_blocks_rows_and_basis(monkeypatch):
