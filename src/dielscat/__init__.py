@@ -16,16 +16,14 @@ from .geometry import (Cluster, DomainShape, ScaleSet,
 from .foldylax import (FarFieldSamples, FoldyLaxSolution, IncidentWave,
                        assemble_and_solve, cluster_far_field,
                        invertibility_margin)
-from .effective import (amplification_f, ball_moment_vectors,
-                        ball_resonance_k4, classify_regime, coercivity_window,
-                        correction_g, coupling_xi, detuned_xi, effective_mu,
-                        effective_mu_ball, frequency_function_c, p0_ball,
-                        p0_from_moments, plasmonic_frequency,
-                        spectral_gap_delta, tensor_T)
+from .effective import (ball_moment_vectors, classify_regime,
+                        coercivity_window, coupling_xi, detuned_xi,
+                        effective_mu, effective_mu_ball, frequency_function_c,
+                        p0_ball, p0_from_moments, plasmonic_frequency,
+                        tensor_T)
 from .lse import (VolumeGrid, effective_far_field, magnetization_operator,
                   magnetization_spectrum, newtonian_operator,
-                  newtonian_operator_norm, nnprime_inner_product,
-                  nprime_operator, resonance_amplification_scan,
+                  newtonian_operator_norm, resonance_amplification_scan,
                   solve_effective_lse)
 
 __version__ = "0.1.0"

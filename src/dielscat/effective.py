@@ -103,18 +103,6 @@ def detuned_xi(lam, beta):
     return (PI3 / 4.0) * (1.0 / (3.0 * lam - 1.0) + beta)
 
 
-def amplification_f(lam, beta):
-    """Resonant denominator f = |beta| (3 lam - 1)^2 / (3 lam)."""
-    return abs(beta) * (3.0 * lam - 1.0) ** 2 / (3.0 * lam)
-
-
-def correction_g(lam, beta, vol_omega):
-    """First-order effective-permeability correction g(beta) = O(|beta|)."""
-    num = beta * (2.0 - 3.0 * lam - 1.0 / (3.0 * lam))
-    den = 1.0 + beta * (3.0 * lam - 1.0)
-    return np.pi * lam / vol_omega * num / den
-
-
 def plasmonic_frequency(eta0, lambda_b, lambda_omega, beta):
     """Incident k^2 exciting the detuned dispersion root.
 
@@ -129,17 +117,6 @@ def plasmonic_frequency(eta0, lambda_b, lambda_omega, beta):
         raise ValueError("infeasible detuning: k^2 <= 0")
     c0cr3 = (4.0 / PI3) * (3.0 * lambda_omega - 1.0) / lambda_b
     return ksq, c0cr3
-
-
-def ball_resonance_k4(c0, c_r, eta0, inner):
-    """Resonant k^4 = pi^3 c0 c_r^3 / (6 eta0 inner) for the ball.
-
-    inner is the quadratic form of N + N' on the lowest ball eigenfunction,
-    supplied by the volume-operator diagnostics; it must be positive.
-    """
-    if inner <= 0:
-        raise ValueError("inner product <(N+N')e1; e1> must be positive")
-    return PI3 * c0 * c_r ** 3 / (6.0 * eta0 * inner)
 
 
 def frequency_function_c(k, diam_omega):
@@ -157,13 +134,6 @@ def frequency_function_c(k, diam_omega):
     return (k ** 2 + k ** 3 / 6.0
             + k ** 2 / (4.0 * diam_omega) * tail2
             + k ** 3 / 16.0 * tail1)
-
-
-def spectral_gap_delta(eigenvalues):
-    """delta = 1 + floor(1 / (12 delta_star)), delta_star = min |lam - 1/3|."""
-    gaps = [abs(lam - 1.0 / 3.0) for lam in eigenvalues]
-    delta_star = min(g for g in gaps if g > 0)
-    return 1 + int(np.floor(1.0 / (12.0 * delta_star))), delta_star
 
 
 def coercivity_window(k, diam_omega, vol_omega, delta):

@@ -1,7 +1,7 @@
 # Voxel discretization of the effective-medium Lippmann-Schwinger volume
-# integral equation, the Newtonian / Magnetization / N' volume operators
-# with analytic self-cell corrections, spectral diagnostics of the
-# Magnetization operator, and the resonance amplification scan.
+# integral equation, the static Newtonian (Phi_0) and Magnetization (Y_0)
+# volume operators with analytic self-cell terms, spectral diagnostics of
+# the Magnetization operator, and the resonance amplification scan.
 
 import numpy as np
 from numpy.linalg import eigh
@@ -68,39 +68,27 @@ def _resolution(grid):
     return int(np.min(np.ptp(grid.ijk, axis=0))) + 1
 
 
-def newtonian_operator(grid, k=0.0):
-    """Vector Newtonian potential (N^k F)_i = sum_j w Phi_k(x_i,x_j) F_j.
+def newtonian_operator(grid):
+    """Static Newtonian potential (N F)_i = sum_j w Phi_0(x_i,x_j) F_j, the
+    scalar lattice kernel.
 
     The singular self cell is integrated analytically over the
-    volume-equivalent sphere (term r_eq^2/2) and the smooth k-remainder of
-    Phi_k - Phi_0 contributes ik w / (4 pi).
+    volume-equivalent sphere (term r_eq^2/2).
     """
-    self_term = grid.r_eq ** 2 / 2.0
-    if k:
-        self_term += 1j * k * grid.weight / FOUR_PI
-    return LatticeOperator(grid.ijk, grid.d, "scalar", k, grid.weight,
-                           self_term)
+    return LatticeOperator(grid.ijk, grid.d, "scalar", 0.0, grid.weight,
+                           grid.r_eq ** 2 / 2.0)
 
 
-def magnetization_operator(grid, k=0.0):
-    """Magnetization operator (grad M^k F) on the grid.
+def magnetization_operator(grid):
+    """Static Magnetization operator (grad M F) on the grid, the dyadic
+    lattice kernel at k = 0, where Y_0 = grad grad Phi_0.
 
-    Off-diagonal cells contribute -w grad grad Phi_k(x_i,x_j) . F_j (the
+    Off-diagonal cells contribute -w grad grad Phi_0(x_i,x_j) . F_j (the
     source-gradient form flips the sign of the target Hessian); the self
     cell contributes the cubic-cell depolarization term F/3.
     """
-    return LatticeOperator(grid.ijk, grid.d, "hessian", k, -grid.weight,
+    return LatticeOperator(grid.ijk, grid.d, "dyadic", 0.0, -grid.weight,
                            1.0 / 3.0)
-
-
-def nprime_operator(grid):
-    """Projected Newtonian operator (N' F)_i with kernel Phi_0 rhat rhat.
-
-    Self cell: the equivalent-sphere average of rhat rhat is I/3, giving
-    r_eq^2/6.
-    """
-    return LatticeOperator(grid.ijk, grid.d, "projected", 0.0, grid.weight,
-                           grid.r_eq ** 2 / 6.0)
 
 
 def newtonian_operator_norm(grid):
@@ -275,14 +263,14 @@ def harmonic_gradient_basis(grid, lmax):
 
     These span the gradient-of-harmonic component of the Helmholtz
     decomposition (densely, for star-shaped domains); returned as a
-    column-normalized (3C, nbasis) matrix.
+    column-normalized (3C, lmax (lmax + 2)) matrix.
     """
     pts = grid.centers - np.mean(grid.centers, axis=0)
     scale = np.max(np.linalg.norm(pts, axis=1))
     pts = pts / scale
     C = grid.count
     pows = [np.vander(pts[:, i], lmax + 1, increasing=True) for i in range(3)]
-    cols = []
+    basis = np.empty((lmax * (lmax + 2), 3 * C))
     for degree in range(1, lmax + 1):
         exps, coeffs = harmonic_polynomial_coefficients(degree)
         # gradient of each monomial, evaluated once per degree
@@ -297,10 +285,11 @@ def harmonic_gradient_basis(grid, lmax):
             if c > 0:
                 grads[j, :, 2] = c * (pows[0][:, a] * pows[1][:, b]
                                       * pows[2][:, c - 1])
-        for v in coeffs.T:
+        # degree l fills rows l^2 - 1 ... l^2 + 2l - 1
+        for row, v in enumerate(coeffs.T, degree * degree - 1):
             field = np.einsum("j,jcd->cd", v, grads).reshape(-1)
-            cols.append(field / np.linalg.norm(field))
-    return np.array(cols).T
+            np.divide(field, np.linalg.norm(field), out=basis[row])
+    return basis.T
 
 
 def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10):
@@ -312,6 +301,8 @@ def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10):
     physically meaningful band; the raw collocation matrix suffers heavy
     spectral pollution from the divergence-free and curl-free subspaces,
     whose images smear over (0,1) instead of collapsing onto {0} and {1}.
+    An lmax whose basis and Ritz matrices exceed physical memory raises
+    ValueError, naming lmax and the byte count, before the basis is built.
 
     mode="full": every eigenvalue of the Magnetization matrix, those
     within SPECTRUM_EDGE_TOL of 0 or 1 dropped: the block eigenvalues of
@@ -333,10 +324,21 @@ def magnetization_spectrum(grid, count=None, mode="gradient", lmax=10):
         vals = vals[(vals > SPECTRUM_EDGE_TOL)
                     & (vals < 1.0 - SPECTRUM_EDGE_TOL)]
     elif mode == "gradient":
+        # V, MV, a field, the b x b Gram and Ritz matrices and eigh's work;
+        # or, building V, the points' powers, the gradient stacks of degrees
+        # lmax - 1 and lmax and the full SVD of the r x c degree-lmax Laplacian
+        n, b = 3 * grid.count, lmax * (lmax + 2)
+        r, c = (lmax - 1) * lmax // 2, (lmax + 1) * (lmax + 2) // 2
+        require_memory(8 * max(2 * n * b + n + 6 * b * b,
+                               n * (b + lmax + 4 + (lmax + 1) ** 2)
+                               + 2 * r * c + 8 * r * r + 2 * c * c),
+                       "the gradient basis of lmax=%d on C=%d cells"
+                       % (lmax, grid.count))
         V = harmonic_gradient_basis(grid, lmax)
         op = magnetization_operator(grid)
-        MV = np.stack([op.apply(v.reshape(-1, 3)).reshape(-1) for v in V.T],
-                      axis=1)
+        MV = np.empty(V.shape)
+        for j, v in enumerate(V.T):
+            MV[:, j] = op.apply(v.reshape(-1, 3)).reshape(-1)
         G = V.T @ V
         A = V.T @ MV
         # orthonormalize the trial space, discarding near-dependent columns
@@ -503,15 +505,6 @@ def weighted_norm(field, grid):
     """L2(Omega) norm of a grid field under the quadrature weights."""
     F = np.asarray(field, dtype=complex)
     return float(np.sqrt(grid.weight * np.sum(np.abs(F) ** 2)))
-
-
-def nnprime_inner_product(grid):
-    """<(N + N')(e1); e1> for the unit-norm constant ball eigenfunction."""
-    c = 1.0 / np.sqrt(grid.count * grid.weight)
-    F = np.zeros((grid.count, 3), dtype=complex)
-    F[:, 0] = c
-    G = newtonian_operator(grid).apply(F) + nprime_operator(grid).apply(F)
-    return float(np.real(grid.weight * np.sum(np.conj(F) * G)))
 
 
 def resonance_amplification_scan(grid, system, lam_target, betas, config):

@@ -37,16 +37,17 @@ def cis(x):
 def kernel_scalars(d, k, kind="dyadic"):
     """Scalar factors (iso, rad2) of a Helmholtz kernel at displacements d.
 
-    d has shape (..., 3).  The 3x3 kinds are K(d) = iso I + rad2 d d^T:
-        "dyadic"     Y_k = grad grad Phi_k + k^2 Phi_k I
-        "hessian"    grad grad Phi_k
-        "projected"  Phi_k rhat rhat
-    and the "scalar" kind returns (Phi_k, None).  With r = |d|, Phi' =
-    Phi (ik - 1/r) and Phi'' = Phi ((ik - 1/r)^2 + 1/r^2), the Hessian is
-    (Phi'/r) I + ((Phi'' - Phi'/r)/r^2) d d^T.  Displacements shorter than
-    the coincidence tolerance get zeros; callers handle self terms
-    separately.  The factors are float64 when k == 0.
+    d has shape (..., 3).  The "dyadic" kind is Y_k = grad grad Phi_k +
+    k^2 Phi_k I = iso I + rad2 d d^T, the Hessian of Phi_0 at k = 0; the
+    "scalar" kind returns (Phi_k, None); any other kind raises ValueError.
+    With r = |d|, Phi' = Phi (ik - 1/r) and Phi'' = Phi ((ik - 1/r)^2 +
+    1/r^2), the Hessian is (Phi'/r) I + ((Phi'' - Phi'/r)/r^2) d d^T.
+    Displacements shorter than the coincidence tolerance get zeros;
+    callers handle self terms separately.  The factors are float64 when
+    k == 0.
     """
+    if kind not in ("dyadic", "scalar"):
+        raise ValueError("unknown kernel kind %r" % (kind,))
     r2 = np.einsum("...i,...i->...", d, d)
     near = r2 < COINCIDENT_TOL ** 2
     r2 = np.where(near, 1.0, r2)
@@ -59,13 +60,10 @@ def kernel_scalars(d, k, kind="dyadic"):
         s = -1.0 / r
     if kind == "scalar":
         iso, rad2 = phi, None
-    elif kind == "projected":
-        iso, rad2 = np.zeros_like(phi), phi / r2
     else:
         iso = phi * s / r
         rad2 = (phi * (s * s + 1.0 / r2) - iso) / r2
-        if kind == "dyadic":
-            iso += k * k * phi
+        iso += k * k * phi
     iso[near] = 0.0
     if rad2 is not None:
         rad2[near] = 0.0
@@ -165,9 +163,9 @@ class LatticeOperator:
 
         (A F)_i = self_term F_i + weight sum_{j != i} K(x_i - x_j) F_j
 
-    with x = pitch * ijk for integer lattice indices ijk (C, 3) and K one of
-    the kernel_scalars kinds at wavenumber k.  A 3x3 kernel acts on (C, 3)
-    fields; the scalar kind acts on each column of a (C,) or (C, m) field.
+    with x = pitch * ijk for integer lattice indices ijk (C, 3) and K a
+    kernel_scalars kind at wavenumber k: the dyadic Y_k acts on (C, 3)
+    fields, the scalar Phi_k on each column of a (C,) or (C, m) field.
 
     The kernel is evaluated once, on the (n+1)^3 octant of offsets |o| of
     an n^3 bounding box (octant): each component is even in every axis, or
@@ -238,7 +236,7 @@ class LatticeOperator:
         # complex values per (2n)^3 spectrum entry held, beyond the slab
         # budget, while the spectrum is built and an apply to a (C, 3)
         # field runs, the spectrum's 6 or 1 and the work arrays included:
-        # traced at up to 8.7 (3x3 kinds) and 2.2 (scalar) on box and ball
+        # traced at up to 8.7 (dyadic) and 2.2 (scalar) on box and ball
         # grids of n = 4 to 24
         per_entry = 3 if self.m == 1 else 10
         entries = math.prod(2 * int(n) for n in self.extent)

@@ -116,12 +116,10 @@ def offset_table(extent, pitch, kind, k, weight):
     """weight K(pitch o) at every lattice offset o of an extent-sized box,
     o stored at o mod 2n along each axis (o = -n at index n), zero at
     o = 0, by the closed form: (6, 2nx, 2ny, 2nz) components xx, yy, zz,
-    xy, xz, yz of a 3x3 kind, (1, ...) for "scalar".  The kinds are
-    "dyadic" Y_k, "hessian" Y_k - k^2 Phi_k I, "projected" Phi_k rhat rhat
-    and "scalar" Phi_k.  A convolution over the box reads no offset o = -n,
-    so that entry is free; it is zero on both axes of an off-diagonal
-    component, which is odd in them, so the table of a real kernel has a
-    real DFT."""
+    xy, xz, yz of the "dyadic" kind Y_k, (1, ...) for the "scalar" kind
+    Phi_k.  A convolution over the box reads no offset o = -n, so that
+    entry is free; it is zero on both axes of an off-diagonal component,
+    which is odd in them, so the table of a real kernel has a real DFT."""
     axes = [pitch * np.concatenate([np.arange(n), np.arange(-n, 0)])
             for n in extent]
     d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -133,10 +131,6 @@ def offset_table(extent, pitch, kind, k, weight):
     if kind == "scalar":
         values = phi[None]
     else:
-        if kind == "hessian":
-            iso = iso - k * k * phi
-        elif kind == "projected":
-            radial, iso = phi, np.zeros_like(phi)
         values = np.stack([radial * rhat[:, a] * rhat[:, b] + iso * (a == b)
                            for a, b in COMPONENTS])
     table = weight * values.reshape((-1,) + tuple(2 * n for n in extent))

@@ -1,15 +1,19 @@
 # The package holds what its studies run.  Every top-level function, class,
 # method and module constant of src/dielscat is used in the package outside
-# its own definition, exported by dielscat/__init__.py, or reached by
-# perfbench (a probe target in perfbench/probes.TARGETS, or a name its code
-# uses); and the test oracles import neither the lattice operator nor the
-# solver that they check.
+# its own definition, imported from the package by the acceptance criteria
+# (tests/test_acceptance.py), or reached by perfbench (a probe target in
+# perfbench/probes.TARGETS, or a name its code uses).  An export from
+# dielscat/__init__.py alone does not keep a definition.  The test oracles
+# import neither the lattice operator nor the solver that they check.
 
 import ast
 import collections
 import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+import pytest
+
+TESTS = pathlib.Path(__file__).resolve().parent
+ROOT = TESTS.parent
 SRC = ROOT / "src" / "dielscat"
 PERFBENCH = ROOT / "perfbench"
 
@@ -52,10 +56,13 @@ def definitions(tree):
                     yield "%s.%s" % (node.name, item.name), item.name, item
 
 
-def exported_names():
-    tree = parse(SRC / "__init__.py")
+def acceptance_names():
+    """The names the acceptance criteria import from the package."""
+    tree = parse(TESTS / "test_acceptance.py")
     return {alias.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "dielscat"
+            for alias in node.names}
 
 
 def perfbench_names():
@@ -71,22 +78,65 @@ def perfbench_names():
     return names
 
 
-def test_every_package_definition_is_used_exported_or_probed():
-    trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+def unused_definitions(trees, allowed):
+    """"module:line name" of each definition in trees (module name -> tree)
+    that no module reads outside the definition itself, and that is not
+    in allowed."""
     total = sum((used_names(tree) for tree in trees.values()),
                 collections.Counter())
-    allowed = exported_names() | perfbench_names()
     unused = []
     for module, tree in trees.items():
         for qualified, name, node in definitions(tree):
             outside = total[name] - used_names(node)[name]
             if outside <= 0 and name not in allowed:
                 unused.append("%s:%d %s" % (module, node.lineno, qualified))
+    return unused
+
+
+def test_every_package_definition_is_used_checked_or_probed():
+    trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+    unused = unused_definitions(trees, acceptance_names()
+                                | perfbench_names())
     assert not unused, "defined but never used: " + ", ".join(unused)
 
 
+# (modules, allowed names, what the guard names): a package of toy modules
+GUARD_CASES = {
+    "called by another module": (
+        {"a.py": "def f():\n    pass\n",
+         "b.py": "from .a import f\n\nf()\n"}, set(), []),
+    "imported by a criterion": (
+        {"a.py": "def f():\n    pass\n"}, {"f"}, []),
+    "exported alone": (
+        {"a.py": "def f():\n    pass\n",
+         "__init__.py": "from .a import f\n"}, set(), ["a.py:1 f"]),
+    "called by itself alone": (
+        {"a.py": "def f(n):\n    return f(n - 1)\n"}, set(), ["a.py:1 f"]),
+    "a method never read": (
+        {"a.py": "class A:\n    def g(self):\n        pass\n\n\nA()\n"},
+        set(), ["a.py:2 A.g"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARD_CASES))
+def test_the_guard_keeps_what_is_used_or_checked_and_names_the_rest(case):
+    """A definition read by another module or named in allowed stands; one
+    that an __init__ export or its own body alone reads is named, by
+    module, line and qualified name."""
+    sources, allowed, want = GUARD_CASES[case]
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    assert unused_definitions(trees, allowed) == want
+
+
+def test_the_criteria_keep_the_formulas_they_check():
+    """The acceptance criteria import the moment, P0 and Newtonian formulas
+    that no study runs, and so keep them in the package."""
+    assert {"ball_moment_vectors", "p0_from_moments", "newtonian_operator",
+            "newtonian_operator_norm"} <= acceptance_names()
+
+
 def test_oracles_import_neither_the_lattice_operator_nor_the_solver():
-    tree = parse(pathlib.Path(__file__).resolve().parent / "oracles.py")
+    tree = parse(TESTS / "oracles.py")
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

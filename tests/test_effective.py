@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from dielscat.effective import (amplification_f, ball_moment_vectors,
-                                ball_resonance_k4, classify_regime,
-                                coercivity_window, correction_g, coupling_xi,
-                                detuned_xi, effective_mu, effective_mu_ball,
+from dielscat.effective import (ball_moment_vectors, classify_regime,
+                                coercivity_window, coupling_xi, detuned_xi,
+                                effective_mu, effective_mu_ball,
                                 frequency_function_c, p0_ball,
                                 p0_from_moments, plasmonic_frequency,
-                                spectral_gap_delta, tensor_T)
+                                tensor_T)
 
 PI3 = np.pi ** 3
 
@@ -109,17 +108,17 @@ def test_dispersion_and_detuning():
 
 
 def test_resonant_denominator_identity():
-    """1 - xi(beta) Ttilde lam = -sign(beta) f(beta) exactly on the detuned
+    """1 - xi(beta) Ttilde lam = -sign(beta) f(beta), with the resonant
+    denominator f = |beta| (3 lam - 1)^2 / (3 lam), exactly on the detuned
     dispersion relation (lower branch)."""
     for lam, beta in ((0.45, 2e-3), (0.37, -1e-4)):
         q = 3 * lam - 1
         xi = detuned_xi(lam, beta)
         Ttilde = np.real(tensor_T(xi, p0_ball(), "-")[0, 0])
         lhs = 1.0 - xi * Ttilde * lam
-        f = amplification_f(lam, beta)
+        f = abs(beta) * q ** 2 / (3 * lam)
         want = -np.sign(beta) * f / (1.0 + beta * q / (3 * lam))
         assert lhs == pytest.approx(want, rel=1e-10)
-        assert f == pytest.approx(abs(beta) * q ** 2 / (3 * lam))
 
 
 def test_plasmonic_frequency():
@@ -128,20 +127,6 @@ def test_plasmonic_frequency():
     assert c0cr3 == pytest.approx((4 / PI3) * 0.35 / 0.4)
     with pytest.raises(ValueError):
         plasmonic_frequency(2.0, 0.4, 0.3, 0.0)
-
-
-def test_correction_g_is_first_order():
-    lam, vol = 0.45, 4.0 * np.pi / 3.0
-    g1 = correction_g(lam, 1e-4, vol)
-    g2 = correction_g(lam, 2e-4, vol)
-    assert g2 / g1 == pytest.approx(2.0, rel=1e-3)
-
-
-def test_ball_resonance_k4():
-    k4 = ball_resonance_k4(1.0, 1.0, 2.0, 0.5)
-    assert k4 == pytest.approx(PI3 / 6.0)
-    with pytest.raises(ValueError):
-        ball_resonance_k4(1.0, 1.0, 2.0, -0.5)
 
 
 def test_frequency_function_series():
@@ -157,10 +142,8 @@ def test_frequency_function_series():
     assert frequency_function_c(0.0, D) == 0.0
 
 
-def test_spectral_gap_and_coercivity_window():
-    delta, dstar = spectral_gap_delta([0.2, 0.35, 0.5])
-    assert dstar == pytest.approx(0.35 - 1.0 / 3.0)
-    assert delta == 1 + int(np.floor(1.0 / (12.0 * dstar)))
+def test_coercivity_window():
+    delta = 5
     lo, hi, ok = coercivity_window(0.0, 2.0, 4 * np.pi / 3, delta)
     assert lo == pytest.approx(2 * delta * PI3)
     assert hi == np.inf and ok

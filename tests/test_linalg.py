@@ -415,19 +415,21 @@ def test_solve_coupled_falls_back_to_the_dense_lu_when_cocg_fails(
 
 
 @pytest.mark.parametrize("domain, n", [(unit_box(), 6), (unit_ball(), 8)])
-@pytest.mark.parametrize("operator", [DyadicVolumeOperator,
-                                      magnetization_operator])
-@pytest.mark.parametrize("k", [0.0, 1.3])
+@pytest.mark.parametrize("operator, k", [("lse", 0.0), ("lse", 1.3),
+                                         ("magnetization", 0.0)])
 @pytest.mark.parametrize("p", [0.4, 0.4 + 0.1j])
 def test_solve_coupled_dense_fallback_matches_cocg_on_volume_grids(
         domain, n, operator, k, p):
-    """The LSE (dyadic) and Magnetization (hessian) operators of box n = 6
-    and ball n = 8 grids, p = 0.4 or 0.4 + 0.1i: COCG converges (11-15
-    matvecs), a budget of 2 sends the same system to the LU of dense(),
-    after one iteration and its true-residual matvec, and the two
-    solutions agree to 1e-9.  The LU's x also solves the system through
-    the FFT apply, so dense() is the matrix that apply multiplies by."""
-    op = operator(VolumeGrid(domain, n), k)
+    """The LSE kernel at k = 0 and 1.3 and the static Magnetization
+    operator, both dyadic, of box n = 6 and ball n = 8 grids, p = 0.4 or
+    0.4 + 0.1i: COCG converges (11-15 matvecs), a budget of 2 sends the
+    same system to the LU of dense(), after one iteration and its
+    true-residual matvec, and the two solutions agree to 1e-9.  The LU's x
+    also solves the system through the FFT apply, so dense() is the matrix
+    that apply multiplies by."""
+    grid = VolumeGrid(domain, n)
+    op = DyadicVolumeOperator(grid, k) if operator == "lse" \
+        else magnetization_operator(grid)
     b = np.random.default_rng(7).normal(size=(op.count, 3)) + 0j
     x, res, got, _ = linalg.solve_coupled(op, 1.0, p, b, rtol=1e-10,
                                           budget=155)

@@ -25,11 +25,11 @@ from dielscat.symmetry import SymmetryBasis
 from dielscat.lse import (DEGENERACY_TOL, RESONANT_MIN_ABOVE,
                           DyadicVolumeOperator, VolumeGrid,
                           effective_far_field,
+                          harmonic_gradient_basis,
                           harmonic_polynomial_coefficients,
                           lse_self_scalar, magnetization_eigensystem,
                           magnetization_operator, magnetization_spectrum,
                           newtonian_operator, newtonian_operator_norm,
-                          nnprime_inner_product, nprime_operator,
                           resonance_amplification_scan,
                           select_resonant_eigenvalue, solve_effective_lse,
                           weighted_norm)
@@ -180,17 +180,6 @@ def test_magnetization_matrix_matches_apply():
     want = magnetization_operator(grid).apply(F.astype(complex))
     got = (M @ F.reshape(-1)).reshape(-1, 3)
     assert np.allclose(got, np.real(want), atol=1e-12)
-
-
-def test_nprime_self_term():
-    grid = VolumeGrid(unit_ball(), 8)
-    F = np.zeros((grid.count, 3), dtype=complex)
-    F[0, 0] = 1.0
-    out = nprime_operator(grid).apply(F)
-    # the self contribution alone is r_eq^2/6
-    far = np.argmax(np.linalg.norm(grid.centers - grid.centers[0], axis=1))
-    assert abs(out[0, 0] - grid.r_eq ** 2 / 6.0) < grid.r_eq ** 2
-    assert abs(out[far, 0]) < abs(out[0, 0])
 
 
 def test_newtonian_norm_ball():
@@ -421,6 +410,43 @@ def test_harmonic_polynomial_dimensions():
                 assert abs(lap) < 1e-4
 
 
+@pytest.mark.parametrize("lmax", [1, 2, 3, 7])
+@pytest.mark.parametrize("domain, n", [(unit_ball(), 8), (unit_box(), 6)])
+def test_harmonic_gradient_basis_is_nested_and_harmonic(domain, n, lmax):
+    """The basis has lmax (lmax + 2) unit columns of full rank, degree l in
+    columns l^2 - 1 ... l^2 + 2l - 1, so it opens with the basis of
+    lmax - 1 bit for bit.  Degree 1 is the three constant fields and degree
+    2 the fields S x of a symmetric traceless S; each field of degree 3 or
+    less is at most quadratic, so centred differences differentiate it
+    exactly, and has zero divergence and curl to round-off: the gradient of
+    a harmonic polynomial."""
+    grid = VolumeGrid(domain, n)
+    V = harmonic_gradient_basis(grid, lmax)
+    b = lmax * (lmax + 2)
+    assert V.shape == (3 * grid.count, b) and V.dtype == np.float64
+    np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, rtol=1e-14)
+    assert np.linalg.matrix_rank(V) == b
+    np.testing.assert_array_equal(V[:, :(lmax - 1) * (lmax + 1)],
+                                  harmonic_gradient_basis(grid, lmax - 1))
+    fields = V.T.reshape(b, grid.count, 3)
+    for F in fields[:3]:
+        assert np.max(np.abs(F - F[0])) <= 1e-15
+    x = grid.centers - np.mean(grid.centers, axis=0)
+    for F in fields[3:8]:
+        S = np.linalg.lstsq(x, F, rcond=None)[0]
+        scale = np.max(np.abs(S))
+        assert np.max(np.abs(x @ S - F)) <= 1e-13 * np.max(np.abs(F))
+        assert np.max(np.abs(S - S.T)) <= 1e-12 * scale
+        assert abs(np.trace(S)) <= 1e-12 * scale
+    for F in fields[:15]:
+        div, valid = discrete_divergence(F, grid)
+        curl, _ = discrete_curl(F, grid)
+        assert np.any(valid)
+        bound = 1e-12 * np.max(np.abs(F)) / grid.d
+        assert np.max(np.abs(div[valid])) <= bound
+        assert np.max(np.abs(curl[valid])) <= bound
+
+
 def test_magnetization_spectrum_gradient_mode():
     grid = VolumeGrid(unit_ball(), 12)
     vals, raw_count = magnetization_spectrum(grid, mode="gradient", lmax=6)
@@ -444,13 +470,11 @@ def test_select_resonant_eigenvalue(ball10):
     assert degeneracy >= 1
 
 
-def test_weighted_norm_and_inner_product():
+def test_weighted_norm():
     grid = VolumeGrid(unit_ball(), 10)
     F = np.ones((grid.count, 3), dtype=complex)
     assert weighted_norm(F, grid) == pytest.approx(
         np.sqrt(3.0 * grid.count * grid.weight))
-    inner = nnprime_inner_product(grid)
-    assert inner > 0.0
 
 
 def test_dense_memory_check_refuses_before_allocating():
@@ -472,6 +496,77 @@ def test_cli_reports_oversized_dense_spectrum(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 1
     assert time.perf_counter() - t0 < 2.0
     assert "block eigendecomposition on C=137376" in capsys.readouterr().err
+
+
+class BasisReached(Exception):
+    """Raised in place of the gradient basis or an operator apply."""
+
+
+@pytest.mark.parametrize("domain, n, lmax", [
+    (unit_ball(), 12, 1), (unit_ball(), 12, 8), (unit_box(), 12, 3),
+    (unit_ball(), 16, 12)])
+def test_gradient_spectrum_checks_its_memory_before_the_basis(
+        monkeypatch, domain, n, lmax):
+    """The bytes checked before the gradient basis is built cover the
+    traced peak of the gradient spectrum (the Magnetization operator's
+    arrays, which the operator checks as it is built, made before the
+    trace).  A host one byte short of them refuses the spectrum, naming
+    lmax and the byte count, before the basis is built or the operator
+    applied; a host with exactly that many goes on to build the basis."""
+    grid = VolumeGrid(domain, n)
+    op = magnetization_operator(grid)
+    op.apply(np.zeros((grid.count, 3)))
+    monkeypatch.setattr(lse, "magnetization_operator", lambda grid: op)
+    checked = []
+    monkeypatch.setattr(lse, "require_memory",
+                        lambda nbytes, what: checked.append(nbytes))
+    tracemalloc.start()
+    try:
+        magnetization_spectrum(grid, mode="gradient", lmax=lmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need, = checked
+    assert peak <= need
+    monkeypatch.undo()
+
+    def reach(*args):
+        raise BasisReached
+
+    monkeypatch.setattr(lse, "harmonic_gradient_basis", reach)
+    monkeypatch.setattr(tensors.LatticeOperator, "apply", reach)
+    monkeypatch.setattr(tensors, "physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match="lmax=%d on C=%d cells needs %d "
+                       "bytes" % (lmax, grid.count, need)):
+        magnetization_spectrum(grid, mode="gradient", lmax=lmax)
+    monkeypatch.setattr(tensors, "physical_memory", lambda: need)
+    with pytest.raises(BasisReached):
+        magnetization_spectrum(grid, mode="gradient", lmax=lmax)
+
+
+def test_cli_refuses_an_lmax_larger_than_memory(tmp_path, capsys,
+                                                monkeypatch):
+    """spectrum with an lmax whose gradient basis does not fit exits 1 at
+    once, naming lmax and the byte count, with no operator applied."""
+    grid = VolumeGrid(unit_ball(), 12)
+    checked = []
+    monkeypatch.setattr(lse, "require_memory",
+                        lambda nbytes, what: checked.append(nbytes))
+    magnetization_spectrum(grid, mode="gradient", lmax=8)
+    need, = checked
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("operator applied")
+
+    monkeypatch.setattr(tensors.LatticeOperator, "apply", refuse)
+    monkeypatch.setattr(tensors, "physical_memory", lambda: need - 1)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid_n": 12, "lmax": 8}))
+    assert main(["spectrum", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "gradient basis of lmax=8 on C=%d cells needs %d bytes" % (
+        grid.count, need) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("domain", [unit_ball(), unit_box()])
@@ -525,43 +620,33 @@ def test_spectra_and_newtonian_norm_run_without_importing_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _pointwise_volume_matrix(grid, block, self_term):
+def _pointwise_volume_matrix(grid, block, self_term, m=3):
     n = grid.count
-    A = np.zeros((n, 3, n, 3), dtype=complex)
+    A = np.zeros((n, m, n, m), dtype=complex)
     for i in range(n):
-        A[i, :, i, :] = self_term * np.eye(3)
+        A[i, :, i, :] = self_term * np.eye(m)
         for j in range(n):
             if i != j:
                 A[i, :, j, :] = grid.weight * block(grid.centers[i],
                                                     grid.centers[j])
-    return A.reshape(3 * n, 3 * n)
+    return A.reshape(m * n, m * n)
 
 
 @pytest.mark.parametrize("k", [0.0, 1.3])
 def test_volume_operators_match_pointwise_sums(k):
     """Each volume operator's FFT apply against a double loop of the
-    pointwise kernels, with its weight and self-cell term."""
+    pointwise kernels, with its weight and self-cell term: the LSE kernel
+    at k, and the static Newtonian and Magnetization operators at k = 0."""
     grid = VolumeGrid(unit_ball(), 5)
-    w, r2 = grid.weight, grid.r_eq ** 2
-    eye = np.eye(3)
-
-    def rhat(x, z):
-        return np.outer(x - z, x - z) / np.sum((x - z) ** 2)
-
-    cases = [
-        (newtonian_operator(grid, k).apply,
-         lambda x, z: helmholtz_kernel(x, z, k) * eye,
-         r2 / 2.0 + 1j * k * w / (4 * np.pi)),
-        (magnetization_operator(grid, k).apply,
-         lambda x, z: k * k * helmholtz_kernel(x, z, k) * eye
-         - dyadic_green(x, z, k), 1.0 / 3.0),
-        (DyadicVolumeOperator(grid, k).apply,
-         lambda x, z: dyadic_green(x, z, k), lse_self_scalar(grid, k)),
-    ]
+    cases = [(DyadicVolumeOperator(grid, k).apply,
+              lambda x, z: dyadic_green(x, z, k), lse_self_scalar(grid, k))]
     if k == 0.0:
-        cases.append((nprime_operator(grid).apply,
-                       lambda x, z: helmholtz_kernel(x, z, 0.0) * rhat(x, z),
-                       r2 / 6.0))
+        cases += [
+            (newtonian_operator(grid).apply,
+             lambda x, z: helmholtz_kernel(x, z, 0.0) * np.eye(3),
+             grid.r_eq ** 2 / 2.0),
+            (magnetization_operator(grid).apply,
+             lambda x, z: -dyadic_green(x, z, 0.0), 1.0 / 3.0)]
     rng = np.random.default_rng(21)
     F = rng.normal(size=(grid.count, 3)) + 1j * rng.normal(
         size=(grid.count, 3))
@@ -574,6 +659,45 @@ def test_volume_operators_match_pointwise_sums(k):
     want = _pointwise_volume_matrix(grid, lambda x, z: dyadic_green(x, z, k),
                                     lse_self_scalar(grid, k))
     assert np.max(np.abs(dense - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def volume_operator(grid, name, k):
+    """A study's volume operator on the grid, its kernel at a pair of
+    points as an m x m block, and its self-cell term."""
+    if name == "newtonian":
+        return (newtonian_operator(grid),
+                lambda x, z: np.reshape(helmholtz_kernel(x, z, 0.0), (1, 1)),
+                grid.r_eq ** 2 / 2.0)
+    if name == "magnetization":
+        return (magnetization_operator(grid),
+                lambda x, z: -dyadic_green(x, z, 0.0), 1.0 / 3.0)
+    return (DyadicVolumeOperator(grid, k), lambda x, z: dyadic_green(x, z, k),
+            lse_self_scalar(grid, k))
+
+
+@pytest.mark.parametrize("domain, n", [(unit_box(), 4), (unit_ball(), 5),
+                                       (unit_ball(), 6)])
+@pytest.mark.parametrize("name, k", [("newtonian", 0.0),
+                                     ("magnetization", 0.0), ("lse", 0.0),
+                                     ("lse", 1.3)])
+def test_volume_operator_dense_is_the_pointwise_matrix(name, k, domain, n):
+    """dense() of the static Newtonian and Magnetization operators and of
+    the LSE kernel at k = 0 and 1.3 equals the double loop of the pointwise
+    kernel, with the operator's weight and self-cell term, to 1e-12 of its
+    largest entry, on box n = 4 and ball n = 5 and 6 grids.  The static
+    operators are float64 (the LSE's self term is complex at every k), and
+    apply to a real field equals dense() @ F in dense()'s dtype."""
+    grid = VolumeGrid(domain, n)
+    op, block, self_term = volume_operator(grid, name, k)
+    want = _pointwise_volume_matrix(grid, block, self_term, op.m)
+    dense = op.dense()
+    assert dense.dtype == (np.complex128 if name == "lse" else np.float64)
+    assert np.max(np.abs(dense - want)) <= 1e-12 * np.max(np.abs(want))
+    F = np.random.default_rng(n).normal(size=(grid.count, 3))
+    got = op.apply(F)
+    ref = (dense @ F.reshape(-1)).reshape(-1, 3) if op.m == 3 else dense @ F
+    assert got.dtype == dense.dtype
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def mrrr_resonant_eigenvalue(grid, min_above=5e-3, degeneracy_tol=1e-9):

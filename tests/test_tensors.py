@@ -11,8 +11,9 @@ from dielscat.geometry import Cluster, DomainShape, generate_cluster, \
 from dielscat.lse import VolumeGrid
 from dielscat.tensors import (SYM, LatticeOperator, cis, direction_grid,
                               kernel_components, kernel_scalars)
-from oracles import (DirectSumOperator, dyadic_green, dyadic_green_fd,
-                     fft_lattice_apply, helmholtz_kernel, offset_spectrum)
+from oracles import (FOUR_PI, DirectSumOperator, dyadic_green,
+                     dyadic_green_fd, fft_lattice_apply, helmholtz_kernel,
+                     offset_spectrum)
 
 
 def random_points(rng, n):
@@ -77,12 +78,16 @@ def test_dyadic_green_symmetry():
     assert np.allclose(G, dyadic_green(y, x, 1.7))
 
 
-def test_kernel_scalars_reconstruct_dyadic():
+@pytest.mark.parametrize("k", [0.0, 0.9, 2.1])
+def test_kernel_scalars_reconstruct_dyadic(k):
+    """iso I + rad2 d d^T is Y_k at k = 0.9 and 2.1, and at k = 0, where
+    the factors are float64, the Hessian of Phi_0."""
     rng = np.random.default_rng(5)
     src = random_points(rng, 4)
     tgt = random_points(rng, 3) + 3.0
-    k = 0.9
     iso, rad2 = kernel_scalars(tgt[:, None, :] - src[None, :, :], k)
+    assert iso.dtype == rad2.dtype == (np.float64 if k == 0.0
+                                       else np.complex128)
     for i in range(3):
         for j in range(4):
             d = tgt[i] - src[j]
@@ -91,11 +96,45 @@ def test_kernel_scalars_reconstruct_dyadic():
                                rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("k", [0.0, 0.9, 2.1])
+def test_kernel_scalars_scalar_kind_is_phi(k):
+    """The "scalar" kind returns (Phi_k, None), float64 at k = 0."""
+    rng = np.random.default_rng(6)
+    src = random_points(rng, 4)
+    tgt = random_points(rng, 3) + 3.0
+    phi, none = kernel_scalars(tgt[:, None, :] - src[None, :, :], k,
+                               "scalar")
+    assert none is None
+    assert phi.dtype == (np.float64 if k == 0.0 else np.complex128)
+    want = [[helmholtz_kernel(x, z, k) for z in src] for x in tgt]
+    np.testing.assert_allclose(phi, want, rtol=1e-14, atol=0.0)
+
+
 def test_kernel_scalars_zero_on_coincident_points():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     iso, rad2 = kernel_scalars(pts[:, None, :] - pts[None, :, :], 1.0)
     assert iso[0, 0] == 0.0 and rad2[0, 0] == 0.0
     assert iso[0, 1] != 0.0
+
+
+@pytest.mark.parametrize("kind", ["hessian", "projected", "hesian",
+                                  "Dyadic"])
+def test_an_unknown_kernel_kind_is_refused_before_any_table(kind):
+    """The kernels are "dyadic" and "scalar" alone.  Any other kind, the
+    Hessian (the dyadic kind at k = 0) and the projected kernel among
+    them, raises ValueError naming it: from kernel_scalars, and from a
+    lattice operator's first dense() or apply, before its octant or
+    spectrum is built."""
+    message = "unknown kernel kind '%s'" % kind
+    with pytest.raises(ValueError, match=message):
+        kernel_scalars(np.ones((2, 3)), 1.3, kind)
+    ijk = uneven_lattice((3, 2, 2), 4)
+    for use in (LatticeOperator.dense,
+                lambda op: op.apply(np.ones((len(ijk), 3)))):
+        op = LatticeOperator(ijk, 0.3, kind, 1.3)
+        with pytest.raises(ValueError, match=message):
+            use(op)
+        assert "octant" not in vars(op) and "spectrum" not in vars(op)
 
 
 def test_direct_sum_oracle_matches_the_pairwise_green_tensor():
@@ -121,20 +160,14 @@ def test_direction_grid_structure():
     assert len({tuple(np.round(d, 12)) for d in dirs}) == 26
 
 
-KINDS = ("dyadic", "hessian", "projected", "scalar")
+KINDS = ("dyadic", "scalar")
 
 
 def pointwise_block(x, z, k, kind):
     """K(x - z) from the pointwise oracles, as a 3x3 tensor or a scalar."""
     if kind == "scalar":
         return helmholtz_kernel(x, z, k)
-    if kind == "dyadic":
-        return dyadic_green(x, z, k)
-    if kind == "hessian":
-        return dyadic_green(x, z, k) - k * k * helmholtz_kernel(x, z, k) \
-            * np.eye(3)
-    rhat = (x - z) / np.linalg.norm(x - z)
-    return helmholtz_kernel(x, z, k) * np.outer(rhat, rhat)
+    return dyadic_green(x, z, k)
 
 
 def pointwise_matrix(points, k, kind, weight, self_term):
@@ -292,6 +325,67 @@ def test_dense_from_the_octant_is_the_kernel_at_every_offset(extent, kind, k):
     assert "octant" in vars(op) and "spectrum" not in vars(op)
 
 
+def pair_offsets(ijk, pitch):
+    """r = |x_i - x_j| and rhat for every pair of a lattice, rhat zero where
+    i = j."""
+    d = pitch * (ijk[:, None, :] - ijk[None, :, :])
+    r = np.linalg.norm(d, axis=-1)
+    return r, d / np.where(r > 0, r, 1.0)[..., None]
+
+
+@pytest.mark.parametrize("extent", [(4, 4, 4)] + UNEVEN_EXTENTS)
+@pytest.mark.parametrize("k", [0.0, 1.3, 2.1])
+def test_the_dyadic_trace_is_twice_k_squared_the_scalar_kernel(extent, k):
+    """tr Y_k = Laplacian Phi_k + 3 k^2 Phi_k = 2 k^2 Phi_k off the
+    diagonal, so the trace of every 3x3 block of the dyadic dense() is
+    2 k^2 times the scalar dense(), to 1e-12 of its largest entry: at
+    k = 0 the Magnetization kernel, the Hessian of Phi_0, is traceless."""
+    ijk = uneven_lattice(extent, 1)
+    C = len(ijk)
+    dyadic = LatticeOperator(ijk, 0.3, "dyadic", k).dense()
+    scalar = LatticeOperator(ijk, 0.3, "scalar", k).dense()
+    trace = np.einsum("iaja->ij", dyadic.reshape(C, 3, C, 3))
+    scale = np.max(np.abs(dyadic))
+    assert np.max(np.abs(trace - 2 * k * k * scalar)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("extent", [(4, 4, 4)] + UNEVEN_EXTENTS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_kernels_tend_to_their_static_kernels_as_k_vanishes(extent,
+                                                                 kind):
+    """At k = 1e-3 the complex branch of kernel_scalars differs from its
+    float64 k = 0 branch by the series of e^{ikr} / (4 pi r):
+        Phi_k - Phi_0 = (ik - k^2 r / 2 - i k^3 r^2 / 6) / (4 pi) + O(k^4)
+        Y_k - Y_0 = k^2 (I + rhat rhat) / (8 pi r) + i k^3 I / (6 pi)
+                    + O(k^4),
+    the dyadic one by grad grad r = (I - rhat rhat) / r and grad grad r^2
+    = 2 I.  The terms left out are (k r)^3 (scalar) and (k r)^2 (dyadic)
+    of the largest term kept at the widest offset r of the lattice, which
+    bounds the difference of the two dense() matrices."""
+    ijk = uneven_lattice(extent, 1)
+    C, k = len(ijk), 1e-3
+    r, rhat = pair_offsets(ijk, 0.3)
+    off = r > 0
+    rr = np.where(off, r, 1.0)
+    if kind == "scalar":
+        want = (1j * k - k * k * rr / 2 - 1j * k ** 3 * rr ** 2 / 6) \
+            / FOUR_PI * off
+        order = 3
+    else:
+        eye = np.eye(3)
+        blocks = (k * k / (8 * np.pi * rr))[..., None, None] * (
+            eye + rhat[..., :, None] * rhat[..., None, :]) \
+            + 1j * k ** 3 / (6 * np.pi) * eye
+        want = (blocks * off[..., None, None]).transpose(0, 2, 1, 3) \
+            .reshape(3 * C, 3 * C)
+        order = 2
+    static = LatticeOperator(ijk, 0.3, kind, 0.0).dense()
+    assert static.dtype == np.float64
+    moved = LatticeOperator(ijk, 0.3, kind, k).dense() - static
+    bound = (k * np.max(r)) ** order * np.max(np.abs(want))
+    assert np.max(np.abs(moved - want)) <= bound
+
+
 @pytest.mark.parametrize("domain, n", [(unit_box(), 7), (unit_box(), 11),
                                        (unit_box(), 12), (unit_ball(), 10),
                                        (None, (9, 5, 3))])
@@ -310,7 +404,7 @@ def test_apply_matches_the_direct_sum_on_the_workload_grids(domain, n):
 
 @pytest.mark.parametrize("domain", [unit_box(), unit_ball()])
 @pytest.mark.parametrize("n", [7, 13, 24])
-@pytest.mark.parametrize("kind", ["dyadic", "scalar"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_apply_matches_the_numpy_fft_convolution(domain, n, kind):
     """The pruned DFT apply against the zero-padded numpy.fft convolution
     with fftn of the kernel at every offset, to 1e-12, on box and ball
@@ -388,9 +482,8 @@ def test_lattice_operator_properties(shape, mask, kind, k, seed):
 
 
 # (kind, k, field columns or None for a (C,) field, real field)
-REUSE_CASES = [("dyadic", 1.3, 3, False), ("hessian", 1.3, 3, False),
-               ("scalar", 1.3, None, False), ("scalar", 1.3, 3, False),
-               ("hessian", 0.0, 3, True)]
+REUSE_CASES = [("dyadic", 1.3, 3, False), ("scalar", 1.3, None, False),
+               ("scalar", 1.3, 3, False), ("dyadic", 0.0, 3, True)]
 
 
 @pytest.mark.parametrize("lattice", ["ball", "uneven box"])
@@ -425,7 +518,7 @@ def test_apply_reuses_its_work_arrays(lattice, kind, k, columns, real):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("kind", ["dyadic", "scalar"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("domain", [unit_box(), unit_ball()])
 def test_a_second_apply_allocates_no_work_arrays(kind, domain):
     """The work arrays are made once per operator: applying it again to a
@@ -444,7 +537,7 @@ def test_a_second_apply_allocates_no_work_arrays(kind, domain):
     assert peak < 16 * np.prod(2 * op.extent) + out.nbytes
 
 
-@pytest.mark.parametrize("kind", ["dyadic", "scalar"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("domain, n", [(unit_box(), 8), (unit_ball(), 9)])
 def test_lattice_operator_checks_its_memory_before_allocating(
         monkeypatch, kind, domain, n):
